@@ -37,7 +37,6 @@ pub mod reference;
 pub mod scheme;
 pub mod stats;
 pub mod system;
-pub mod trace;
 
 pub use datamem::DataMem;
 pub use isa::{AluOp, BranchCond, Inst, Operand, Pc, Program, ProgramBuilder, Reg};
@@ -49,4 +48,3 @@ pub use scheme::{
 };
 pub use stats::{CoreStats, SquashedClass};
 pub use system::{RunLimits, StopReason, System};
-pub use trace::{TraceBuffer, TraceEvent, TraceRecord};

@@ -18,13 +18,13 @@ use crate::scheme::{
     SquashedLoad, SquashedLoadState,
 };
 use crate::stats::{CoreStats, SquashedClass, StallCause};
-use crate::trace::{TraceBuffer, TraceEvent};
 use cleanupspec_mem::hierarchy::{MemHierarchy, MissProvenance};
 use cleanupspec_mem::mshr::{LoadPath, MshrToken, SefeRecord};
 use cleanupspec_mem::stats::MsgClass;
 use cleanupspec_mem::types::{Addr, CoreId, Cycle, LineAddr, LoadId};
 use cleanupspec_obs::{Observer, PathKind, SimEvent};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Core configuration (defaults follow Table 4).
@@ -114,6 +114,9 @@ struct RobEntry {
     /// The load touches a protected range: faults when it reaches commit
     /// (Meltdown-style deferred permission check).
     faulting: bool,
+    /// The in-flight producer this waiting entry sleeps on (an operand it
+    /// lacks); it rejoins the waiting list when that producer is done.
+    parked_on: Option<u64>,
 }
 
 /// Load-queue entry state.
@@ -180,6 +183,128 @@ enum SquashPhase {
     },
 }
 
+/// Sequence numbers of the ROB entries in one scheduling state, oldest
+/// first.
+///
+/// Entries join at dispatch, so pushes arrive in ascending order (only a
+/// parked entry waking up is inserted in the middle). They leave on the
+/// state change the list tracks, or when a squash truncates the young end.
+#[derive(Clone, Debug, Default)]
+struct SeqList(VecDeque<u64>);
+
+impl SeqList {
+    fn push(&mut self, seq: u64) {
+        debug_assert!(self.0.back().is_none_or(|&b| b < seq));
+        self.0.push_back(seq);
+    }
+
+    fn remove(&mut self, seq: u64) {
+        let found = self.0.binary_search(&seq);
+        debug_assert!(found.is_ok(), "seq {seq} not in {:?}", self.0);
+        if let Ok(k) = found {
+            self.0.remove(k);
+        }
+    }
+
+    /// Inserts `seq` in order (a parked entry waking up).
+    fn insert(&mut self, seq: u64) {
+        let found = self.0.binary_search(&seq);
+        debug_assert!(found.is_err(), "seq {seq} already listed");
+        if let Err(k) = found {
+            self.0.insert(k, seq);
+        }
+    }
+
+    /// Whether the list holds an entry older than `seq`.
+    fn has_older(&self, seq: u64) -> bool {
+        self.0.front().is_some_and(|&f| f < seq)
+    }
+
+    /// Drops every entry younger than `seq` (a squash).
+    fn truncate_after(&mut self, seq: u64) {
+        while self.0.back().is_some_and(|&b| b > seq) {
+            self.0.pop_back();
+        }
+    }
+}
+
+/// Per-core scheduling worklists, so each stage touches only the entries
+/// an event concerns instead of walking the whole ROB every cycle. They
+/// are maintained at dispatch, issue, complete, and squash (commit needs
+/// nothing: a committing entry is in no list); debug builds recompute them
+/// from the ROB/LQ/SQ after every tick (`Pipeline::check_worklists`).
+#[derive(Clone, Debug)]
+struct Worklists {
+    /// `(done_at, seq)` of every issued entry, earliest first. Items of
+    /// squashed seqs stay behind and are skipped when drained: the ROB
+    /// slot is re-checked, so a reused seq is completed exactly once, at
+    /// its own `done_at`.
+    completions: BinaryHeap<Reverse<(Cycle, u64)>>,
+    /// Seqs drained from `completions` this tick (reused scratch buffer).
+    due: Vec<u64>,
+    /// `Waiting` entries the issue stage examines: all but the parked
+    /// ones, which wait for an operand that is not yet computed.
+    waiting: SeqList,
+    /// Parked consumers of each producer, indexed by the producer's seq
+    /// modulo the ROB size rounded up to a power of two (unique among live
+    /// entries). A list is drained when its producer completes and dropped
+    /// when it is squashed; consumer seqs squashed meanwhile are skipped
+    /// by `parked_on`.
+    wakeups: Vec<Vec<u64>>,
+    /// LQ slots that may hold a completed load whose visibility hook has
+    /// not run yet, ascending. Slots are added when a load completes and
+    /// dropped once the hook ran or the slot no longer holds such a load.
+    visibility_pending: Vec<usize>,
+    /// Entries that can still squash everything younger: control not yet
+    /// done, and loads not yet issued or faulting.
+    squash_sources: SeqList,
+    /// Fences not yet done.
+    fences: SeqList,
+    /// Stores whose address is still unknown.
+    addrless_stores: SeqList,
+    /// Oldest branch `complete` resolved as mispredicted this tick;
+    /// `process_squash` consumes it in the same tick.
+    mispredict: Option<u64>,
+}
+
+impl Worklists {
+    fn new(rob_entries: usize) -> Self {
+        Worklists {
+            completions: BinaryHeap::new(),
+            due: Vec::new(),
+            waiting: SeqList::default(),
+            wakeups: vec![Vec::new(); rob_entries.next_power_of_two()],
+            visibility_pending: Vec::new(),
+            squash_sources: SeqList::default(),
+            fences: SeqList::default(),
+            addrless_stores: SeqList::default(),
+            mispredict: None,
+        }
+    }
+
+    fn wakeup_slot(&mut self, producer: u64) -> &mut Vec<u64> {
+        let mask = self.wakeups.len() as u64 - 1;
+        &mut self.wakeups[(producer & mask) as usize]
+    }
+
+    fn truncate_after(&mut self, seq: u64) {
+        self.waiting.truncate_after(seq);
+        self.squash_sources.truncate_after(seq);
+        self.fences.truncate_after(seq);
+        self.addrless_stores.truncate_after(seq);
+    }
+}
+
+/// Whether `e` can still squash everything younger than itself: an
+/// unresolved control instruction, or a load that has not yet passed its
+/// (deferred) permission check — the "all transient instructions are
+/// unsafe until they cannot be squashed" threat model of the paper, which
+/// covers both Spectre- and Meltdown-class events.
+fn is_squash_source(e: &RobEntry) -> bool {
+    (e.inst.is_control() && e.status != Status::Done)
+        || (e.inst.is_load() && (e.status == Status::Waiting || e.faulting))
+}
+
 /// One simulated out-of-order core.
 ///
 /// `Clone` deep-copies the full microarchitectural state — ROB, LQ/SQ,
@@ -218,8 +343,8 @@ pub struct Pipeline {
     /// A fatal (unhandled) fault was raised: halt once its cleanup is done.
     halt_after_squash: bool,
     load_id_ctr: u64,
+    sched: Worklists,
     stats: CoreStats,
-    trace: Option<TraceBuffer>,
     obs: Observer,
 }
 
@@ -249,8 +374,8 @@ impl Pipeline {
             episodes: 0,
             halt_after_squash: false,
             load_id_ctr: 0,
+            sched: Worklists::new(cfg.rob_entries),
             stats: CoreStats::default(),
-            trace: None,
             obs: Observer::disabled(),
             core,
             cfg,
@@ -258,8 +383,7 @@ impl Pipeline {
         }
     }
 
-    /// Attaches the event-bus observer (structured [`SimEvent`]s; the
-    /// legacy [`TraceBuffer`] keeps working independently).
+    /// Attaches the event-bus observer (structured [`SimEvent`]s).
     pub fn set_observer(&mut self, obs: Observer) {
         self.obs = obs;
     }
@@ -328,23 +452,6 @@ impl Pipeline {
             .count()
     }
 
-    /// Enables event tracing with a ring buffer of `capacity` events.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceBuffer::new(capacity));
-    }
-
-    /// The trace buffer, if tracing is enabled.
-    pub fn trace(&self) -> Option<&TraceBuffer> {
-        self.trace.as_ref()
-    }
-
-    #[inline]
-    fn emit(&mut self, cycle: Cycle, event: TraceEvent) {
-        if let Some(t) = &mut self.trace {
-            t.push(cycle, event);
-        }
-    }
-
     /// Advances the core by one cycle against the shared memory system.
     ///
     /// Every call charges exactly one cycle to the top-down CPI stack
@@ -381,6 +488,8 @@ impl Pipeline {
         self.fetch(now);
         let cause = self.classify_cycle(now, committed);
         self.stats.cpi_stack.charge(cause);
+        #[cfg(debug_assertions)]
+        self.check_worklists();
     }
 
     /// Charges one cycle to the `Harness` bucket: the system runner calls
@@ -455,13 +564,37 @@ impl Pipeline {
     // Completion
     // ------------------------------------------------------------------
 
+    /// ROB index of the live entry with sequence number `seq`, if any
+    /// (seqs are dense in the ROB, so this is an offset from the head).
+    fn rob_index(&self, seq: u64) -> Option<usize> {
+        let head = self.rob.front()?.seq;
+        let i = usize::try_from(seq.checked_sub(head)?).ok()?;
+        (i < self.rob.len()).then_some(i)
+    }
+
+    /// Finishes every issued entry whose `done_at` has arrived, in seq
+    /// order — the order `LoadId`s, SEFE collection and predictor training
+    /// have always followed.
     fn complete(&mut self, mem: &mut MemHierarchy, now: Cycle) {
-        let head_seq = self.rob.front().map(|e| e.seq).unwrap_or(self.next_seq);
-        for i in 0..self.rob.len() {
-            let (seq, due, lq_idx, is_control) = {
+        let mut due = std::mem::take(&mut self.sched.due);
+        while let Some(&Reverse((done_at, seq))) = self.sched.completions.peek() {
+            if done_at > now {
+                break;
+            }
+            self.sched.completions.pop();
+            due.push(seq);
+        }
+        due.sort_unstable();
+        for &seq in &due {
+            // Skip items of squashed seqs: gone from the ROB, or reused by an
+            // entry that is not (or no longer) due.
+            let Some(i) = self.rob_index(seq) else {
+                continue;
+            };
+            let (due, lq_idx, inst) = {
                 let e = &self.rob[i];
                 let due = matches!(e.status, Status::Issued { done_at } if done_at <= now);
-                (e.seq, due, e.lq, e.inst.is_control())
+                (due, e.lq, e.inst)
             };
             if !due {
                 continue;
@@ -493,51 +626,80 @@ impl Pipeline {
                                     visible_done: false,
                                 },
                             });
+                            let pending = &mut self.sched.visibility_pending;
+                            if let Err(k) = pending.binary_search(&li) {
+                                pending.insert(k, li);
+                            }
                         }
                     }
                 }
             }
             let e = &mut self.rob[i];
             e.status = Status::Done;
-            if is_control {
+            if inst.is_control() {
+                self.sched.squash_sources.remove(seq);
                 // Resolve: detect misprediction and train the predictor.
                 let mispredicted =
                     e.pred_taken != e.actual_taken || e.pred_target != e.actual_target;
-                match e.inst {
+                if mispredicted && matches!(inst, Inst::Branch { .. } | Inst::Ret) {
+                    self.stats.mispredicts += 1;
+                    e.mispredict_pending = true;
+                    // Seq order: the first one this tick is the oldest.
+                    self.sched.mispredict.get_or_insert(seq);
+                }
+                match inst {
                     Inst::Branch { .. } => {
-                        self.stats.committed_branches += 0; // counted at commit
-                        if mispredicted {
-                            self.stats.mispredicts += 1;
-                            e.mispredict_pending = true;
-                        }
                         let (pc, taken) = (e.pc, e.actual_taken);
                         self.pred.update(pc, taken, mispredicted);
                     }
                     Inst::Ret => {
-                        if mispredicted {
-                            self.stats.mispredicts += 1;
-                            e.mispredict_pending = true;
-                        }
                         let (pc, tgt) = (e.pc, e.actual_target);
                         self.pred.btb_update(pc, tgt);
                     }
                     _ => {} // jumps and calls have static targets
                 }
+            } else if matches!(inst, Inst::Fence) {
+                self.sched.fences.remove(seq);
             }
-            let _ = head_seq;
+            self.wake_consumers(seq);
         }
+        due.clear();
+        self.sched.due = due;
+    }
+
+    /// Returns the entries parked on `producer` (now done) to the waiting
+    /// list.
+    fn wake_consumers(&mut self, producer: u64) {
+        let mut woken = std::mem::take(self.sched.wakeup_slot(producer));
+        for &c in &woken {
+            // A consumer squashed since it parked is gone, or its seq now
+            // belongs to an entry not parked on this producer.
+            let Some(ci) = self.rob_index(c) else {
+                continue;
+            };
+            if self.rob[ci].parked_on == Some(producer) {
+                self.rob[ci].parked_on = None;
+                self.sched.waiting.insert(c);
+            }
+        }
+        woken.clear();
+        *self.sched.wakeup_slot(producer) = woken;
     }
 
     /// Fires [`SpeculationScheme::on_load_visible`] for completed loads
-    /// that have become unsquashable (InvisiSpec's visibility point).
+    /// that have become unsquashable (InvisiSpec's visibility point), in
+    /// LQ-slot order.
     fn visibility_scan(
         &mut self,
         scheme: &mut dyn SpeculationScheme,
         mem: &mut MemHierarchy,
         now: Cycle,
     ) {
-        for li in 0..self.lq.len() {
-            let Some(lqe) = self.lq[li] else { continue };
+        let mut pending = std::mem::take(&mut self.sched.visibility_pending);
+        pending.retain(|&li| {
+            let Some(lqe) = self.lq[li] else {
+                return false;
+            };
             let LqState::Done {
                 line: Some(line),
                 path,
@@ -546,10 +708,10 @@ impl Pipeline {
                 ..
             } = lqe.state
             else {
-                continue;
+                return false;
             };
-            if self.has_older_unresolved_control(lqe.seq) {
-                continue;
+            if self.sched.squash_sources.has_older(lqe.seq) {
+                return true;
             }
             // TSO validation condition: an older load is still pending.
             let needs_validation = self
@@ -568,7 +730,7 @@ impl Pipeline {
                 },
                 now,
             );
-            if let Some(Some(LqEntry {
+            if let Some(LqEntry {
                 state:
                     LqState::Done {
                         exposed_until,
@@ -576,12 +738,14 @@ impl Pipeline {
                         ..
                     },
                 ..
-            })) = self.lq.get_mut(li).map(|s| s.as_mut())
+            }) = &mut self.lq[li]
             {
                 *exposed_until = exposed;
                 *visible_done = true;
             }
-        }
+            false
+        });
+        self.sched.visibility_pending = pending;
     }
 
     // ------------------------------------------------------------------
@@ -594,13 +758,9 @@ impl Pipeline {
         mem: &mut MemHierarchy,
         now: Cycle,
     ) {
-        // First: detect newly resolved mispredicts (oldest wins).
-        if let Some(pos) = self
-            .rob
-            .iter()
-            .position(|e| e.mispredict_pending && e.status == Status::Done)
-        {
-            let branch_seq = self.rob[pos].seq;
+        // First: squash at the oldest mispredict resolved this tick.
+        if let Some(branch_seq) = self.sched.mispredict.take() {
+            let pos = self.rob_index(branch_seq).expect("resolved this tick");
             let redirect = self.rob[pos].actual_target;
             self.rob[pos].mispredict_pending = false;
             self.stats.squashes += 1;
@@ -616,13 +776,6 @@ impl Pipeline {
                     self.episodes
                 }
             };
-            self.emit(
-                now,
-                TraceEvent::Squash {
-                    seq: branch_seq,
-                    squashed: n,
-                },
-            );
             self.obs.emit(
                 now,
                 SimEvent::Squash {
@@ -754,11 +907,11 @@ impl Pipeline {
             }
             let e = self.rob.pop_back().expect("checked non-empty");
             self.stats.squashed_insts += 1;
+            self.sched.wakeup_slot(e.seq).clear();
             if let Some(li) = e.lq {
                 if let Some(lqe) = self.lq[li] {
                     if lqe.seq == e.seq {
-                        let rec =
-                            self.squash_record(&lqe, matches!(e.status, Status::Issued { .. }));
+                        let rec = self.squash_record(&lqe);
                         loads.push(rec);
                         self.lq[li] = None;
                     }
@@ -774,8 +927,11 @@ impl Pipeline {
         }
         // Sequence numbers are dense in the ROB (positions are computed as
         // seq offsets), so dispatch resumes right after the branch. Safe:
-        // every consumer of a squashed seq was itself squashed.
+        // every consumer of a squashed seq was itself squashed. Completion
+        // items and parked-consumer records of the squashed seqs stay
+        // queued; `complete` and `wake_consumers` skip them.
         self.next_seq = branch_seq + 1;
+        self.sched.truncate_after(branch_seq);
         // Loads were collected youngest-first; the scheme expects oldest
         // first.
         loads.reverse();
@@ -789,7 +945,7 @@ impl Pipeline {
         loads
     }
 
-    fn squash_record(&mut self, lqe: &LqEntry, _rob_issued: bool) -> SquashedLoad {
+    fn squash_record(&mut self, lqe: &LqEntry) -> SquashedLoad {
         match lqe.state {
             LqState::NotIssued => {
                 self.stats
@@ -1023,13 +1179,6 @@ impl Pipeline {
                     self.sq[si] = None;
                 }
             }
-            self.emit(
-                now,
-                TraceEvent::Commit {
-                    seq: entry.seq,
-                    pc: entry.pc,
-                },
-            );
             self.obs.emit_with(now, || SimEvent::Commit {
                 core: self.core.index(),
                 seq: entry.seq,
@@ -1053,7 +1202,6 @@ impl Pipeline {
         let (head_seq, head_pc) = (head.seq, head.pc);
         self.stats.faults += 1;
         self.stats.squashes += 1;
-        self.emit(now, TraceEvent::Fault { seq: head_seq });
         self.obs.emit(
             now,
             SimEvent::Fault {
@@ -1102,70 +1250,6 @@ impl Pipeline {
     // Issue / execute
     // ------------------------------------------------------------------
 
-    fn src_value(&self, src: Src) -> Option<u64> {
-        match src {
-            Src::Ready(v) => Some(v),
-            Src::Wait(seq) => {
-                let head = self.rob.front()?.seq;
-                if seq < head {
-                    // The producer committed; but the consumer captured the
-                    // dependency at dispatch, so the architectural file now
-                    // holds its value only if no later committed writer
-                    // clobbered it — which cannot happen before this entry
-                    // commits. Read the producer's register via last_writer
-                    // is not possible here; this path is unreachable
-                    // because commit clears dependencies through regs.
-                    None
-                } else {
-                    let idx = (seq - head) as usize;
-                    let e = self.rob.get(idx)?;
-                    debug_assert_eq!(e.seq, seq);
-                    if e.status == Status::Done {
-                        e.result
-                    } else {
-                        None
-                    }
-                }
-            }
-        }
-    }
-
-    /// Resolves a dependency that may have committed: committed producers'
-    /// values live in the architectural register file.
-    fn src_value_for(&self, src: Src, reg_fallback: Reg) -> Option<u64> {
-        match src {
-            Src::Ready(v) => Some(v),
-            Src::Wait(seq) => {
-                let head = self.rob.front().map(|e| e.seq).unwrap_or(self.next_seq);
-                if seq < head {
-                    Some(self.regs[reg_fallback.index()])
-                } else {
-                    self.src_value(src)
-                }
-            }
-        }
-    }
-
-    /// Whether anything older than `seq` can still squash it: an
-    /// unresolved control instruction, or a load that has not yet passed
-    /// its (deferred) permission check — the "all transient instructions
-    /// are unsafe until they cannot be squashed" threat model of the
-    /// paper, which covers both Spectre- and Meltdown-class events.
-    fn has_older_unresolved_control(&self, seq: u64) -> bool {
-        self.rob.iter().take_while(|e| e.seq < seq).any(|e| {
-            (e.inst.is_control() && e.status != Status::Done)
-                || (e.inst.is_load() && (e.status == Status::Waiting || e.faulting))
-        })
-    }
-
-    /// Memory operations may not issue past an incomplete older fence.
-    fn has_older_pending_fence(&self, seq: u64) -> bool {
-        self.rob
-            .iter()
-            .take_while(|e| e.seq < seq)
-            .any(|e| matches!(e.inst, Inst::Fence) && e.status != Status::Done)
-    }
-
     fn sq_forward(&self, seq: u64, addr: Addr) -> Option<u64> {
         let word = addr.raw() >> 3;
         self.sq
@@ -1177,17 +1261,11 @@ impl Pipeline {
             .and_then(|s| s.value)
     }
 
-    /// Conservative memory disambiguation: a load may not issue past an
-    /// older store whose address is still unknown (no store-set
-    /// speculation — a memory-order mis-speculation would need its own
-    /// squash-and-undo path).
-    fn has_older_unknown_store(&self, seq: u64) -> bool {
-        self.sq
-            .iter()
-            .flatten()
-            .any(|s| s.seq < seq && s.addr.is_none())
-    }
-
+    /// Issues up to `issue_width` ready entries, oldest first, walking only
+    /// the waiting list. An entry that issues leaves the waiting list at
+    /// once, and the squash-source and address-less-store lists are updated
+    /// before the next (younger) entry is considered, so same-cycle
+    /// decisions see exactly the state a full in-order ROB walk would.
     fn issue(
         &mut self,
         scheme: &mut dyn SpeculationScheme,
@@ -1195,239 +1273,292 @@ impl Pipeline {
         dmem: &mut DataMem,
         now: Cycle,
     ) {
+        let Some(head) = self.rob.front().map(|e| e.seq) else {
+            return;
+        };
+        let mut waiting = std::mem::take(&mut self.sched.waiting);
         let mut budget = self.cfg.issue_width;
-        let len = self.rob.len();
-        for i in 0..len {
-            if budget == 0 {
-                break;
-            }
+        let mut k = 0;
+        while k < waiting.0.len() && budget > 0 {
+            let seq = waiting.0[k];
+            let i = (seq - head) as usize;
+            self.issue_one(i, &mut budget, scheme, mem, dmem, now);
             let e = &self.rob[i];
-            if e.status != Status::Waiting {
+            if e.status == Status::Waiting {
+                // An entry missing an operand can do nothing until its
+                // producer is done: park it there instead of re-examining
+                // it every cycle.
+                if let Some(p) = self.unready_producer(i) {
+                    self.rob[i].parked_on = Some(p);
+                    self.sched.wakeup_slot(p).push(seq);
+                    waiting.0.remove(k);
+                } else {
+                    k += 1;
+                }
                 continue;
             }
-            let seq = e.seq;
-            let inst = e.inst;
-            match inst {
-                Inst::Nop | Inst::Halt => {
+            waiting.0.remove(k);
+            if let Status::Issued { done_at } = e.status {
+                self.sched.completions.push(Reverse((done_at, seq)));
+            }
+            // A load stops being a squash source once issued, unless it
+            // faults; control stays one until it is done.
+            if e.inst.is_load() && !is_squash_source(e) {
+                self.sched.squash_sources.remove(seq);
+            } else if matches!(e.inst, Inst::Store { .. }) {
+                self.sched.addrless_stores.remove(seq);
+            }
+        }
+        self.sched.waiting = waiting;
+    }
+
+    /// Tries to issue the waiting ROB entry `i`, charging `budget` for
+    /// every issue slot it uses (including a deferral or an MSHR-full
+    /// retry, which leave the entry waiting).
+    fn issue_one(
+        &mut self,
+        i: usize,
+        budget: &mut usize,
+        scheme: &mut dyn SpeculationScheme,
+        mem: &mut MemHierarchy,
+        dmem: &mut DataMem,
+        now: Cycle,
+    ) {
+        let e = &self.rob[i];
+        let seq = e.seq;
+        match e.inst {
+            Inst::Nop | Inst::Halt => {
+                self.rob[i].status = Status::Issued { done_at: now + 1 };
+                *budget -= 1;
+            }
+            Inst::Fence => {
+                // Issue only as the oldest instruction.
+                if i == 0 {
                     self.rob[i].status = Status::Issued { done_at: now + 1 };
-                    budget -= 1;
+                    *budget -= 1;
                 }
-                Inst::Fence => {
-                    // Issue only as the oldest instruction.
-                    if i == 0 {
-                        self.rob[i].status = Status::Issued { done_at: now + 1 };
-                        budget -= 1;
-                    }
+            }
+            Inst::Alu { op, latency, .. } => {
+                let (Some(a), Some(b)) = (self.operand(i, 0), self.operand(i, 1)) else {
+                    return;
+                };
+                let e = &mut self.rob[i];
+                e.result = Some(op.apply(a, b));
+                e.status = Status::Issued {
+                    done_at: now + latency as Cycle,
+                };
+                *budget -= 1;
+            }
+            Inst::Load { offset, .. } => {
+                // Memory operations may not issue past an incomplete older
+                // fence. Disambiguation is conservative: a load may not
+                // issue past an older store whose address is still unknown
+                // (no store-set speculation — a memory-order
+                // mis-speculation would need its own squash-and-undo path).
+                if self.sched.fences.has_older(seq) || self.sched.addrless_stores.has_older(seq) {
+                    return;
                 }
-                Inst::Alu { op, latency, .. } => {
-                    let (Some(a), Some(b)) = (self.operand(i, 0), self.operand(i, 1)) else {
-                        continue;
-                    };
+                let Some(base) = self.operand(i, 0) else {
+                    return;
+                };
+                let addr = Addr::new(base.wrapping_add(offset as u64));
+                let unsquashable = !self.sched.squash_sources.has_older(seq);
+                if scheme.issue_policy() == LoadIssuePolicy::WhenUnsquashable && !unsquashable {
+                    return;
+                }
+                // Deferred (GetS-Safe) loads retry only when safe.
+                let deferred_now = self.rob[i]
+                    .lq
+                    .and_then(|li| self.lq[li])
+                    .is_some_and(|l| matches!(l.state, LqState::Deferred { .. }));
+                if deferred_now && !unsquashable {
+                    return;
+                }
+                // Store-to-load forwarding: serviced from the SQ with no
+                // cache access (and therefore no side effects).
+                if let Some(v) = self.sq_forward(seq, addr) {
+                    let li = self.rob[i].lq.expect("loads own an LQ slot");
+                    self.lq[li] = Some(LqEntry {
+                        seq,
+                        state: LqState::Done {
+                            line: None,
+                            path: None,
+                            sefe: SefeRecord::default(),
+                            load_id: None,
+                            issued_spec: false,
+                            completed_at: now,
+                            exposed_until: None,
+                            visible_done: true,
+                        },
+                    });
                     let e = &mut self.rob[i];
-                    e.result = Some(op.apply(a, b));
-                    e.status = Status::Issued {
-                        done_at: now + latency as Cycle,
-                    };
-                    budget -= 1;
+                    e.result = Some(v);
+                    e.status = Status::Issued { done_at: now + 1 };
+                    self.stats.forwarded_loads += 1;
+                    *budget -= 1;
+                    return;
                 }
-                Inst::Load { offset, .. } => {
-                    if self.has_older_pending_fence(seq) || self.has_older_unknown_store(seq) {
-                        continue;
+                let is_spec = !unsquashable;
+                // Meltdown-style race: the permission check is deferred
+                // to commit; the access itself proceeds and its data
+                // flows to dependents transiently.
+                if self.program.is_protected(addr) {
+                    self.rob[i].faulting = true;
+                }
+                match scheme.issue_load(
+                    mem,
+                    LoadIssue {
+                        core: self.core,
+                        line: addr.line(),
+                        now,
+                        is_spec,
+                    },
+                ) {
+                    Ok(out) if out.deferred => {
+                        let li = self.rob[i].lq.expect("loads own an LQ slot");
+                        if !deferred_now {
+                            self.stats.deferred_loads += 1;
+                        }
+                        self.lq[li] = Some(LqEntry {
+                            seq,
+                            state: LqState::Deferred { line: addr.line() },
+                        });
+                        *budget -= 1;
                     }
-                    let Some(base) = self.operand(i, 0) else {
-                        continue;
-                    };
-                    let addr = Addr::new(base.wrapping_add(offset as u64));
-                    let unsquashable = !self.has_older_unresolved_control(seq);
-                    if scheme.issue_policy() == LoadIssuePolicy::WhenUnsquashable && !unsquashable {
-                        continue;
-                    }
-                    // Deferred (GetS-Safe) loads retry only when safe.
-                    let deferred_now = self.rob[i]
-                        .lq
-                        .and_then(|li| self.lq[li])
-                        .is_some_and(|l| matches!(l.state, LqState::Deferred { .. }));
-                    if deferred_now && !unsquashable {
-                        continue;
-                    }
-                    // Store-to-load forwarding: serviced from the SQ with no
-                    // cache access (and therefore no side effects).
-                    if let Some(v) = self.sq_forward(seq, addr) {
+                    Ok(out) => {
+                        self.obs.emit_with(now, || SimEvent::LoadIssue {
+                            core: self.core.index(),
+                            seq,
+                            line: addr.line().raw(),
+                            path: PathKind::from(out.path),
+                            spec: is_spec,
+                            latency: out.complete_at - now,
+                        });
                         let li = self.rob[i].lq.expect("loads own an LQ slot");
                         self.lq[li] = Some(LqEntry {
                             seq,
-                            state: LqState::Done {
-                                line: None,
-                                path: None,
-                                sefe: SefeRecord::default(),
-                                load_id: None,
-                                issued_spec: false,
-                                completed_at: now,
-                                exposed_until: None,
-                                visible_done: true,
+                            state: LqState::Inflight {
+                                line: addr.line(),
+                                token: out.token,
+                                path: out.path,
+                                issued_spec: is_spec,
+                                prov: out.provenance,
                             },
                         });
+                        if is_spec {
+                            self.stats.spec_issued_loads += 1;
+                        }
                         let e = &mut self.rob[i];
-                        e.result = Some(v);
-                        e.status = Status::Issued { done_at: now + 1 };
-                        self.stats.forwarded_loads += 1;
-                        budget -= 1;
-                        continue;
+                        e.result = Some(dmem.read(addr));
+                        e.status = Status::Issued {
+                            done_at: out.complete_at,
+                        };
+                        *budget -= 1;
                     }
-                    let is_spec = !unsquashable;
-                    // Meltdown-style race: the permission check is deferred
-                    // to commit; the access itself proceeds and its data
-                    // flows to dependents transiently.
-                    if self.program.is_protected(addr) {
-                        self.rob[i].faulting = true;
-                    }
-                    match scheme.issue_load(
-                        mem,
-                        LoadIssue {
-                            core: self.core,
-                            line: addr.line(),
-                            now,
-                            is_spec,
-                        },
-                    ) {
-                        Ok(out) if out.deferred => {
-                            let li = self.rob[i].lq.expect("loads own an LQ slot");
-                            if !deferred_now {
-                                self.stats.deferred_loads += 1;
-                            }
-                            self.lq[li] = Some(LqEntry {
-                                seq,
-                                state: LqState::Deferred { line: addr.line() },
-                            });
-                            budget -= 1;
-                        }
-                        Ok(out) => {
-                            self.emit(
-                                now,
-                                TraceEvent::LoadIssue {
-                                    seq,
-                                    line: addr.line(),
-                                    path: out.path,
-                                    spec: is_spec,
-                                },
-                            );
-                            self.obs.emit_with(now, || SimEvent::LoadIssue {
-                                core: self.core.index(),
-                                seq,
-                                line: addr.line().raw(),
-                                path: PathKind::from(out.path),
-                                spec: is_spec,
-                                latency: out.complete_at - now,
-                            });
-                            let li = self.rob[i].lq.expect("loads own an LQ slot");
-                            self.lq[li] = Some(LqEntry {
-                                seq,
-                                state: LqState::Inflight {
-                                    line: addr.line(),
-                                    token: out.token,
-                                    path: out.path,
-                                    issued_spec: is_spec,
-                                    prov: out.provenance,
-                                },
-                            });
-                            if is_spec {
-                                self.stats.spec_issued_loads += 1;
-                            }
-                            let e = &mut self.rob[i];
-                            e.result = Some(dmem.read(addr));
-                            e.status = Status::Issued {
-                                done_at: out.complete_at,
-                            };
-                            budget -= 1;
-                        }
-                        Err(_) => {
-                            // MSHRs full: retry next cycle.
-                            self.mshr_blocked = true;
-                            budget -= 1;
-                        }
+                    Err(_) => {
+                        // MSHRs full: retry next cycle.
+                        self.mshr_blocked = true;
+                        *budget -= 1;
                     }
                 }
-                Inst::Store { offset, .. } => {
-                    if self.has_older_pending_fence(seq) {
-                        continue;
-                    }
-                    let (Some(base), Some(val)) = (self.operand(i, 0), self.operand(i, 1)) else {
-                        continue;
-                    };
-                    let addr = Addr::new(base.wrapping_add(offset as u64));
-                    let si = self.rob[i].sq.expect("stores own an SQ slot");
-                    self.sq[si] = Some(SqEntry {
-                        seq,
-                        addr: Some(addr),
-                        value: Some(val),
-                    });
-                    self.rob[i].status = Status::Issued { done_at: now + 1 };
-                    budget -= 1;
+            }
+            Inst::Store { offset, .. } => {
+                if self.sched.fences.has_older(seq) {
+                    return;
                 }
-                Inst::Branch { cond, target, .. } => {
-                    let Some(v) = self.operand(i, 0) else {
-                        continue;
-                    };
-                    let taken = cond.taken(v);
-                    let e = &mut self.rob[i];
-                    e.actual_taken = taken;
-                    e.actual_target = if taken { target } else { e.pc + 1 };
-                    e.status = Status::Issued {
-                        done_at: now + self.cfg.branch_latency,
-                    };
-                    budget -= 1;
-                }
-                Inst::Jump { target } => {
-                    let e = &mut self.rob[i];
-                    e.actual_taken = true;
-                    e.actual_target = target;
-                    e.status = Status::Issued { done_at: now + 1 };
-                    budget -= 1;
-                }
-                Inst::Call { target } => {
-                    let e = &mut self.rob[i];
-                    e.result = Some((e.pc + 1) as u64);
-                    e.actual_taken = true;
-                    e.actual_target = target;
-                    e.status = Status::Issued { done_at: now + 1 };
-                    budget -= 1;
-                }
-                Inst::Ret => {
-                    let Some(link) = self.operand(i, 0) else {
-                        continue;
-                    };
-                    let e = &mut self.rob[i];
-                    e.actual_taken = true;
-                    e.actual_target = link as Pc;
-                    e.status = Status::Issued {
-                        done_at: now + self.cfg.branch_latency,
-                    };
-                    budget -= 1;
-                }
-                Inst::Clflush { offset, .. } => {
-                    let Some(base) = self.operand(i, 0) else {
-                        continue;
-                    };
-                    let e = &mut self.rob[i];
-                    // Address computed now; the flush itself happens at
-                    // commit (delayed to the correct path, Section 3.5).
-                    e.result = Some(base.wrapping_add(offset as u64));
-                    e.status = Status::Issued { done_at: now + 1 };
-                    budget -= 1;
-                }
+                let (Some(base), Some(val)) = (self.operand(i, 0), self.operand(i, 1)) else {
+                    return;
+                };
+                let addr = Addr::new(base.wrapping_add(offset as u64));
+                let si = self.rob[i].sq.expect("stores own an SQ slot");
+                self.sq[si] = Some(SqEntry {
+                    seq,
+                    addr: Some(addr),
+                    value: Some(val),
+                });
+                self.rob[i].status = Status::Issued { done_at: now + 1 };
+                *budget -= 1;
+            }
+            Inst::Branch { cond, target, .. } => {
+                let Some(v) = self.operand(i, 0) else {
+                    return;
+                };
+                let taken = cond.taken(v);
+                let e = &mut self.rob[i];
+                e.actual_taken = taken;
+                e.actual_target = if taken { target } else { e.pc + 1 };
+                e.status = Status::Issued {
+                    done_at: now + self.cfg.branch_latency,
+                };
+                *budget -= 1;
+            }
+            Inst::Jump { target } => {
+                let e = &mut self.rob[i];
+                e.actual_taken = true;
+                e.actual_target = target;
+                e.status = Status::Issued { done_at: now + 1 };
+                *budget -= 1;
+            }
+            Inst::Call { target } => {
+                let e = &mut self.rob[i];
+                e.result = Some((e.pc + 1) as u64);
+                e.actual_taken = true;
+                e.actual_target = target;
+                e.status = Status::Issued { done_at: now + 1 };
+                *budget -= 1;
+            }
+            Inst::Ret => {
+                let Some(link) = self.operand(i, 0) else {
+                    return;
+                };
+                let e = &mut self.rob[i];
+                e.actual_taken = true;
+                e.actual_target = link as Pc;
+                e.status = Status::Issued {
+                    done_at: now + self.cfg.branch_latency,
+                };
+                *budget -= 1;
+            }
+            Inst::Clflush { offset, .. } => {
+                let Some(base) = self.operand(i, 0) else {
+                    return;
+                };
+                let e = &mut self.rob[i];
+                // Address computed now; the flush itself happens at
+                // commit (delayed to the correct path, Section 3.5).
+                e.result = Some(base.wrapping_add(offset as u64));
+                e.status = Status::Issued { done_at: now + 1 };
+                *budget -= 1;
             }
         }
     }
 
-    /// Resolves source operand `k` of ROB entry `i`.
+    /// Resolves source operand `k` of ROB entry `i`: `None` until the
+    /// producer is done. A producer that already committed left its value
+    /// in the architectural register file — no younger writer of that
+    /// register can commit before this consumer does.
     fn operand(&self, i: usize, k: usize) -> Option<u64> {
         let e = &self.rob[i];
-        let src = e.srcs[k]?;
-        let fallback = Self::src_reg(e.inst, k);
-        match fallback {
-            Some(r) => self.src_value_for(src, r),
-            None => self.src_value(src),
+        match e.srcs[k]? {
+            Src::Ready(v) => Some(v),
+            Src::Wait(seq) => match self.rob_index(seq) {
+                Some(p) if self.rob[p].status == Status::Done => self.rob[p].result,
+                Some(_) => None,
+                None => Self::src_reg(e.inst, k).map(|r| self.regs[r.index()]),
+            },
         }
+    }
+
+    /// The first in-flight producer, not yet done, whose result ROB entry
+    /// `i` needs — exactly when [`Self::operand`] returns `None`.
+    fn unready_producer(&self, i: usize) -> Option<u64> {
+        self.rob[i].srcs.iter().find_map(|src| match *src {
+            Some(Src::Wait(p)) => self
+                .rob_index(p)
+                .filter(|&pi| self.rob[pi].status != Status::Done)
+                .map(|_| p),
+            _ => None,
+        })
     }
 
     fn src_reg(inst: Inst, k: usize) -> Option<Reg> {
@@ -1475,7 +1606,7 @@ impl Pipeline {
             let inst = self.program.fetch(pc);
             // Queue slots.
             let lq = if inst.is_load() {
-                match self.free_slot(&self.lq) {
+                match self.free_lq_slot() {
                     Some(s) => Some(s),
                     None => break,
                 }
@@ -1535,7 +1666,6 @@ impl Pipeline {
                     value: None,
                 });
             }
-            self.emit(now, TraceEvent::Dispatch { seq, pc });
             self.obs.emit_with(now, || SimEvent::Dispatch {
                 core: self.core.index(),
                 seq,
@@ -1559,7 +1689,17 @@ impl Pipeline {
                 commit_ready_at: None,
                 committed_scheme_done: false,
                 faulting: false,
+                parked_on: None,
             });
+            self.sched.waiting.push(seq);
+            if inst.is_control() || inst.is_load() {
+                self.sched.squash_sources.push(seq);
+            }
+            match inst {
+                Inst::Fence => self.sched.fences.push(seq),
+                Inst::Store { .. } => self.sched.addrless_stores.push(seq),
+                _ => {}
+            }
             if let Some(d) = dst {
                 self.last_writer[d.index()] = Some(seq);
             }
@@ -1592,17 +1732,106 @@ impl Pipeline {
         }
     }
 
-    fn free_slot(&self, file: &[Option<LqEntry>]) -> Option<usize> {
-        // LQ slots can also be held by InvisiSpec update loads.
-        let live = file.iter().filter(|s| s.is_some()).count() + self.lq_held.len();
-        if live >= self.cfg.lq_entries {
-            return None;
-        }
-        file.iter().position(|s| s.is_none())
+    /// The first free LQ slot, if more slots are free than InvisiSpec
+    /// update loads hold (a held slot is free in `lq` but still taken).
+    fn free_lq_slot(&self) -> Option<usize> {
+        let held = self.lq_held.len();
+        let mut free = (0..self.lq.len()).filter(|&li| self.lq[li].is_none());
+        let first = free.next()?;
+        (free.take(held).count() == held).then_some(first)
     }
 
     fn free_slot_sq(&self) -> Option<usize> {
         self.sq.iter().position(|s| s.is_none())
+    }
+
+    /// Debug-build invariant check, run after every tick: recomputes each
+    /// worklist and the pending-mispredict slot from the ROB/LQ/SQ with
+    /// full scans and asserts they match, and checks that ROB seqs are
+    /// dense (`rob[seq - head].seq == seq`), which `rob_index` relies on.
+    #[cfg(debug_assertions)]
+    fn check_worklists(&self) {
+        let head = self.rob.front().map_or(self.next_seq, |e| e.seq);
+        for (i, e) in self.rob.iter().enumerate() {
+            assert_eq!(e.seq, head + i as u64, "ROB seqs are dense");
+        }
+        assert_eq!(head + self.rob.len() as u64, self.next_seq, "next seq");
+        let scan = |keep: fn(&RobEntry) -> bool| -> Vec<u64> {
+            self.rob.iter().filter(|e| keep(e)).map(|e| e.seq).collect()
+        };
+        let list = |l: &SeqList| l.0.iter().copied().collect::<Vec<u64>>();
+        let w = &self.sched;
+        assert_eq!(
+            list(&w.waiting),
+            scan(|e| e.status == Status::Waiting && e.parked_on.is_none())
+        );
+        for e in &self.rob {
+            let Some(p) = e.parked_on else { continue };
+            assert_eq!(e.status, Status::Waiting, "parked seq {}", e.seq);
+            let pi = self
+                .rob_index(p)
+                .expect("producer of a parked entry is live");
+            assert_ne!(self.rob[pi].status, Status::Done, "producer {p} done");
+            assert!(e
+                .srcs
+                .iter()
+                .any(|s| matches!(s, Some(Src::Wait(q)) if *q == p)));
+            let slot = &w.wakeups[(p & (w.wakeups.len() as u64 - 1)) as usize];
+            assert!(
+                slot.contains(&e.seq),
+                "seq {} missing from wakeups of {p}",
+                e.seq
+            );
+        }
+        assert_eq!(list(&w.squash_sources), scan(is_squash_source));
+        assert_eq!(
+            list(&w.fences),
+            scan(|e| matches!(e.inst, Inst::Fence) && e.status != Status::Done)
+        );
+        let mut addrless: Vec<u64> = self
+            .sq
+            .iter()
+            .flatten()
+            .filter(|s| s.addr.is_none())
+            .map(|s| s.seq)
+            .collect();
+        addrless.sort_unstable();
+        assert_eq!(list(&w.addrless_stores), addrless);
+        let mut items: Vec<(Cycle, u64)> = w.completions.iter().map(|r| r.0).collect();
+        items.sort_unstable();
+        for e in &self.rob {
+            if let Status::Issued { done_at } = e.status {
+                assert!(
+                    items.binary_search(&(done_at, e.seq)).is_ok(),
+                    "issued seq {} has no completion item at {done_at}",
+                    e.seq
+                );
+            }
+        }
+        let pending = self
+            .rob
+            .iter()
+            .find(|e| e.mispredict_pending && e.status == Status::Done)
+            .map(|e| e.seq);
+        assert_eq!(w.mispredict, pending, "pending mispredict");
+        assert!(w.visibility_pending.windows(2).all(|p| p[0] < p[1]));
+        for (li, lqe) in self.lq.iter().enumerate() {
+            if let Some(LqEntry {
+                state:
+                    LqState::Done {
+                        line: Some(_),
+                        visible_done: false,
+                        ..
+                    },
+                ..
+            }) = lqe
+            {
+                assert!(
+                    w.visibility_pending.contains(&li),
+                    "LQ slot {li} not pending"
+                );
+            }
+        }
     }
 }
 
@@ -1612,6 +1841,7 @@ mod tests {
     use crate::isa::{AluOp, BranchCond, Operand, ProgramBuilder};
     use cleanupspec_mem::error::SimError;
     use cleanupspec_mem::hierarchy::{LoadReq, MemConfig};
+    use cleanupspec_obs::{RingSink, Shared};
 
     /// Minimal pass-through scheme used to unit-test the pipeline alone.
     #[derive(Clone, Debug)]
@@ -1658,19 +1888,81 @@ mod tests {
         }
     }
 
+    /// `Plain`, additionally recording every load issued to the cache
+    /// (`(line, is_spec)`) and every visibility-point call.
+    #[derive(Clone, Debug, Default)]
+    struct Recorder {
+        issued: Vec<(LineAddr, bool)>,
+        visible: Vec<LineAddr>,
+    }
+
+    impl SpeculationScheme for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+        fn boxed_clone(&self) -> Box<dyn SpeculationScheme> {
+            Box::new(self.clone())
+        }
+        fn issue_load(
+            &mut self,
+            mem: &mut MemHierarchy,
+            req: LoadIssue,
+        ) -> Result<cleanupspec_mem::hierarchy::LoadOutcome, SimError> {
+            self.issued.push((req.line, req.is_spec));
+            Plain.issue_load(mem, req)
+        }
+        fn on_load_visible(
+            &mut self,
+            _mem: &mut MemHierarchy,
+            _core: CoreId,
+            load: CommittedLoad,
+            _now: Cycle,
+        ) -> Option<Cycle> {
+            self.visible.push(load.line);
+            None
+        }
+        fn commit_load(
+            &mut self,
+            _mem: &mut MemHierarchy,
+            _core: CoreId,
+            _load: CommittedLoad,
+            _now: Cycle,
+        ) -> CommitAction {
+            CommitAction::Proceed
+        }
+        fn on_squash(
+            &mut self,
+            _mem: &mut MemHierarchy,
+            info: SquashInfo<'_>,
+        ) -> crate::scheme::SquashResponse {
+            crate::scheme::SquashResponse {
+                resume_at: info.now,
+            }
+        }
+    }
+
     fn run_program(p: crate::isa::Program, max_cycles: Cycle) -> (Pipeline, MemHierarchy) {
+        run_with(p, &mut Plain, Observer::disabled(), max_cycles)
+    }
+
+    fn run_with(
+        p: crate::isa::Program,
+        scheme: &mut dyn SpeculationScheme,
+        obs: Observer,
+        max_cycles: Cycle,
+    ) -> (Pipeline, MemHierarchy) {
         let mut mem = MemHierarchy::new(MemConfig::default());
         let mut dmem = DataMem::new();
         for (a, v) in &p.init_mem {
             dmem.write(*a, *v);
         }
         let mut pipe = Pipeline::new(CoreId(0), CoreConfig::default(), Arc::new(p));
-        let mut scheme = Plain;
+        pipe.set_observer(obs);
         let mut now = 0;
         while !pipe.halted() && now < max_cycles {
             now += 1;
             mem.advance(now);
-            pipe.tick(&mut scheme, &mut mem, &mut dmem, now);
+            pipe.tick(scheme, &mut mem, &mut dmem, now);
         }
         // Drain outstanding fills (e.g. orphaned wrong-path misses).
         mem.advance(now + 1_000);
@@ -1819,5 +2111,134 @@ mod tests {
         let (pipe, _) = run_program(b.build(), 2000);
         let s = pipe.stats();
         assert!(s.squashed_loads() >= 1, "wrong-path loads recorded");
+    }
+
+    #[test]
+    fn load_waits_for_an_older_store_address() {
+        // The store's address comes out of a long Mul chain; the younger
+        // load's address is known at once. The load must wait for the
+        // store's address, then forward from it without touching the cache
+        // (an early issue would read the stale 11 from memory).
+        let mut b = ProgramBuilder::new("st-addr-wait");
+        b.movi(Reg(1), 0x2000);
+        for _ in 0..8 {
+            b.alu(Reg(1), AluOp::Mul, Operand::Reg(Reg(1)), Operand::Imm(1));
+        }
+        b.movi(Reg(2), 55);
+        b.store(Reg(2), Reg(1), 0);
+        b.movi(Reg(3), 0x2000);
+        b.load(Reg(4), Reg(3), 0);
+        b.halt();
+        b.init_mem(Addr::new(0x2000), 11);
+        let (pipe, mem) = run_program(b.build(), 2000);
+        assert!(pipe.halted());
+        assert_eq!(pipe.reg(Reg(4)), 55);
+        assert_eq!(pipe.stats().forwarded_loads, 1);
+        assert_eq!(
+            mem.stats().total_loads(),
+            0,
+            "the load never reached the cache"
+        );
+    }
+
+    #[test]
+    fn stale_completion_of_a_squashed_seq_is_skipped() {
+        // seq 1-3: movi; 4-5: mul chain; 6: branch, actually taken but
+        // predicted not-taken. Wrong path: 7 and 8 DRAM-miss loads, 9 halt.
+        // After the squash the correct path reuses 7-9: 7 a later DRAM-miss
+        // load, 8 an add waiting on it, 9 halt. The wrong-path loads fall
+        // due first; their completion items must neither finish load 7
+        // before its own data arrives nor finish the still-waiting add.
+        let mut b = ProgramBuilder::new("seq-reuse");
+        b.movi(Reg(1), 1);
+        b.movi(Reg(2), 0x9000);
+        b.movi(Reg(6), 0xA000);
+        b.alu(Reg(3), AluOp::Mul, Operand::Reg(Reg(1)), Operand::Imm(1));
+        b.alu(Reg(3), AluOp::Mul, Operand::Reg(Reg(3)), Operand::Imm(1));
+        let br = b.branch(Reg(3), BranchCond::NotZero, 0);
+        b.load(Reg(4), Reg(2), 0);
+        b.load(Reg(8), Reg(2), 0x40);
+        b.halt();
+        let target = b.here();
+        b.patch_branch(br, target);
+        b.load(Reg(5), Reg(6), 0);
+        b.alu(Reg(7), AluOp::Add, Operand::Reg(Reg(5)), Operand::Imm(1));
+        b.halt();
+        b.init_mem(Addr::new(0x9000), 99);
+        b.init_mem(Addr::new(0xA000), 41);
+        let ring = Shared::new(RingSink::new(1024));
+        let obs = Observer::single(Box::new(ring.clone()));
+        let (pipe, _) = run_with(b.build(), &mut Plain, obs, 5000);
+        // (seq, cycle the load is due) of every load, in issue order, and
+        // the commit cycle of the correct-path load.
+        let (loads, commit7): (Vec<(u64, Cycle)>, Vec<Cycle>) = ring.with(|r| {
+            let loads = r
+                .events()
+                .filter_map(|rec| match rec.event {
+                    SimEvent::LoadIssue { seq, latency, .. } => Some((seq, rec.cycle + latency)),
+                    _ => None,
+                })
+                .collect();
+            let commit7 = r
+                .events()
+                .filter(|rec| matches!(rec.event, SimEvent::Commit { seq: 7, .. }))
+                .map(|rec| rec.cycle)
+                .collect();
+            (loads, commit7)
+        });
+        let [(7, wrong7), (8, wrong8), (7, right7)] = loads[..] else {
+            panic!("wrong-path loads 7 and 8, then correct-path load 7: {loads:?}");
+        };
+        assert!(wrong7.max(wrong8) < right7, "{loads:?}");
+        assert!(commit7[0] >= right7, "load 7 finished with its own data");
+        assert!(pipe.halted());
+        assert_eq!(pipe.reg(Reg(5)), 41);
+        assert_eq!(pipe.reg(Reg(7)), 42, "the add completed with its operand");
+        assert_eq!((pipe.reg(Reg(4)), pipe.reg(Reg(8))), (0, 0));
+        assert_eq!(pipe.stats().committed_insts, 9);
+        assert_eq!(pipe.stats().mispredicts, 1);
+        assert_eq!(pipe.stats().squashes, 1);
+    }
+
+    #[test]
+    fn faulting_load_keeps_younger_loads_squashable() {
+        // A warm-up load brings the probe line into L1; the protected
+        // load completes, then waits at the ROB head for its deferred
+        // permission check. The probe load, whose address depends on the
+        // protected value, issues and completes inside that window: it must
+        // issue as speculative and never reach its visibility point.
+        let secret = 0x8000u64;
+        let mut b = ProgramBuilder::new("fault-window");
+        b.protect(Addr::new(secret), Addr::new(secret + 64));
+        b.movi(Reg(1), secret);
+        b.movi(Reg(2), 0x5000);
+        b.load(Reg(7), Reg(2), 0);
+        b.load(Reg(3), Reg(1), 0);
+        b.alu(Reg(5), AluOp::And, Operand::Reg(Reg(3)), Operand::Imm(0));
+        b.alu(
+            Reg(6),
+            AluOp::Add,
+            Operand::Reg(Reg(2)),
+            Operand::Reg(Reg(5)),
+        );
+        b.load(Reg(4), Reg(6), 0);
+        b.halt();
+        b.init_mem(Addr::new(0x5000), 3);
+        let mut rec = Recorder::default();
+        let (pipe, _) = run_with(b.build(), &mut rec, Observer::disabled(), 5000);
+        assert!(pipe.halted());
+        assert_eq!(pipe.stats().faults, 1);
+        assert_eq!(pipe.reg(Reg(7)), 3, "the warm-up load committed");
+        assert_eq!(pipe.reg(Reg(4)), 0, "the probe load was squashed");
+        let (probe, secret_line) = (Addr::new(0x5000).line(), Addr::new(secret).line());
+        assert_eq!(
+            rec.issued,
+            vec![(probe, false), (secret_line, false), (probe, true)]
+        );
+        assert_eq!(
+            rec.visible,
+            vec![probe, secret_line],
+            "probe load never visible"
+        );
     }
 }

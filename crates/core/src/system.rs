@@ -397,7 +397,7 @@ impl System {
         &self.cores[i]
     }
 
-    /// Mutable pipeline access (e.g. to enable tracing before a run).
+    /// Mutable pipeline access.
     pub fn core_mut(&mut self, i: usize) -> &mut Pipeline {
         &mut self.cores[i]
     }

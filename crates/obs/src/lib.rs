@@ -9,7 +9,7 @@
 //! Sinks implement [`EventSink`] and can be combined freely:
 //!
 //! * [`RingSink`] — a bounded in-memory ring buffer for test assertions
-//!   and interactive dumps (subsumes the old core-local `TraceBuffer`).
+//!   and interactive dumps.
 //! * [`JsonlSink`] — streams one JSON object per event to any writer.
 //! * [`PerfettoSink`] — renders the run as Chrome trace-event JSON that
 //!   `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) load

@@ -24,8 +24,7 @@ type SinkList = Arc<Mutex<Vec<Box<dyn EventSink>>>>;
 /// A cloneable handle that fans events out to attached sinks.
 ///
 /// The disabled handle (no sinks, the default) costs one branch per
-/// emission site — the same contract as the pipeline's legacy
-/// `Option<TraceBuffer>` tracing.
+/// emission site.
 #[derive(Clone, Default)]
 pub struct Observer {
     sinks: Option<SinkList>,

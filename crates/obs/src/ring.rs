@@ -16,8 +16,8 @@ pub struct EventRecord {
 
 /// Keeps the most recent `capacity` events; older ones are discarded.
 ///
-/// This subsumes the core-local `TraceBuffer`: the same bounded-window
-/// semantics, but fed by every layer of the machine.
+/// The simulator's only event trace: a bounded window fed by every layer
+/// of the machine.
 #[derive(Debug)]
 pub struct RingSink {
     capacity: usize,

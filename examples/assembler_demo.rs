@@ -8,6 +8,7 @@
 
 use cleanupspec::json::report_to_json;
 use cleanupspec::prelude::*;
+use cleanupspec_obs::{RingSink, Shared};
 use cleanupspec_suite::asm::{assemble, disassemble};
 
 const GADGET: &str = r"
@@ -31,19 +32,21 @@ fn main() {
         disassemble(&program)
     );
 
+    let ring = Shared::new(RingSink::new(256));
     let mut sim = SimBuilder::new(SecurityMode::CleanupSpec)
         .program(program)
+        .sink(Box::new(ring.clone()))
         .build();
-    sim.system_mut().core_mut(0).enable_trace(256);
     sim.run(RunLimits {
         max_cycles: 100_000,
         max_insts_per_core: u64::MAX,
         ..RunLimits::default()
     });
     sim.drain(1_000);
+    sim.finish_observer();
 
-    println!("== pipeline trace ==");
-    print!("{}", sim.system().core(0).trace().expect("enabled").dump());
+    println!("== event trace (last 256 events) ==");
+    print!("{}", ring.with(|r| r.dump()));
 
     let line = Addr::new(0x123400).line();
     println!(
