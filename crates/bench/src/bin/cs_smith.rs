@@ -13,7 +13,7 @@
 //! squashes, flushes, aliasing, and cross-core sharing), runs it under
 //! NonSecure / CleanupSpec / InvisiSpec (both) / NaiveInvalidate, and
 //! checks the architectural-equivalence, cache-restoration, and
-//! leakage-audit oracles against the in-order reference interpreter.
+//! episode-ledger oracles against the in-order reference interpreter.
 //! `--sabotage` swaps CleanupSpec for a deliberately broken undo
 //! (`SkipRestore`) — the run *must* find violations, or the oracles are
 //! toothless. Exit status: 0 clean (or sabotage caught), 1 violations

@@ -1,8 +1,9 @@
 //! `cs-trace` — run a program under a security mode with the event bus
-//! attached, then dump, export, and audit the event stream.
+//! attached, then dump and export the event stream and check it with the
+//! episode ledger.
 //!
 //! ```sh
-//! cs-trace programs/spectre_v1.s                      # dump + audit
+//! cs-trace programs/spectre_v1.s                      # dump + ledger verdict
 //! cs-trace --mode cleanupspec programs/spectre_v1.s --perfetto out.json
 //! cs-trace --mode nonsecure spectre_v1 --jsonl events.jsonl
 //! cs-trace gcc --insts 20000 --filter cleanup-inval,cleanup-restore --core 0
@@ -15,7 +16,7 @@
 //! `--filter` takes a comma list of exact event-kind names (validated
 //! against the `cs-events-v2` vocabulary) and `--core N` keeps only
 //! events attributed to core N; both apply to the dump *and* the JSONL
-//! export, but never to the audit or Perfetto sinks, which need the full
+//! export, but never to the ledger or Perfetto sinks, which need the full
 //! stream to stay sound.
 
 use cleanupspec::modes::SecurityMode;
@@ -25,8 +26,7 @@ use cleanupspec_bench::fuzz::fuzz_mem_config;
 use cleanupspec_bench::target::{resolve_programs, TARGET_HELP};
 use cleanupspec_core::system::RunLimits;
 use cleanupspec_obs::{
-    EventSink, JsonlSink, LeakageAuditSink, MetricsRegistry, PerfettoSink, RingSink, Shared,
-    SimEvent,
+    EpisodeBuilder, EventSink, JsonlSink, MetricsRegistry, PerfettoSink, RingSink, Shared, SimEvent,
 };
 use std::io::BufWriter;
 use std::process::ExitCode;
@@ -237,9 +237,9 @@ fn main() -> ExitCode {
         }
     };
 
-    // Sinks: ring (dump) + audit always; Perfetto/JSONL when requested.
+    // Sinks: ring (dump) + ledger always; Perfetto/JSONL when requested.
     let ring = Shared::new(RingSink::new(args.ring_capacity));
-    let audit = Shared::new(LeakageAuditSink::new());
+    let ledger = Shared::new(EpisodeBuilder::new());
     // The sink knows its output path, so the trace is written even if the
     // run panics (Drop flush) — not only on the happy path below.
     let perfetto = args
@@ -256,7 +256,7 @@ fn main() -> ExitCode {
     builder = builder
         .seed(args.seed)
         .sink(Box::new(ring.clone()))
-        .sink(Box::new(audit.clone()));
+        .sink(Box::new(ledger.clone()));
     for p in programs {
         builder = builder.program(p);
     }
@@ -296,7 +296,7 @@ fn main() -> ExitCode {
         ..RunLimits::default()
     });
     // Let in-flight fills land: insecure modes leak precisely via fills
-    // completing after a squash, and the audit must see them.
+    // completing after a squash, and the ledger must see them.
     sim.drain(2_000);
     let wall = start.elapsed().as_secs_f64();
     host.add_timing("sim", wall);
@@ -385,7 +385,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let verdict = audit.with(|a| a.report());
+    let verdict = ledger.with(|l| l.report());
     println!("{verdict}");
     if args.mode == SecurityMode::CleanupSpec && !verdict.clean() {
         eprintln!("cs-trace: cleanupspec run left speculative residue");

@@ -10,11 +10,11 @@
 //!
 //! Detectors (matrix columns):
 //!
-//! * `arch` / `cache` / `audit` / `episode` — the four cs-smith oracles
-//!   from [`crate::fuzz`] (architectural equivalence, cache-restoration
-//!   membership + invariants, leakage audit, and the episode-granular
-//!   undo-coverage ledger that pins each residue to the squash whose
-//!   cleanup should have covered it).
+//! * `arch` / `cache` / `episode` — the three cs-smith oracles from
+//!   [`crate::fuzz`] (architectural equivalence, cache-restoration
+//!   membership + invariants, and the episode-granular undo-coverage
+//!   ledger that pins each residue to the squash whose cleanup should
+//!   have covered it).
 //! * `watchdog` — the forward-progress watchdog: the run stopped with
 //!   [`StopReason::Livelock`] (how `leak-mshr-slot` surfaces once the
 //!   MSHR file exhausts).
@@ -78,8 +78,7 @@ pub struct FaultProbe {
     pub opportunities: u64,
     /// Times the fault actually fired.
     pub fires: u64,
-    /// Detector labels that flagged the run (`arch`, `cache`, `audit`,
-    /// `episode`, `watchdog`, `witness`).
+    /// Detector labels that flagged the run (one of [`DETECTORS`]).
     pub detectors: Vec<&'static str>,
     /// Oracle violations from the faulted run (empty for detections that
     /// are not oracle-shaped, e.g. the witness compare).
@@ -269,7 +268,7 @@ pub fn detection_matrix(start: u64, max_seeds: u64) -> Vec<MatrixRow> {
 }
 
 /// Detector labels, in matrix-column order.
-pub const DETECTORS: [&str; 6] = ["arch", "cache", "audit", "episode", "watchdog", "witness"];
+pub const DETECTORS: [&str; 5] = ["arch", "cache", "episode", "watchdog", "witness"];
 
 /// Renders the matrix as a fixed-width table plus a one-line verdict.
 pub fn render_matrix(rows: &[MatrixRow]) -> String {
@@ -683,8 +682,8 @@ mod tests {
         let p = row.probe.expect("skip-victim-restore never detected");
         assert!(p.fires > 0);
         assert!(
-            p.detectors.contains(&"audit"),
-            "expected the leakage audit to flag the missing restore, got {:?}",
+            p.detectors.contains(&"episode"),
+            "expected the episode ledger to flag the missing restore, got {:?}",
             p.detectors
         );
     }

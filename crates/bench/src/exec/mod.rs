@@ -30,8 +30,7 @@
 //!
 //! Everything is std-only (`Mutex`/`Condvar`, no extra dependencies),
 //! respecting the hermetic no-registry build. See `docs/EXECUTOR.md` for
-//! the design, the determinism guarantee, and the migration table from
-//! the retired per-harness pools.
+//! the design and the determinism guarantee.
 
 mod pool;
 mod sweep;
@@ -43,4 +42,5 @@ pub use pool::{
 pub use sweep::{ModeSweep, Sweep, SweepFailure, SweepResult, SweepRun};
 
 pub(crate) use pool::panic_message;
+#[cfg(test)]
 pub(crate) use sweep::run_spec_once;

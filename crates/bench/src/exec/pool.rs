@@ -31,8 +31,7 @@ pub fn default_threads() -> usize {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PanicPolicy {
     /// Run every task regardless; panicked slots are reported and the
-    /// survivors are complete. The default — matches the historical
-    /// `sweep_isolated` behavior.
+    /// survivors are complete. The default.
     #[default]
     KeepGoing,
     /// Cooperatively cancel after the first panic: tasks already running

@@ -1,11 +1,7 @@
 //! The `Sweep` builder: one front door for every mode×workload campaign.
 //!
-//! Historically the runner grew seven overlapping entry points
-//! (`run_spec_workload`, `run_spec_workload_checkpointed`,
-//! `run_all_spec`, `run_selected_spec`, `run_selected_spec_partial`,
-//! `sweep_isolated`, `run_matrix`) that differed only in which corner of
-//! the same matrix they fixed. They are now `#[deprecated]` shims over
-//! this builder:
+//! Every campaign — one workload under one mode up to the full
+//! mode×workload matrix — is a `Sweep`:
 //!
 //! ```no_run
 //! use cleanupspec::modes::SecurityMode;
@@ -44,8 +40,7 @@ use std::time::Instant;
 /// Where a [`Sweep`] looks for the cs-snap result cache.
 #[derive(Clone, Debug, Default)]
 enum CheckpointPolicy {
-    /// Honor `CLEANUPSPEC_CHECKPOINT_DIR` if set (the default — matches
-    /// the historical `run_spec_workload` behavior).
+    /// Honor `CLEANUPSPEC_CHECKPOINT_DIR` if set (the default).
     #[default]
     FromEnv,
     /// Never read or write checkpoints, whatever the environment says.
@@ -150,13 +145,6 @@ impl SweepResult {
             .pop()
             .map(ModeSweep::into_pairs)
             .unwrap_or_default()
-    }
-
-    /// Names of panicked workloads, per the historical
-    /// `run_selected_spec_partial` contract (one entry per failure, in
-    /// matrix order).
-    pub fn failed_names(&self) -> Vec<String> {
-        self.failures.iter().map(|f| f.workload.clone()).collect()
     }
 
     /// Prints the historical stderr warning for dropped workloads.
@@ -353,9 +341,7 @@ impl Sweep {
 }
 
 /// The single-run core every sweep task executes: cs-snap cache lookup,
-/// seed mixing, warmup + measure, truncation warning, cache store. The
-/// deprecated `run_spec_workload`/`run_spec_workload_checkpointed`
-/// shims delegate here too, so there is exactly one implementation.
+/// seed mixing, warmup + measure, truncation warning, cache store.
 pub(crate) fn run_spec_once(
     w: &SpecWorkload,
     mode: SecurityMode,

@@ -2,7 +2,7 @@
 //!
 //! Runs seeded random micro-ISA programs (generated by
 //! [`cleanupspec_workloads::smith`]) under several security schemes and
-//! checks four oracles against the in-order reference interpreter:
+//! checks three oracles against the in-order reference interpreter:
 //!
 //! 1. **Architectural equivalence.** Final register files, the shared
 //!    data-memory image, and the per-core committed-PC streams must match
@@ -15,15 +15,12 @@
 //!    transmitter a cache side channel reads. The hierarchy's structural
 //!    invariants (inclusion, coherence, SEFE bookkeeping) must hold, and a
 //!    same-seed replay must reproduce the cache digests bit for bit.
-//! 3. **Leakage audit.** The event-correlating [`LeakageAuditSink`] must
-//!    report no speculative residue for CleanupSpec (install *and* restore
-//!    debts settled) and no surviving installs for NaiveInvalidate (its
-//!    eviction channel is a documented non-goal).
-//! 4. **Episode ledger.** The [`EpisodeBuilder`]'s undo-coverage ledger
+//! 3. **Episode ledger.** The [`EpisodeBuilder`]'s undo-coverage ledger
 //!    must balance for CleanupSpec: every transient fill invalidated (or
 //!    dropped in flight) and every displaced victim restored, *per
-//!    cleanup episode*. A violation here names the squash that leaked,
-//!    not just the residue line.
+//!    cleanup episode*. NaiveInvalidate must leave no surviving install
+//!    (its eviction channel is a documented non-goal). A violation names
+//!    the squash that leaked, not just the residue line.
 //!
 //! A failing seed can be [`shrink`]-minimized: the shrinker greedily drops
 //! plan ops, trims wrong-path bodies, reduces loop iterations, and sheds
@@ -51,10 +48,7 @@ use cleanupspec_mem::hierarchy::{LoadOutcome, MemConfig, MemHierarchy};
 use cleanupspec_mem::rng::mix64;
 use cleanupspec_mem::types::{Addr, CoreId, Cycle, LineAddr};
 use cleanupspec_mem::SimError;
-use cleanupspec_obs::{
-    AuditReport, CommitLogSink, EpisodeBuilder, EpisodeReport, LeakageAuditSink, Observer,
-    ResidueKind, Shared,
-};
+use cleanupspec_obs::{CommitLogSink, EpisodeBuilder, EpisodeReport, LeakKind, Observer, Shared};
 use cleanupspec_workloads::smith::{assemble_plan, plan, SmithOp, SmithPlan};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -78,9 +72,13 @@ pub(crate) const REF_STEP_CAP: usize = 1_000_000;
 pub(crate) const CYCLE_CAP: Cycle = 2_000_000;
 
 /// Cycles of memory-only draining after halt, so in-flight fills land
-/// before the residue oracles judge (the classic insecure-mode leak *is*
+/// before the ledger judges (the classic insecure-mode leak *is*
 /// the orphan fill that completes after the squash).
 const DRAIN_CYCLES: Cycle = 4_000;
+
+/// Every oracle label a [`Violation`] can carry: the three oracles, plus
+/// `"panic"` for a crashed run caught by the campaign's isolation.
+pub const ORACLES: [&str; 4] = ["arch", "cache", "episode", "panic"];
 
 /// One oracle violation on one seed under one scheme.
 #[derive(Clone, Debug)]
@@ -89,7 +87,7 @@ pub struct Violation {
     pub seed: u64,
     /// Scheme label (`SecurityMode::name` or a wrapper's name).
     pub scheme: &'static str,
-    /// Which oracle tripped (`"arch"`, `"cache"`, `"audit"`, `"episode"`).
+    /// Which oracle tripped: one of [`ORACLES`].
     pub oracle: &'static str,
     /// Human-readable mismatch description.
     pub detail: String,
@@ -192,8 +190,6 @@ pub struct ModeRun {
     pub l2_digest: u64,
     /// Structural invariant check result.
     pub invariants: Result<(), String>,
-    /// The leakage audit's verdict.
-    pub audit: AuditReport,
     /// The episode builder's verdict: reconstructed cleanup episodes and
     /// the undo-coverage ledger, pinning each residue to the squash whose
     /// cleanup should have covered it.
@@ -221,10 +217,9 @@ pub fn exec_env(
     scheme_for_core: impl Fn(usize) -> Box<dyn SpeculationScheme>,
     env: &ExecEnv,
 ) -> ModeRun {
-    let (mut sys, commits, audit, episodes) =
-        build_exec_system(progs, mode, seed, scheme_for_core, env);
+    let (mut sys, commits, episodes) = build_exec_system(progs, mode, seed, scheme_for_core, env);
     let stop = sys.run(exec_limits(env));
-    extract_run(sys, stop, &commits, &audit, &episodes)
+    extract_run(sys, stop, &commits, &episodes)
 }
 
 /// Cycle at which [`exec_env_checkpoint_resume`] pauses to clone the
@@ -239,9 +234,9 @@ pub const RESUME_CHECKPOINT: Cycle = 1_024;
 ///
 /// Bit-exact resume means the two agree on every state-derived field:
 /// registers, cache contents, and memory digests. The clone gets fresh
-/// event sinks (the original's would double-count), so its commit log,
-/// audit, and episode report only cover the tail — compare state, not
-/// `pcs`/`audit`/`episodes`.
+/// event sinks (the original's would double-count), so its commit log
+/// and episode report only cover the tail — compare state, not
+/// `pcs`/`episodes`.
 /// Fault-injection counters are snapshotted at the pause and rewound
 /// before the resume so the tail re-encounters the same fault schedule.
 pub fn exec_env_checkpoint_resume(
@@ -252,8 +247,7 @@ pub fn exec_env_checkpoint_resume(
     env: &ExecEnv,
     checkpoint: Cycle,
 ) -> (ModeRun, ModeRun) {
-    let (mut sys, commits, audit, episodes) =
-        build_exec_system(progs, mode, seed, scheme_for_core, env);
+    let (mut sys, commits, episodes) = build_exec_system(progs, mode, seed, scheme_for_core, env);
     let full = exec_limits(env);
     let mut leg = full;
     leg.max_cycles = checkpoint.min(full.max_cycles);
@@ -262,7 +256,7 @@ pub fn exec_env_checkpoint_resume(
     let ckpt_counters = env.faults.counters_snapshot();
 
     let stop = sys.run(full);
-    let original = extract_run(sys, stop, &commits, &audit, &episodes);
+    let original = extract_run(sys, stop, &commits, &episodes);
 
     // The resumed replay starts where the checkpoint left off — not at
     // cycle 0 — so a shrinker validating hundreds of candidates only
@@ -270,38 +264,25 @@ pub fn exec_env_checkpoint_resume(
     env.faults.restore_counters(&ckpt_counters);
     let mut resumed_sys = resumed_sys;
     let fresh_commits = Shared::new(CommitLogSink::new());
-    let fresh_audit = Shared::new(LeakageAuditSink::new());
     let fresh_episodes = Shared::new(EpisodeBuilder::new());
     resumed_sys.set_observer(Observer::new(vec![
         Box::new(fresh_commits.clone()),
-        Box::new(fresh_audit.clone()),
         Box::new(fresh_episodes.clone()),
     ]));
     let stop = resumed_sys.run(full);
-    let resumed = extract_run(
-        resumed_sys,
-        stop,
-        &fresh_commits,
-        &fresh_audit,
-        &fresh_episodes,
-    );
+    let resumed = extract_run(resumed_sys, stop, &fresh_commits, &fresh_episodes);
     (original, resumed)
 }
 
-/// Builds the system exactly as [`exec_env`] does, with commit-log,
-/// leakage-audit, and episode-builder sinks attached, without running it.
+/// Builds the system exactly as [`exec_env`] does, with commit-log and
+/// episode-builder sinks attached, without running it.
 fn build_exec_system(
     progs: &[Arc<Program>],
     mode: SecurityMode,
     seed: u64,
     scheme_for_core: impl Fn(usize) -> Box<dyn SpeculationScheme>,
     env: &ExecEnv,
-) -> (
-    System,
-    Shared<CommitLogSink>,
-    Shared<LeakageAuditSink>,
-    Shared<EpisodeBuilder>,
-) {
+) -> (System, Shared<CommitLogSink>, Shared<EpisodeBuilder>) {
     let mut cfg = mode.apply_mem_config(fuzz_mem_config(progs.len(), seed));
     cfg.repl_seed_salt = env.repl_seed_salt;
     if let Some(m) = env.mshrs_per_core {
@@ -318,14 +299,12 @@ fn build_exec_system(
     let schemes: Vec<_> = (0..progs.len()).map(&scheme_for_core).collect();
     let mut sys = System::new(mem, CoreConfig::default(), schemes, progs.to_vec());
     let commits = Shared::new(CommitLogSink::new());
-    let audit = Shared::new(LeakageAuditSink::new());
     let episodes = Shared::new(EpisodeBuilder::new());
     sys.set_observer(Observer::new(vec![
         Box::new(commits.clone()),
-        Box::new(audit.clone()),
         Box::new(episodes.clone()),
     ]));
-    (sys, commits, audit, episodes)
+    (sys, commits, episodes)
 }
 
 /// The standard fuzz run limits for `env`.
@@ -347,7 +326,6 @@ fn extract_run(
     mut sys: System,
     stop: StopReason,
     commits: &Shared<CommitLogSink>,
-    audit: &Shared<LeakageAuditSink>,
     episodes: &Shared<EpisodeBuilder>,
 ) -> ModeRun {
     for _ in 0..DRAIN_CYCLES {
@@ -396,7 +374,6 @@ fn extract_run(
             .collect(),
         l2_digest: mem_sys.l2_digest(line_data),
         invariants: mem_sys.check_invariants(),
-        audit: audit.with(|a| a.report()),
         episodes: episodes.with(|e| e.report()),
     }
 }
@@ -424,6 +401,7 @@ pub(crate) fn judge(
 ) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut fail = |oracle: &'static str, detail: String| {
+        debug_assert!(ORACLES.contains(&oracle), "unlisted oracle {oracle}");
         out.push(Violation {
             seed,
             scheme: run.scheme,
@@ -513,52 +491,31 @@ pub(crate) fn judge(
         }
     }
 
-    // Oracle 3: the event-correlating leakage audit.
-    match mode {
-        SecurityMode::CleanupSpec if !run.audit.clean() => {
-            let r = &run.audit.residue[0];
-            fail(
-                "audit",
-                format!(
-                    "{} residue item(s); first: core{} line={:#x}: {}",
-                    run.audit.residue.len(),
-                    r.core,
-                    r.line,
-                    r.kind
-                ),
-            );
-        }
-        SecurityMode::NaiveInvalidate => {
-            // Its eviction channel is a documented leak (MissingRestore is
-            // expected); surviving *installs* are not.
-            if let Some(r) = run
-                .audit
-                .residue
-                .iter()
-                .find(|r| matches!(r.kind, ResidueKind::InstallL1 | ResidueKind::InstallL2))
-            {
-                fail(
-                    "audit",
-                    format!("core{} line={:#x}: {}", r.core, r.line, r.kind),
-                );
-            }
-        }
-        _ => {}
-    }
-
-    // Oracle 4: the episode-granular undo-coverage ledger. Same residue
-    // classes as the audit, but each finding is pinned to the cleanup
-    // episode that should have covered it — so a detection names the
-    // squash, not just the line.
-    if mode == SecurityMode::CleanupSpec && !run.episodes.clean() {
-        let l = &run.episodes.leaks[0];
-        fail(
-            "episode",
-            format!(
-                "{} ledger imbalance(s); first: {l}",
-                run.episodes.leaks.len()
-            ),
-        );
+    // Oracle 3: the episode-granular undo-coverage ledger. Each finding
+    // is pinned to the cleanup episode that should have covered it, so a
+    // detection names the squash, not just the line.
+    let leaks = &run.episodes.leaks;
+    let detail = match mode {
+        SecurityMode::CleanupSpec => leaks
+            .first()
+            .map(|l| format!("{} ledger imbalance(s); first: {l}", leaks.len())),
+        // Its eviction channel is a documented leak (MissingRestore is
+        // expected); surviving *installs* are not.
+        SecurityMode::NaiveInvalidate => leaks
+            .iter()
+            .find(|l| {
+                matches!(
+                    l.kind,
+                    LeakKind::TransientInstallL1
+                        | LeakKind::TransientInstallL2
+                        | LeakKind::OrphanInstall
+                )
+            })
+            .map(|l| format!("surviving install: {l}")),
+        _ => None,
+    };
+    if let Some(d) = detail {
+        fail("episode", d);
     }
     out
 }
@@ -592,7 +549,7 @@ pub fn run_plan(p: &SmithPlan) -> SeedVerdict {
                 &ExecEnv::default(),
                 RESUME_CHECKPOINT,
             );
-            squashes += run.audit.squashes;
+            squashes += run.episodes.squashes;
             violations.extend(judge(p.seed, mode, &refs, ref_mem_digest, &run));
             if resumed.regs != run.regs
                 || resumed.l1_digests != run.l1_digests
@@ -611,7 +568,7 @@ pub fn run_plan(p: &SmithPlan) -> SeedVerdict {
             }
         } else {
             let run = exec_with(&progs, mode, p.seed, |_| mode.build_scheme());
-            squashes += run.audit.squashes;
+            squashes += run.episodes.squashes;
             violations.extend(judge(p.seed, mode, &refs, ref_mem_digest, &run));
         }
     }
@@ -641,7 +598,7 @@ pub fn run_plan_sabotaged(p: &SmithPlan) -> SeedVerdict {
     let ref_mem_digest = merged_image(&refs).image_digest();
     let mode = SecurityMode::CleanupSpec;
     let run = exec_with(&progs, mode, p.seed, |_| Box::new(SkipRestore::new()));
-    let squashes = run.audit.squashes;
+    let squashes = run.episodes.squashes;
     let violations = judge(p.seed, mode, &refs, ref_mem_digest, &run);
     if violations.is_empty() {
         SeedVerdict::Pass { squashes }
@@ -788,12 +745,10 @@ fn intern_scheme(name: &str) -> &'static str {
 }
 
 fn intern_oracle(name: &str) -> &'static str {
-    for s in ["arch", "cache", "audit", "panic"] {
-        if s == name {
-            return s;
-        }
-    }
-    "(unknown-oracle)"
+    ORACLES
+        .into_iter()
+        .find(|&s| s == name)
+        .unwrap_or("(unknown-oracle)")
 }
 
 /// Parses a verdict journaled by [`verdict_to_json`].
@@ -1062,20 +1017,29 @@ mod tests {
             SeedVerdict::Pass { squashes } => assert_eq!(squashes, 17),
             SeedVerdict::Fail(_) => panic!("pass verdict came back as fail"),
         }
-        // Seed above 2^53: exact only because it travels as a string.
-        let fail = SeedVerdict::Fail(vec![Violation {
-            seed: u64::MAX - 1,
-            scheme: "(crashed)",
-            oracle: "panic",
-            detail: "boom \"quoted\"".to_string(),
-        }]);
+        // Seed above 2^53: exact only because it travels as a string. One
+        // violation per oracle label, so a resumed campaign's triage names
+        // the same oracle as the uninterrupted run's.
+        let fail = SeedVerdict::Fail(
+            ORACLES
+                .iter()
+                .map(|&oracle| Violation {
+                    seed: u64::MAX - 1,
+                    scheme: "(crashed)",
+                    oracle,
+                    detail: "boom \"quoted\"".to_string(),
+                })
+                .collect(),
+        );
         match verdict_from_json(&verdict_to_json(&fail)).unwrap() {
             SeedVerdict::Fail(v) => {
-                assert_eq!(v.len(), 1);
-                assert_eq!(v[0].seed, u64::MAX - 1);
-                assert_eq!(v[0].scheme, "(crashed)");
-                assert_eq!(v[0].oracle, "panic");
-                assert_eq!(v[0].detail, "boom \"quoted\"");
+                assert_eq!(v.len(), ORACLES.len());
+                for (got, want) in v.iter().zip(ORACLES) {
+                    assert_eq!(got.seed, u64::MAX - 1);
+                    assert_eq!(got.scheme, "(crashed)");
+                    assert_eq!(got.oracle, want);
+                    assert_eq!(got.detail, "boom \"quoted\"");
+                }
             }
             SeedVerdict::Pass { .. } => panic!("fail verdict came back as pass"),
         }

@@ -41,14 +41,10 @@ pub use fuzz::{run_campaign, run_seed, shrink, CampaignResult, SeedVerdict, Viol
 pub use journal::{
     check_resume, host_fault_matrix, render_host_matrix, HostMatrixRow, Journal, JournalHeader,
 };
+pub use runner::ExperimentConfig;
 pub use store::{
     shared_dir_store, ArtifactStore, DirStore, FaultFs, HostFaultKind, HostFaultPlan, MemStore,
     StoreError, StoreStats,
 };
-// The deprecated shims stay re-exported for one release so downstream
-// `use cleanupspec_bench::run_all_spec` keeps compiling (with a warning).
-pub use runner::ExperimentConfig;
-#[allow(deprecated)]
-pub use runner::{run_all_spec, run_spec_workload};
 pub use suite::{run_suite, SuiteOptions, SuiteOutcome, SMOKE_WORKLOADS};
 pub use target::{resolve_programs, TARGET_HELP};

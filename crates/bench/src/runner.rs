@@ -1,21 +1,12 @@
-//! Experiment sizing, the cs-snap result-cache helpers, and the
-//! deprecated pre-`Sweep` entry points.
-//!
-//! The seven historical runner functions (`run_spec_workload`,
-//! `run_spec_workload_checkpointed`, `run_all_spec`,
-//! `run_selected_spec`, `run_selected_spec_partial`, `sweep_isolated`,
-//! `run_matrix`) are now thin `#[deprecated]` shims over the
-//! [`crate::exec::Sweep`] builder and the work-stealing pool; see
-//! `docs/EXECUTOR.md` for the migration table. The sizing knobs
-//! ([`ExperimentConfig`], [`warmup_insts`]) and the checkpoint cache
-//! helpers stay here and are not deprecated.
+//! Experiment sizing and the cs-snap result-cache helpers. Campaigns run
+//! through the [`crate::exec::Sweep`] builder.
 
-use crate::exec::{self, ExecConfig, PanicPolicy, Sweep};
+use crate::exec;
 use crate::store::ArtifactStore as _;
 use cleanupspec::modes::SecurityMode;
 use cleanupspec::sim::SimReport;
 use cleanupspec::snap::{read_checkpoint, write_checkpoint, CheckpointKey};
-use cleanupspec_workloads::spec::{SpecWorkload, SPEC_WORKLOADS};
+use cleanupspec_workloads::spec::SpecWorkload;
 use std::path::{Path, PathBuf};
 
 /// Experiment sizing knobs.
@@ -134,132 +125,6 @@ pub fn store_checkpoint(dir: &Path, key: &CheckpointKey, report: &SimReport) {
     }
 }
 
-/// Runs one Table-3 workload under `mode` and returns its report.
-#[deprecated(note = "build a one-cell `Sweep` instead (see docs/EXECUTOR.md)")]
-pub fn run_spec_workload(
-    w: &SpecWorkload,
-    mode: SecurityMode,
-    cfg: &ExperimentConfig,
-) -> SimReport {
-    crate::exec::run_spec_once(w, mode, cfg, checkpoint_dir_from_env().as_deref()).0
-}
-
-/// [`run_spec_workload`] with an explicit cache directory. Returns the
-/// report and whether it was served from the cache (no simulation ran).
-#[deprecated(note = "use `Sweep::new().checkpoints(dir)` (see docs/EXECUTOR.md)")]
-pub fn run_spec_workload_checkpointed(
-    w: &SpecWorkload,
-    mode: SecurityMode,
-    cfg: &ExperimentConfig,
-    checkpoint_dir: Option<&Path>,
-) -> (SimReport, bool) {
-    crate::exec::run_spec_once(w, mode, cfg, checkpoint_dir)
-}
-
-/// Runs all 19 workloads under `mode`, in parallel. Results are returned
-/// in Table-3 order.
-#[deprecated(note = "use `Sweep::new().mode(mode).config(cfg)` (see docs/EXECUTOR.md)")]
-pub fn run_all_spec(mode: SecurityMode, cfg: &ExperimentConfig) -> Vec<(SpecWorkload, SimReport)> {
-    selected_spec_sweep(&SPEC_WORKLOADS, mode, cfg).0
-}
-
-/// Runs a subset of workloads under `mode`, in parallel, preserving order.
-///
-/// A panic inside one workload's simulation does not sink the whole
-/// sweep: panicked workloads are reported by name on stderr and the
-/// surviving reports are returned (still in input order).
-#[deprecated(note = "use `Sweep::new().workloads(..).mode(mode)` (see docs/EXECUTOR.md)")]
-pub fn run_selected_spec(
-    workloads: &[SpecWorkload],
-    mode: SecurityMode,
-    cfg: &ExperimentConfig,
-) -> Vec<(SpecWorkload, SimReport)> {
-    let (ok, failed) = selected_spec_sweep(workloads, mode, cfg);
-    if !failed.is_empty() {
-        eprintln!(
-            "warning: {} workload(s) panicked under {} and were dropped from the sweep: {}",
-            failed.len(),
-            mode.name(),
-            failed.join(", ")
-        );
-    }
-    ok
-}
-
-/// [`run_selected_spec`] returning the surviving `(workload, report)`
-/// pairs plus the names of workloads whose simulation panicked.
-#[deprecated(note = "use `Sweep` and `SweepResult::failed_names` (see docs/EXECUTOR.md)")]
-pub fn run_selected_spec_partial(
-    workloads: &[SpecWorkload],
-    mode: SecurityMode,
-    cfg: &ExperimentConfig,
-) -> (Vec<(SpecWorkload, SimReport)>, Vec<String>) {
-    selected_spec_sweep(workloads, mode, cfg)
-}
-
-/// Shared non-deprecated core of the single-mode shims.
-fn selected_spec_sweep(
-    workloads: &[SpecWorkload],
-    mode: SecurityMode,
-    cfg: &ExperimentConfig,
-) -> (Vec<(SpecWorkload, SimReport)>, Vec<String>) {
-    let result = Sweep::new()
-        .workloads(workloads)
-        .mode(mode)
-        .config(cfg)
-        .run();
-    let failed = result.failed_names();
-    (result.into_single_mode(), failed)
-}
-
-/// Parallel per-workload sweep with crash isolation: `run` executes
-/// under `catch_unwind` so one panicking workload costs only its own
-/// slot, not the whole sweep. Order of survivors matches input order.
-#[deprecated(note = "use `exec::run_indexed` (see docs/EXECUTOR.md)")]
-pub fn sweep_isolated<F>(
-    workloads: &[SpecWorkload],
-    threads: usize,
-    run: F,
-) -> (Vec<(SpecWorkload, SimReport)>, Vec<String>)
-where
-    F: Fn(&SpecWorkload) -> SimReport + Sync,
-{
-    let outcome = exec::run_indexed(
-        workloads.len(),
-        &ExecConfig {
-            threads,
-            on_panic: PanicPolicy::KeepGoing,
-            ..ExecConfig::default()
-        },
-        |i| run(&workloads[i]),
-    );
-    let mut ok = Vec::new();
-    let mut failed = Vec::new();
-    for (slot, w) in outcome.slots.into_iter().zip(workloads) {
-        match slot {
-            Some(report) => ok.push((*w, report)),
-            None => failed.push(w.name.to_string()),
-        }
-    }
-    (ok, failed)
-}
-
-/// Runs every workload under several modes; returns `results[mode][wl]`.
-#[deprecated(note = "use `Sweep::new().modes(modes).config(cfg)` (see docs/EXECUTOR.md)")]
-pub fn run_matrix(
-    modes: &[SecurityMode],
-    cfg: &ExperimentConfig,
-) -> Vec<(SecurityMode, Vec<(SpecWorkload, SimReport)>)> {
-    Sweep::new()
-        .modes(modes)
-        .config(cfg)
-        .run()
-        .modes
-        .into_iter()
-        .map(|g| (g.mode, g.into_pairs()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,35 +142,6 @@ mod tests {
         assert!(r.cycles > 0);
     }
 
-    // Shim-pinning test: the deprecated surface must keep working (and
-    // keep its ordering contract) for one release.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_preserve_the_historical_contracts() {
-        let cfg = ExperimentConfig {
-            insts: 2_000,
-            seed: 1,
-            threads: 3,
-        };
-        let rs = run_selected_spec(&SPEC_WORKLOADS[..4], SecurityMode::NonSecure, &cfg);
-        for (i, (w, _)) in rs.iter().enumerate() {
-            assert_eq!(w.name, SPEC_WORKLOADS[i].name);
-        }
-        let matrix = run_matrix(
-            &[SecurityMode::NonSecure],
-            &ExperimentConfig {
-                insts: 2_000,
-                ..cfg
-            },
-        );
-        assert_eq!(matrix.len(), 1);
-        assert_eq!(matrix[0].1.len(), SPEC_WORKLOADS.len());
-        let w = cleanupspec_workloads::spec::spec_workload("gcc").unwrap();
-        let direct = run_spec_workload(&w, SecurityMode::NonSecure, &cfg);
-        let via_sweep = crate::exec::run_spec_once(&w, SecurityMode::NonSecure, &cfg, None).0;
-        assert_eq!(direct.cycles, via_sweep.cycles);
-    }
-
     #[test]
     fn warmup_never_exceeds_quarter_of_measured_region() {
         // The historical clamp `(insts / 4).clamp(10_000, 100_000)` warmed
@@ -318,32 +154,6 @@ mod tests {
         for insts in [0, 1, 4_000, 39_999, 40_000, 400_000, 4_000_000] {
             assert!(warmup_insts(insts) <= insts / 4, "insts={insts}");
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn panicking_workload_does_not_sink_the_sweep() {
-        let cfg = ExperimentConfig {
-            insts: 2_000,
-            seed: 3,
-            threads: 2,
-        };
-        let (ok, failed) = sweep_isolated(&SPEC_WORKLOADS[..4], cfg.threads, |w| {
-            if w.name == SPEC_WORKLOADS[1].name {
-                panic!("injected workload crash");
-            }
-            crate::exec::run_spec_once(w, SecurityMode::NonSecure, &cfg, None).0
-        });
-        assert_eq!(failed, vec![SPEC_WORKLOADS[1].name.to_string()]);
-        let names: Vec<&str> = ok.iter().map(|(w, _)| w.name).collect();
-        assert_eq!(
-            names,
-            vec![
-                SPEC_WORKLOADS[0].name,
-                SPEC_WORKLOADS[2].name,
-                SPEC_WORKLOADS[3].name
-            ]
-        );
     }
 
     #[test]

@@ -41,10 +41,10 @@ fn sabotaged_restore_is_caught_and_shrinks_small() {
     match run_plan_sabotaged(&min) {
         SeedVerdict::Fail(vs) => {
             assert!(
-                vs.iter().any(|v| v.oracle.contains("audit")
+                vs.iter().any(|v| v.oracle.contains("episode")
                     || v.oracle.contains("restoration")
                     || v.oracle.contains("cache")),
-                "shrunk repro fails, but not on a cache/audit oracle: {vs:?}"
+                "shrunk repro fails, but not on a cache/episode oracle: {vs:?}"
             );
         }
         SeedVerdict::Pass { .. } => panic!("shrunk repro no longer fails"),

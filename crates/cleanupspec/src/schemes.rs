@@ -251,8 +251,8 @@ impl CleanupSpec {
             .collect();
         // Fault hook: DoubleUndo models a cleanup engine that fails to
         // clear its walk pointer and re-runs the whole op list. The repeat
-        // invalidations hit lines the engine no longer owns; the leakage
-        // audit flags them as DoubleCleanup residue.
+        // invalidations hit lines the engine no longer owns; the episode
+        // ledger flags them as double-undo leaks.
         let passes =
             if !undo_list.is_empty() && mem.fault_injector().should_fire(FaultKind::DoubleUndo) {
                 2

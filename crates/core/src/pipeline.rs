@@ -870,7 +870,7 @@ impl Pipeline {
     }
 
     /// Emits one [`SimEvent::SquashedLoad`] per squashed load with a known
-    /// line (the leakage-audit sink correlates these with cleanup events).
+    /// line (the episode ledger correlates these with cleanup events).
     fn emit_squashed_loads(&mut self, now: Cycle, loads: &[SquashedLoad], episode: u64) {
         if !self.obs.is_enabled() {
             return;

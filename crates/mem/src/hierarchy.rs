@@ -812,7 +812,7 @@ impl MemHierarchy {
     /// Downgrade with an explicit speculation flag on the emitted event.
     /// `spec` is true only when a *speculative* load forced the downgrade
     /// (possible solely via the `EarlyCoherenceDowngrade` fault; correct
-    /// CleanupSpec always defers those) — the leakage audit flags it.
+    /// CleanupSpec always defers those) — the episode ledger flags it.
     fn downgrade_owner_as(&mut self, owner: CoreId, line: LineAddr, spec: bool) {
         let oi = owner.index();
         if let Some(l) = self.l1[oi].probe_mut(line) {

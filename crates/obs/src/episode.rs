@@ -10,16 +10,28 @@
 //! live (attached as a sink) or offline over a replayed JSONL trace and
 //! produce identical records.
 //!
-//! The **undo-coverage ledger** extends the leakage audit's invariant to
-//! episode granularity: every speculative fill belonging to a squashed
-//! load must be accounted for as *invalidated* (possibly raced — the fill
-//! landed after the squash and was still unwound), *never installed*
-//! (epoch-dropped in flight), or legitimized by the correct path. Every
-//! victim displaced by a squashed install must be restored. Anything left
-//! over becomes an [`EpisodeLeak`] finding, attributed to the episode
-//! whose cleanup should have covered it — the same residue classes the
-//! [`crate::audit::LeakageAuditSink`] reports globally, but pinned to the
-//! squash that leaked them.
+//! The **undo-coverage ledger** is the simulator's leakage oracle: it
+//! checks the paper's "undo leaves no trace" invariant from events alone.
+//! Every speculative load issue opens a watch on its line. Fills on a
+//! watched line mark speculation-attributable *presence* per cache level;
+//! evicts, back-invalidations, flushes and cleanup invalidations clear
+//! it. A commit (or an architectural re-access) legitimizes the line.
+//! When the load is squashed instead, every fill must be accounted for as
+//! *invalidated* (possibly raced — the fill landed after the squash and
+//! was still unwound) or *never installed* (epoch-dropped in flight).
+//!
+//! Symmetrically, a speculative install that evicts a victim puts the
+//! victim on an *owed-restore* list, tagged with the evicting line. The
+//! debt comes due only if the evictor is squashed — a speculative load
+//! that retires keeps its eviction, as a non-speculative one would. A
+//! cleanup restore, an L1 refill or an architectural re-access settles
+//! it; a retire of the evictor forgives it.
+//!
+//! Anything left over becomes an [`EpisodeLeak`], pinned to the episode
+//! whose cleanup should have covered it. The verdict is computed lazily
+//! by [`EpisodeBuilder::report`], so orphan fills landing cycles after
+//! the squash (the classic insecure-mode leak — drain the simulation
+//! before asking) are still caught.
 
 use crate::event::{CacheLevel, SimEvent};
 use crate::observer::EventSink;
@@ -154,6 +166,9 @@ impl EpisodeRecord {
 pub struct EpisodeReport {
     /// All reconstructed episodes, sorted by (core, id).
     pub episodes: Vec<EpisodeRecord>,
+    /// Squash events across all episodes (the sum of
+    /// [`EpisodeRecord::squashes`]).
+    pub squashes: u64,
     /// All ledger imbalances, sorted.
     pub leaks: Vec<EpisodeLeak>,
 }
@@ -174,9 +189,10 @@ impl std::fmt::Display for EpisodeReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "episodes: {} reconstructed ({} open at end of run)",
+            "episodes: {} reconstructed ({} open at end of run), {} squashes",
             self.episodes.len(),
-            self.open_episodes()
+            self.open_episodes(),
+            self.squashes
         )?;
         if self.clean() {
             write!(f, "episodes: BALANCED — every undo ledger closed clean")
@@ -190,12 +206,12 @@ impl std::fmt::Display for EpisodeReport {
     }
 }
 
-/// Per-line speculative-fill watch (episode-attributed twin of the
-/// audit's `WatchState`).
+/// Per-line speculative-fill watch.
 #[derive(Clone, Copy, Default, Debug)]
 struct Watch {
     /// Episode the line's squash joined (0 = not squashed yet).
     episode: u64,
+    /// A load of the line was squashed: presence is now undo residue.
     squashed: bool,
     /// Cycle of the SquashedLoad event (valid when `squashed`).
     squashed_at: u64,
@@ -238,6 +254,12 @@ struct CoreState {
 }
 
 impl CoreState {
+    /// Forgives restores owed to `evictor`'s install: the line retired
+    /// (or was re-accessed architecturally), so the eviction stands. This
+    /// also covers debts marked due by a squashed *younger duplicate* of
+    /// the same line — under MSHR merging several in-flight loads share
+    /// one install, and only the install's own fate decides whether the
+    /// victim is owed a restore.
     fn forgive_evictor(&mut self, evictor: u64) {
         self.owed.retain(|_, o| o.evictor != evictor);
     }
@@ -353,7 +375,12 @@ impl EpisodeBuilder {
                 episodes[i].overlap_next = overlap;
             }
         }
-        EpisodeReport { episodes, leaks }
+        let squashes = episodes.iter().map(|e| e.squashes).sum();
+        EpisodeReport {
+            episodes,
+            squashes,
+            leaks,
+        }
     }
 }
 
@@ -582,6 +609,9 @@ impl EventSink for EpisodeBuilder {
                 let c = self.core(core);
                 if let Some(w) = c.watch.get_mut(&line) {
                     if !w.squashed || spec {
+                        // The speculative load's own fill (insecure modes
+                        // install untagged, so an open watch claims any
+                        // fill on its line, tagged or not).
                         w.cleaned = false;
                         match level {
                             CacheLevel::L1 => {
@@ -596,6 +626,8 @@ impl EventSink for EpisodeBuilder {
                     } else {
                         // Untagged install after the squash was undone
                         // (restore, RFO, demand refill) — architectural.
+                        // A squashed load's own late fill is re-flagged by
+                        // the `OrphanFill` the MSHR emits right after.
                         c.watch.remove(&line);
                     }
                 }
@@ -699,7 +731,9 @@ impl EventSink for EpisodeBuilder {
                 // The timeline rewinds to `at`: episodes that closed
                 // before it are final; everything else will be re-emitted
                 // (possibly differently) on the resumed path, so drop the
-                // volatile state rather than double-count it.
+                // volatile state rather than double-count it. Exact only
+                // for a snapshot taken while no speculation was in flight:
+                // watches and debts opened before `at` are not re-emitted.
                 for c in &mut self.cores {
                     c.episodes.retain(|_, r| r.closed && r.end <= at);
                     c.open = None;
@@ -965,6 +999,7 @@ mod tests {
         assert_eq!(r.episodes.len(), 1);
         let e = &r.episodes[0];
         assert_eq!(e.squashes, 2);
+        assert_eq!(r.squashes, 2, "report total sums the merged squashes");
         assert_eq!(e.loads, 2);
         assert_eq!(e.seq, 1, "episode keeps the opening squash's seq");
         assert_eq!(e.start, 10, "and its cycle");
@@ -1114,6 +1149,7 @@ mod tests {
         assert_eq!(r.episodes.len(), 2, "no duplicate episode 2");
         let e2 = &r.episodes[1];
         assert_eq!(e2.squashes, 1, "pre-restore squash not double-counted");
+        assert_eq!(r.squashes, 2, "the report total follows the records");
         assert_eq!(e2.loads, 1);
         assert_eq!(e2.start, 35, "record reflects the resumed timeline");
         assert!(r.clean(), "{r}");
@@ -1129,6 +1165,151 @@ mod tests {
         assert_eq!(r.open_episodes(), 1);
         assert!(!r.episodes[0].closed);
         assert_eq!(r.episodes[0].duration(), 0);
+    }
+
+    fn evict(line: u64, evictor: Option<u64>) -> SimEvent {
+        SimEvent::Evict {
+            core: 0,
+            line,
+            level: CacheLevel::L1,
+            dirty: false,
+            evictor,
+        }
+    }
+
+    fn commit(line: u64) -> SimEvent {
+        SimEvent::Commit {
+            core: 0,
+            seq: 1,
+            pc: 0,
+            line: Some(line),
+        }
+    }
+
+    #[test]
+    fn committed_load_is_architectural() {
+        let mut b = EpisodeBuilder::new();
+        b.record(0, &issue(0, 7, true));
+        b.record(1, &fill(0, 7, CacheLevel::L1));
+        b.record(2, &commit(7));
+        assert!(b.report().clean());
+    }
+
+    #[test]
+    fn retired_evictor_keeps_its_eviction() {
+        let mut b = EpisodeBuilder::new();
+        b.record(0, &issue(0, 9, true));
+        b.record(1, &evict(5, Some(9)));
+        // The evicting load retires (correct path): no restore is owed,
+        // even if line 9 is squashed in some *later* episode.
+        b.record(2, &SimEvent::SpecRetire { core: 0, line: 9 });
+        b.record(3, &commit(9));
+        assert!(b.report().clean());
+        b.record(4, &squash(0, 2, 1));
+        b.record(4, &squashed_load(0, 9, 1));
+        let r = b.report();
+        assert!(r.clean(), "{r}");
+    }
+
+    /// MSHR merging: several in-flight loads of line 9 share one install.
+    /// A younger duplicate is squashed (marking the owed restore due), but
+    /// the oldest instance retires — the install, and the eviction it
+    /// caused, are architectural.
+    #[test]
+    fn duplicate_squash_then_retire_forgives_the_debt() {
+        let mut b = EpisodeBuilder::new();
+        b.record(0, &issue(0, 9, true));
+        b.record(1, &evict(5, Some(9)));
+        b.record(2, &squashed_load(0, 9, 1));
+        assert!(!b.report().clean(), "due until the install's fate is known");
+        b.record(3, &SimEvent::SpecRetire { core: 0, line: 9 });
+        b.record(4, &commit(9));
+        let r = b.report();
+        assert!(r.clean(), "{r}");
+    }
+
+    #[test]
+    fn non_spec_eviction_owes_nothing() {
+        let mut b = EpisodeBuilder::new();
+        b.record(0, &evict(5, None));
+        b.record(1, &squash(0, 1, 1));
+        b.record(1, &squashed_load(0, 9, 1));
+        assert!(b.report().clean());
+    }
+
+    /// Episode 1: a speculative load is squashed and its fill dropped in
+    /// flight (never present). Episode 2: the same line is re-issued
+    /// speculatively, fills, and is still unresolved when the run ends —
+    /// not residue.
+    #[test]
+    fn cleaned_episode_reset_on_reissue() {
+        let mut b = EpisodeBuilder::new();
+        b.record(0, &issue(0, 7, true));
+        b.record(1, &squash(0, 1, 1));
+        b.record(1, &squashed_load(0, 7, 1));
+        b.record(
+            2,
+            &SimEvent::DroppedFill {
+                core: 0,
+                line: 7,
+                episode: 1,
+            },
+        );
+        b.record(3, &issue(0, 7, true));
+        b.record(4, &fill(0, 7, CacheLevel::L1));
+        let r = b.report();
+        assert!(r.clean(), "{r}");
+    }
+
+    #[test]
+    fn architectural_reaccess_legitimizes() {
+        let mut b = EpisodeBuilder::new();
+        b.record(0, &issue(0, 7, true));
+        b.record(1, &fill(0, 7, CacheLevel::L1));
+        b.record(2, &squash(0, 1, 1));
+        b.record(2, &squashed_load(0, 7, 1));
+        // The correct path re-executes the same load non-speculatively.
+        b.record(3, &issue(0, 7, false));
+        assert!(b.report().clean());
+    }
+
+    #[test]
+    fn architectural_downgrade_is_not_a_leak() {
+        let mut b = EpisodeBuilder::new();
+        b.record(
+            0,
+            &SimEvent::Downgrade {
+                owner: 1,
+                line: 3,
+                spec: false,
+            },
+        );
+        b.record(1, &squash(0, 1, 1));
+        b.record(1, &squashed_load(0, 3, 1));
+        let r = b.report();
+        assert!(r.clean(), "{r}");
+    }
+
+    /// A fill between two invals of the same line resets the double-undo
+    /// flag: two separate, correctly paired undo episodes.
+    #[test]
+    fn refill_between_invals_is_not_a_double_undo() {
+        let mut b = EpisodeBuilder::new();
+        b.record(0, &issue(0, 7, true));
+        b.record(1, &fill(0, 7, CacheLevel::L1));
+        b.record(2, &squash(0, 1, 1));
+        b.record(2, &squashed_load(0, 7, 1));
+        b.record(3, &inval(0, 7, 1));
+        b.record(4, &end(0, 1, 1));
+        b.record(5, &issue(0, 7, true));
+        b.record(6, &fill(0, 7, CacheLevel::L1));
+        b.record(7, &squash(0, 2, 2));
+        b.record(7, &squashed_load(0, 7, 2));
+        b.record(8, &inval(0, 7, 2));
+        b.record(9, &end(0, 2, 1));
+        let r = b.report();
+        assert!(r.clean(), "{r}");
+        assert_eq!(r.squashes, 2);
     }
 
     #[test]

@@ -305,8 +305,8 @@ pub enum SimEvent {
         /// Downgraded line.
         line: u64,
         /// Whether a *speculative* request forced the downgrade. Under
-        /// GetS-Safe this must never happen — the leakage audit flags any
-        /// `spec=true` downgrade as a residue.
+        /// GetS-Safe this must never happen — the episode ledger flags any
+        /// `spec=true` downgrade as a leak.
         spec: bool,
     },
     /// The forward-progress watchdog fired: this core committed nothing

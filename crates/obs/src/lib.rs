@@ -14,9 +14,12 @@
 //! * [`PerfettoSink`] — renders the run as Chrome trace-event JSON that
 //!   `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) load
 //!   directly.
-//! * [`LeakageAuditSink`] — correlates speculative fills, squashes, and
-//!   cleanup operations to verify the paper's core invariant at runtime:
-//!   after a squash, no speculation-attributable cache state survives.
+//! * [`EpisodeBuilder`] — reconstructs cleanup episodes and keeps the
+//!   undo-coverage ledger, the leakage oracle: it correlates speculative
+//!   fills, squashes, and cleanup operations to verify the paper's core
+//!   invariant at runtime — after a squash, no speculation-attributable
+//!   cache state survives — and pins each leak to its episode.
+//! * [`CommitLogSink`] — records per-core committed-PC streams.
 //!
 //! This crate sits at the bottom of the workspace (no dependencies, not
 //! even on `cleanupspec-mem`), so events carry primitive field types:
@@ -27,7 +30,6 @@
 #![forbid(unsafe_code)]
 
 mod atomicio;
-pub mod audit;
 pub mod commitlog;
 pub mod episode;
 pub mod event;
@@ -40,7 +42,6 @@ pub mod observer;
 pub mod perfetto;
 pub mod ring;
 
-pub use audit::{AuditReport, AuditResidue, LeakageAuditSink, ResidueKind};
 pub use commitlog::{CommitEntry, CommitLogSink};
 pub use episode::{EpisodeBuilder, EpisodeLeak, EpisodeRecord, EpisodeReport, LeakKind};
 pub use event::{CacheLevel, FieldValue, Layer, PathKind, SimEvent, EVENT_SCHEMA_VERSION};
@@ -52,3 +53,8 @@ pub use metrics::{CounterSample, MetricsRegistry};
 pub use observer::{EventSink, Observer, Shared};
 pub use perfetto::PerfettoSink;
 pub use ring::{EventRecord, RingSink};
+
+/// The former standalone audit sink's name, kept only for the
+/// out-of-workspace `perfbench` crate, which still names it. Nothing in
+/// the workspace uses it.
+pub type LeakageAuditSink = EpisodeBuilder;

@@ -106,7 +106,7 @@ impl fmt::Debug for Observer {
 ///
 /// [`Observer::new`] takes ownership of its sinks, but tests and the
 /// `cs-trace` CLI need to read a sink back after the run (dump the ring,
-/// ask the audit for its verdict). `Shared` clones hand the same
+/// ask the episode ledger for its verdict). `Shared` clones hand the same
 /// underlying sink to both sides:
 ///
 /// ```

@@ -1,5 +1,6 @@
 //! Attach the event bus to a Spectre-V1 run: dump the transient episode
-//! from the ring buffer, audit it for speculative residue, and print the
+//! from the ring buffer, check it for speculative residue with the
+//! episode ledger, and print the
 //! load-latency histograms — under CleanupSpec and the insecure baseline.
 //!
 //! ```sh
@@ -11,7 +12,7 @@
 
 use cleanupspec::modes::SecurityMode;
 use cleanupspec::sim::SimBuilder;
-use cleanupspec_obs::{LeakageAuditSink, PathKind, RingSink, Shared};
+use cleanupspec_obs::{EpisodeBuilder, PathKind, RingSink, Shared};
 use cleanupspec_suite::core_sim::system::RunLimits;
 use cleanupspec_suite::workloads::attacks::{spectre_v1_program, SpectreConfig};
 
@@ -21,18 +22,18 @@ fn main() {
 
         // Keep handles to the sinks so we can inspect them afterwards.
         let ring = Shared::new(RingSink::new(10_000));
-        let audit = Shared::new(LeakageAuditSink::new());
+        let ledger = Shared::new(EpisodeBuilder::new());
         let mut sim = SimBuilder::new(mode)
             .program(spectre_v1_program(&SpectreConfig::default()))
             .sink(Box::new(ring.clone()))
-            .sink(Box::new(audit.clone()))
+            .sink(Box::new(ledger.clone()))
             .build();
         sim.run(RunLimits {
             max_cycles: 2_000_000,
             max_insts_per_core: 50_000,
             ..RunLimits::default()
         });
-        sim.drain(2_000); // let in-flight fills land before auditing
+        sim.drain(2_000); // let in-flight fills land before judging
         sim.finish_observer();
 
         // The speculation-relevant slice of the event stream.
@@ -63,6 +64,6 @@ fn main() {
         }
 
         // The undo invariant, checked from events alone.
-        println!("{}\n", audit.with(|a| a.report()));
+        println!("{}\n", ledger.with(|l| l.report()));
     }
 }

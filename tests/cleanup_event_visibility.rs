@@ -1,10 +1,10 @@
 //! End-to-end event-bus test: a Spectre-style transient episode must be
 //! fully visible on the event stream — the squash, then cleanup actions
 //! whose line addresses match the transiently filled lines — and the
-//! leakage audit must pass under CleanupSpec and fail under NonSecure.
+//! episode ledger must balance under CleanupSpec and leak under NonSecure.
 
 use cleanupspec::prelude::*;
-use cleanupspec_obs::{LeakageAuditSink, RingSink, Shared, SimEvent};
+use cleanupspec_obs::{EpisodeBuilder, EpisodeReport, RingSink, Shared, SimEvent};
 use cleanupspec_suite::core_sim::isa::{AluOp, BranchCond, Operand};
 use std::collections::HashSet;
 
@@ -31,22 +31,19 @@ fn gadget(wrong_path_lines: &[u64], trigger_line: u64) -> Program {
     b.build()
 }
 
-/// Runs the gadget under `mode` with a ring and an audit sink attached;
-/// returns (event records, audit report).
+/// Runs the gadget under `mode` with a ring and an episode ledger
+/// attached; returns (event records, ledger report).
 fn run_traced(
     mode: SecurityMode,
     wrong: &[u64],
-) -> (
-    Vec<cleanupspec_obs::EventRecord>,
-    cleanupspec_obs::AuditReport,
-) {
+) -> (Vec<cleanupspec_obs::EventRecord>, EpisodeReport) {
     let ring = Shared::new(RingSink::new(100_000));
-    let audit = Shared::new(LeakageAuditSink::new());
+    let ledger = Shared::new(EpisodeBuilder::new());
     let mut sim = SimBuilder::new(mode)
         .program(gadget(wrong, 0x8001))
         .seed(0x5eed)
         .sink(Box::new(ring.clone()))
-        .sink(Box::new(audit.clone()))
+        .sink(Box::new(ledger.clone()))
         .build();
     sim.run(RunLimits {
         max_cycles: 200_000,
@@ -55,7 +52,7 @@ fn run_traced(
     });
     sim.drain(2_000);
     sim.finish_observer();
-    (ring.with(|s| s.to_vec()), audit.with(|a| a.report()))
+    (ring.with(|s| s.to_vec()), ledger.with(|l| l.report()))
 }
 
 #[test]
@@ -127,7 +124,7 @@ fn squash_is_followed_by_matching_cleanup_events() {
 
     assert!(
         report.clean(),
-        "CleanupSpec run must leave no auditable residue: {report}"
+        "CleanupSpec run must leave no ledger imbalance: {report}"
     );
 }
 
@@ -143,15 +140,15 @@ fn audit_flags_nonsecure_residue() {
     );
     assert!(
         !report.clean(),
-        "NonSecure leaves transient fills in the cache; the audit must \
+        "NonSecure leaves transient fills in the cache; the ledger must \
          flag them"
     );
-    // The residue it reports must be wrong-path lines.
-    for residue in &report.residue {
+    // The leaks it reports must be wrong-path lines.
+    for leak in &report.leaks {
         assert!(
-            wrong.contains(&residue.line),
-            "audit flagged {:#x}, which is not a wrong-path line",
-            residue.line
+            wrong.contains(&leak.line),
+            "ledger flagged {:#x}, which is not a wrong-path line",
+            leak.line
         );
     }
 }
