@@ -1,10 +1,8 @@
 //! Assembler integration tests: assemble→run end-to-end, and the
 //! assemble→disassemble→assemble round-trip property.
 //!
-//! The always-on round-trip test drives random programs from the
-//! workspace's deterministic `SplitMix64` (hermetic build); the original
-//! shrinking-capable proptest version is kept behind the off-by-default
-//! `proptest` feature (restore the dev-dependency to enable it).
+//! The round-trip test drives random programs from the workspace's
+//! deterministic `SplitMix64` (hermetic build).
 
 use cleanupspec::prelude::*;
 use cleanupspec_asm::{assemble, disassemble};
@@ -76,8 +74,7 @@ fn assembled_meltdown_gadget_is_defended() {
     }
 }
 
-/// Draws one random source line; mirrors the original proptest strategy
-/// (seven equally-weighted forms). Text only — semantics are covered by
+/// Draws one random source line from seven equally-weighted forms. Text only — semantics are covered by
 /// `tests/reference_model.rs` at the repo root.
 fn gen_line(rng: &mut SplitMix64) -> String {
     let reg = |rng: &mut SplitMix64| 1 + rng.below(30);
@@ -143,67 +140,5 @@ fn roundtrip_preserves_program() {
         assert_eq!(p1.init_regs, p2.init_regs, "case {case}");
         assert_eq!(p1.init_mem, p2.init_mem, "case {case}");
         assert_eq!(p1.entry, p2.entry, "case {case}");
-    }
-}
-
-// The original shrinking property test. Enabling this feature requires
-// restoring the `proptest` dev-dependency (removed so the workspace
-// builds with no registry access).
-#[cfg(feature = "proptest")]
-mod property {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn arb_line() -> impl Strategy<Value = String> {
-        let reg = 1u8..31;
-        prop_oneof![
-            (reg.clone(), any::<u32>()).prop_map(|(d, v)| format!("movi r{d}, {:#x}", v)),
-            (reg.clone(), reg.clone(), reg.clone(), 0usize..8).prop_map(|(d, s, t, op)| {
-                let ops = ["add", "sub", "mul", "and", "or", "xor", "shl", "shr"];
-                format!("{} r{d}, r{s}, r{t}", ops[op])
-            }),
-            (reg.clone(), reg.clone(), -64i64..64)
-                .prop_map(|(d, b, o)| format!("ld r{d}, [r{b} + {o}]")),
-            (reg.clone(), reg.clone(), 0i64..64)
-                .prop_map(|(s, b, o)| format!("st r{s}, [r{b} + {o}]")),
-            (reg.clone(), 0i64..64).prop_map(|(b, o)| format!("clflush [r{b} + {o}]")),
-            Just("nop".to_string()),
-            Just("fence".to_string()),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn prop_roundtrip_preserves_program(
-            lines in proptest::collection::vec(arb_line(), 1..25),
-            reg_inits in proptest::collection::vec((1u8..31, any::<u64>()), 0..4),
-            branch_at in 0usize..25,
-        ) {
-            let mut src = String::new();
-            for (r, v) in &reg_inits {
-                src.push_str(&format!(".reg r{r} = {v:#x}\n"));
-            }
-            src.push_str("start:\n");
-            for (i, l) in lines.iter().enumerate() {
-                if i == branch_at.min(lines.len() - 1) {
-                    src.push_str("    bne r1, start\n");
-                }
-                src.push_str("    ");
-                src.push_str(l);
-                src.push('\n');
-            }
-            src.push_str("    halt\n");
-            let p1 = assemble("p1", &src).unwrap();
-            let text = disassemble(&p1);
-            let p2 = assemble("p2", &text).unwrap_or_else(|e| {
-                panic!("round-trip re-assembly failed: {e}\n--- disassembly ---\n{text}")
-            });
-            prop_assert_eq!(p1.insts(), p2.insts());
-            prop_assert_eq!(p1.init_regs, p2.init_regs);
-            prop_assert_eq!(p1.init_mem, p2.init_mem);
-            prop_assert_eq!(p1.entry, p2.entry);
-        }
     }
 }

@@ -26,7 +26,8 @@ pub struct BenchEntry {
     pub report: SimReport,
     /// Slowdown vs the same workload under the baseline mode.
     pub slowdown: f64,
-    /// Host wall-clock seconds spent simulating this entry.
+    /// Host wall-clock seconds spent building and simulating this entry
+    /// (0 when it was served from the checkpoint cache or the journal).
     pub wall_secs: f64,
 }
 

@@ -36,7 +36,6 @@ struct Args {
     out: String,
     smoke: bool,
     threshold: f64,
-    shared_warmup: bool,
     check: Option<String>,
     compare: Option<(String, String)>,
 }
@@ -55,7 +54,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: cs-bench [--insts N] [--seed N] [--threads N] [--modes a,b] \
          [--workloads a,b] [--out FILE] [--smoke] [--ring-capacity N] \
-         [--shared-warmup] [--checkpoint-dir DIR] [--resume DIR]\n\
+         [--checkpoint-dir DIR] [--resume DIR]\n\
          \x20      cs-bench --check FILE\n\
          \x20      cs-bench --compare OLD NEW [--threshold FRAC]"
     );
@@ -79,7 +78,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         out: String::new(),
         smoke: false,
         threshold: 0.10,
-        shared_warmup: false,
         check: None,
         compare: None,
     };
@@ -126,7 +124,6 @@ fn parse_args() -> Result<Args, ExitCode> {
                 None => return Err(usage()),
             },
             "--smoke" => args.smoke = true,
-            "--shared-warmup" => args.shared_warmup = true,
             "--check" => match it.next() {
                 Some(f) => args.check = Some(f.clone()),
                 None => return Err(usage()),
@@ -187,18 +184,11 @@ fn run(args: &Args) -> ExitCode {
         modes: args.modes.clone(),
         workloads,
         ring_capacity: args.common.ring_capacity_or_default(),
-        shared_warmup: args.shared_warmup,
-        // `--checkpoint-dir` wins over the environment; `run_suite`
-        // disables the cache under --shared-warmup because its warmup
-        // protocol differs from the one the cache key describes.
+        // `--checkpoint-dir` wins over the environment.
         checkpoint_dir: args.common.checkpoint_dir_or_env(),
         resume_dir: args.common.resume.clone(),
     };
     if let Some(dir) = &args.common.resume {
-        if args.shared_warmup {
-            eprintln!("cs-bench: --resume cannot be combined with --shared-warmup");
-            return ExitCode::FAILURE;
-        }
         // Preflight: refuse to mix results with a journal from a
         // different campaign before any simulation starts.
         match cleanupspec_bench::journal::check_resume(dir, &opts.journal_header()) {
@@ -220,15 +210,6 @@ fn run(args: &Args) -> ExitCode {
     );
     let outcome = run_suite(&opts);
 
-    if args.shared_warmup && outcome.warmup.warmups_run > 0 {
-        println!(
-            "shared warmup: {} warmup run(s) instead of {} (saved {} re-warm(s), ~{:.2}s)",
-            outcome.warmup.warmups_run,
-            outcome.warmup.warmups_run + outcome.warmup.warmups_saved,
-            outcome.warmup.warmups_saved,
-            outcome.warmup.saved_secs_est()
-        );
-    }
     if outcome.cache_hits > 0 {
         if let Some(dir) = &opts.checkpoint_dir {
             println!(

@@ -36,11 +36,9 @@ use crate::store::{shared_dir_store, ArtifactStore};
 use cleanupspec::modes::SecurityMode;
 use cleanupspec_asm::disassemble;
 use cleanupspec_core::isa::Program;
-use cleanupspec_core::pipeline::CoreConfig;
 use cleanupspec_core::reference::{interpret, RefRun};
-use cleanupspec_core::system::{RunLimits, StopReason, System};
+use cleanupspec_core::system::StopReason;
 use cleanupspec_mem::fault::{FaultInjector, FaultKind, FaultPlan};
-use cleanupspec_mem::hierarchy::MemHierarchy;
 use cleanupspec_mem::types::Cycle;
 use cleanupspec_obs::{Observer, RingSink, Shared};
 use cleanupspec_workloads::smith::{assemble_plan, plan, SmithPlan};
@@ -417,29 +415,8 @@ fn capture_events(p: &SmithPlan, fault: Option<FaultKind>) -> String {
         Some(k) => env_for(k),
         None => (ExecEnv::default(), FaultInjector::disabled()),
     };
-    let mut cfg = mode.apply_mem_config(fuzz::fuzz_mem_config(progs.len(), p.seed));
-    cfg.repl_seed_salt = env.repl_seed_salt;
-    if let Some(m) = env.mshrs_per_core {
-        cfg.mshrs_per_core = m;
-    }
-    if let Some((cap, ways)) = env.l1_geometry {
-        cfg.l1_capacity = cap;
-        cfg.l1_ways = ways;
-    }
-    let mut mem = MemHierarchy::new(cfg);
-    if env.faults.is_enabled() {
-        mem.set_fault_injector(env.faults.clone());
-    }
-    let schemes: Vec<_> = (0..progs.len()).map(|_| mode.build_scheme()).collect();
-    let mut sys = System::new(mem, CoreConfig::default(), schemes, progs);
-    let mut limits = RunLimits {
-        max_cycles: fuzz::CYCLE_CAP,
-        max_insts_per_core: u64::MAX,
-        ..RunLimits::default()
-    };
-    if let Some(wd) = env.watchdog {
-        limits.watchdog = Some(wd);
-    }
+    let mut sys = fuzz::build_system(&progs, mode, p.seed, |_| mode.build_scheme(), &env);
+    let limits = fuzz::exec_limits(&env);
 
     // Silent pre-pass: advance slice by slice, keeping the last
     // checkpoint taken before the run stops for real.

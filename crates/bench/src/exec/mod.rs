@@ -42,5 +42,4 @@ pub use pool::{
 pub use sweep::{ModeSweep, Sweep, SweepFailure, SweepResult, SweepRun};
 
 pub(crate) use pool::panic_message;
-#[cfg(test)]
 pub(crate) use sweep::run_spec_once;

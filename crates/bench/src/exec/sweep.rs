@@ -33,6 +33,7 @@ use crate::runner::{
 };
 use cleanupspec::modes::SecurityMode;
 use cleanupspec::sim::{SimBuilder, SimReport};
+use cleanupspec_obs::EventSink;
 use cleanupspec_workloads::spec::{SpecWorkload, SPEC_WORKLOADS};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -292,7 +293,8 @@ impl Sweep {
         let outcome = run_indexed(nm * nw, &exec_cfg, |i| {
             let (mode, w) = (modes[i / nw], &workloads[i % nw]);
             let start = Instant::now();
-            let (report, from_checkpoint) = run_spec_once(w, mode, &cfg, dir.as_deref());
+            let (report, from_checkpoint) =
+                run_spec_once(w, mode, &cfg, dir.as_deref(), Vec::new());
             SweepRun {
                 workload: *w,
                 mode,
@@ -340,13 +342,17 @@ impl Sweep {
     }
 }
 
-/// The single-run core every sweep task executes: cs-snap cache lookup,
-/// seed mixing, warmup + measure, truncation warning, cache store.
+/// The single-run core of every campaign — each [`Sweep`] task and each
+/// cs-bench suite cell: cs-snap cache lookup, seed mixing, warmup +
+/// measure with `sinks` attached, truncation warning, cache store.
+/// Returns the report and whether it was served from the cache (no
+/// simulation, so the sinks saw no events).
 pub(crate) fn run_spec_once(
     w: &SpecWorkload,
     mode: SecurityMode,
     cfg: &ExperimentConfig,
     checkpoint_dir: Option<&Path>,
+    sinks: Vec<Box<dyn EventSink>>,
 ) -> (SimReport, bool) {
     let key = checkpoint_key(w, mode, cfg);
     if let Some(dir) = checkpoint_dir {
@@ -356,15 +362,17 @@ pub(crate) fn run_spec_once(
     }
     // Mix the FULL workload name into the seed: hashing only the first
     // byte made e.g. "gcc" and "gap" share a program-generation stream.
-    let program = w.build(cfg.seed ^ cleanupspec_mem::rng::mix_str(w.name));
-    let mut sim = SimBuilder::new(mode)
-        .program(program)
-        // Mix the name into the *sim* seed too: otherwise all 19 workloads
-        // share one L1 random-replacement stream and one CEASER key.
-        .seed(cfg.seed ^ cleanupspec_mem::rng::mix_str(w.name))
-        .build();
+    // The sim seed gets the same mix: otherwise all 19 workloads share one
+    // L1 random-replacement stream and one CEASER key.
+    let seed = cfg.seed ^ cleanupspec_mem::rng::mix_str(w.name);
+    let mut builder = SimBuilder::new(mode).program(w.build(seed)).seed(seed);
+    for sink in sinks {
+        builder = builder.sink(sink);
+    }
+    let mut sim = builder.build();
     // Warm caches/predictor, reset statistics, then measure.
     sim.run_with_warmup(warmup_insts(cfg.insts), cfg.insts);
+    sim.finish_observer();
     let report = sim.report();
     // A truncated run (cycle-limit exhaustion, livelock) must not pose as
     // a measurement: its IPC and traffic numbers describe a different
@@ -419,8 +427,13 @@ mod tests {
             threads: 1,
         };
         let r = tiny().mode(SecurityMode::CleanupSpec).run();
-        let (direct, cached) =
-            run_spec_once(&SPEC_WORKLOADS[1], SecurityMode::CleanupSpec, &cfg, None);
+        let (direct, cached) = run_spec_once(
+            &SPEC_WORKLOADS[1],
+            SecurityMode::CleanupSpec,
+            &cfg,
+            None,
+            Vec::new(),
+        );
         assert!(!cached);
         let swept = r.mode(SecurityMode::CleanupSpec).unwrap().runs[1].clone();
         assert_eq!(swept.report.cycles, direct.cycles);

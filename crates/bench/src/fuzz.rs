@@ -283,6 +283,26 @@ fn build_exec_system(
     scheme_for_core: impl Fn(usize) -> Box<dyn SpeculationScheme>,
     env: &ExecEnv,
 ) -> (System, Shared<CommitLogSink>, Shared<EpisodeBuilder>) {
+    let mut sys = build_system(progs, mode, seed, scheme_for_core, env);
+    let commits = Shared::new(CommitLogSink::new());
+    let episodes = Shared::new(EpisodeBuilder::new());
+    sys.set_observer(Observer::new(vec![
+        Box::new(commits.clone()),
+        Box::new(episodes.clone()),
+    ]));
+    (sys, commits, episodes)
+}
+
+/// The sink-free part of [`build_exec_system`]: the fuzzing hierarchy
+/// under `mode` with `env`'s overrides (replacement salt, MSHR count, L1
+/// geometry, fault injector) applied.
+pub(crate) fn build_system(
+    progs: &[Arc<Program>],
+    mode: SecurityMode,
+    seed: u64,
+    scheme_for_core: impl Fn(usize) -> Box<dyn SpeculationScheme>,
+    env: &ExecEnv,
+) -> System {
     let mut cfg = mode.apply_mem_config(fuzz_mem_config(progs.len(), seed));
     cfg.repl_seed_salt = env.repl_seed_salt;
     if let Some(m) = env.mshrs_per_core {
@@ -297,18 +317,11 @@ fn build_exec_system(
         mem.set_fault_injector(env.faults.clone());
     }
     let schemes: Vec<_> = (0..progs.len()).map(&scheme_for_core).collect();
-    let mut sys = System::new(mem, CoreConfig::default(), schemes, progs.to_vec());
-    let commits = Shared::new(CommitLogSink::new());
-    let episodes = Shared::new(EpisodeBuilder::new());
-    sys.set_observer(Observer::new(vec![
-        Box::new(commits.clone()),
-        Box::new(episodes.clone()),
-    ]));
-    (sys, commits, episodes)
+    System::new(mem, CoreConfig::default(), schemes, progs.to_vec())
 }
 
 /// The standard fuzz run limits for `env`.
-fn exec_limits(env: &ExecEnv) -> RunLimits {
+pub(crate) fn exec_limits(env: &ExecEnv) -> RunLimits {
     let mut limits = RunLimits {
         max_cycles: CYCLE_CAP,
         max_insts_per_core: u64::MAX,

@@ -137,7 +137,7 @@ mod tests {
             threads: 4,
         };
         let w = cleanupspec_workloads::spec::spec_workload("gcc").unwrap();
-        let r = crate::exec::run_spec_once(&w, SecurityMode::NonSecure, &cfg, None).0;
+        let r = crate::exec::run_spec_once(&w, SecurityMode::NonSecure, &cfg, None, Vec::new()).0;
         assert!(r.cores[0].committed_insts >= 5_000);
         assert!(r.cycles > 0);
     }
@@ -171,10 +171,10 @@ mod tests {
         };
         let w = cleanupspec_workloads::spec::spec_workload("gcc").unwrap();
         let (fresh, cached) =
-            crate::exec::run_spec_once(&w, SecurityMode::CleanupSpec, &cfg, Some(&dir));
+            crate::exec::run_spec_once(&w, SecurityMode::CleanupSpec, &cfg, Some(&dir), Vec::new());
         assert!(!cached, "first run must simulate");
         let (replayed, cached) =
-            crate::exec::run_spec_once(&w, SecurityMode::CleanupSpec, &cfg, Some(&dir));
+            crate::exec::run_spec_once(&w, SecurityMode::CleanupSpec, &cfg, Some(&dir), Vec::new());
         assert!(cached, "second run must come from the cache");
         assert_eq!(
             cleanupspec::snap::report_json(&fresh),
@@ -182,8 +182,13 @@ mod tests {
         );
         // A different seed is a different key: no false sharing.
         let other = ExperimentConfig { seed: 10, ..cfg };
-        let (_, cached) =
-            crate::exec::run_spec_once(&w, SecurityMode::CleanupSpec, &other, Some(&dir));
+        let (_, cached) = crate::exec::run_spec_once(
+            &w,
+            SecurityMode::CleanupSpec,
+            &other,
+            Some(&dir),
+            Vec::new(),
+        );
         assert!(!cached);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -196,8 +201,8 @@ mod tests {
             threads: 1,
         };
         let w = cleanupspec_workloads::spec::spec_workload("astar").unwrap();
-        let a = crate::exec::run_spec_once(&w, SecurityMode::CleanupSpec, &cfg, None).0;
-        let b = crate::exec::run_spec_once(&w, SecurityMode::CleanupSpec, &cfg, None).0;
+        let a = crate::exec::run_spec_once(&w, SecurityMode::CleanupSpec, &cfg, None, Vec::new()).0;
+        let b = crate::exec::run_spec_once(&w, SecurityMode::CleanupSpec, &cfg, None, Vec::new()).0;
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.traffic.total(), b.traffic.total());
     }

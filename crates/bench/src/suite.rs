@@ -1,6 +1,11 @@
 //! The cs-bench suite as a library: run a workload×mode matrix on the
-//! `cs-exec` work-stealing pool (optionally with shared warmup
-//! snapshots) and assemble the schema-versioned [`BenchReport`].
+//! `cs-exec` work-stealing pool and assemble the schema-versioned
+//! [`BenchReport`].
+//!
+//! Every matrix cell runs through the same single-run core as a
+//! [`crate::Sweep`] task (seed mixing, warmup, then the measured region),
+//! with an events ring attached, so cs-bench and the figure binaries
+//! measure by one protocol.
 //!
 //! Living in the library rather than the `cs-bench` binary lets
 //! `tests/exec_invariance.rs` build the full BENCH document in-process
@@ -8,18 +13,15 @@
 //! thin CLI over [`run_suite`].
 
 use crate::bench_report::{BenchReport, ModeSection};
-use crate::exec::{run_indexed, ExecConfig, ExecStats};
+use crate::exec::{run_indexed, run_spec_once, ExecConfig, ExecStats};
 use crate::journal::{Journal, JournalHeader};
-use crate::runner::{
-    checkpoint_key, load_checkpoint, store_checkpoint, warmup_insts, ExperimentConfig,
-};
+use crate::runner::{warmup_insts, ExperimentConfig};
 use crate::store::{shared_dir_store, ArtifactStore};
 use cleanupspec::modes::SecurityMode;
-use cleanupspec::sim::{SimBuilder, SimReport};
-use cleanupspec_mem::MemConfig;
+use cleanupspec::sim::SimReport;
 use cleanupspec_obs::{MetricsRegistry, RingSink, Shared};
 use cleanupspec_workloads::spec::{SpecWorkload, SPEC_WORKLOADS};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// CI-sized subset: one workload per behavior class (high-MLP, memory
@@ -39,7 +41,7 @@ pub fn smoke_workloads() -> Vec<SpecWorkload> {
 /// recorded, events dropped).
 pub type RunRow = (String, SimReport, f64, u64, u64);
 
-/// Where an unshared matrix cell's report came from.
+/// Where a matrix cell's report came from.
 enum RunSource {
     /// Simulated in this process.
     Fresh,
@@ -47,160 +49,6 @@ enum RunSource {
     Checkpoint,
     /// Replayed from the campaign journal (resume).
     Journal,
-}
-
-/// Prints the standard early-stop warning for a truncated report.
-fn warn_if_truncated(name: &str, mode: SecurityMode, report: &SimReport) {
-    if let Some(stop) = report.stop.as_ref().filter(|s| !s.is_success()) {
-        eprintln!(
-            "warning: {name} under {} stopped early ({stop}); report is truncated",
-            mode.name()
-        );
-    }
-}
-
-/// One workload×mode run with an events ring attached, timed on the host
-/// wall clock. Returns (report, wall_secs, events_recorded,
-/// events_dropped, served_from_checkpoint). A checkpoint hit skips the
-/// simulation entirely, so its wall time is the file read and its event
-/// counts are zero.
-pub fn run_one(
-    w: &SpecWorkload,
-    mode: SecurityMode,
-    cfg: &ExperimentConfig,
-    ring_capacity: usize,
-    checkpoint_dir: Option<&Path>,
-) -> (SimReport, f64, u64, u64, bool) {
-    let key = checkpoint_key(w, mode, cfg);
-    if let Some(dir) = checkpoint_dir {
-        let start = Instant::now();
-        if let Some(report) = load_checkpoint(dir, &key) {
-            return (report, start.elapsed().as_secs_f64(), 0, 0, true);
-        }
-    }
-    let seed = cfg.seed ^ cleanupspec_mem::rng::mix_str(w.name);
-    let ring = Shared::new(RingSink::new(ring_capacity));
-    let mut sim = SimBuilder::new(mode)
-        .program(w.build(seed))
-        .seed(seed)
-        .sink(Box::new(ring.clone()))
-        .build();
-    let start = Instant::now();
-    sim.run_with_warmup(warmup_insts(cfg.insts), cfg.insts);
-    let wall = start.elapsed().as_secs_f64();
-    sim.finish_observer();
-    let report = sim.report();
-    warn_if_truncated(w.name, mode, &report);
-    if let Some(dir) = checkpoint_dir {
-        store_checkpoint(dir, &key, &report);
-    }
-    let (recorded, dropped) = ring.with(|s| (s.total_recorded(), s.dropped()));
-    (report, wall, recorded, dropped, false)
-}
-
-/// Host-side accounting for `--shared-warmup`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WarmupShareStats {
-    /// Warmup phases actually simulated.
-    pub warmups_run: u64,
-    /// Warmup phases skipped because a class-mate's snapshot was forked.
-    pub warmups_saved: u64,
-    /// Wall seconds spent inside warmup simulation.
-    pub warmup_wall: f64,
-}
-
-impl WarmupShareStats {
-    fn merge(&mut self, other: WarmupShareStats) {
-        self.warmups_run += other.warmups_run;
-        self.warmups_saved += other.warmups_saved;
-        self.warmup_wall += other.warmup_wall;
-    }
-
-    /// Estimated wall seconds saved by forking instead of re-warming.
-    pub fn saved_secs_est(&self) -> f64 {
-        if self.warmups_run == 0 {
-            return 0.0;
-        }
-        self.warmup_wall / self.warmups_run as f64 * self.warmups_saved as f64
-    }
-}
-
-/// Runs every mode for one workload, warming once per hardware
-/// equivalence class and forking the warmed cs-snap snapshot per mode.
-/// Returns one row per mode, in `modes` order.
-///
-/// Methodology caveat (also in EXPERIMENTS.md): the shared warmup phase
-/// executes under the class representative's *scheme*, so modes whose
-/// scheme shapes warmup-era cache contents (e.g. InvisiSpec) measure
-/// from a slightly different warm state than an unshared run. Results
-/// are deterministic and comparable across modes, but not bit-identical
-/// to the default protocol — which is why this is opt-in and the CI
-/// baseline is recorded without it.
-fn run_workload_shared(
-    w: &SpecWorkload,
-    modes: &[SecurityMode],
-    cfg: &ExperimentConfig,
-    ring_capacity: usize,
-) -> (Vec<RunRow>, WarmupShareStats) {
-    let seed = cfg.seed ^ cleanupspec_mem::rng::mix_str(w.name);
-    let warmup = warmup_insts(cfg.insts);
-    let classes = SecurityMode::mem_config_classes(modes, &MemConfig::default());
-    let mut stats = WarmupShareStats::default();
-    let mut rows: Vec<(SecurityMode, RunRow)> = Vec::new();
-    for class in &classes {
-        let rep = class[0];
-        let warm_start = Instant::now();
-        let mut warm = SimBuilder::new(rep)
-            .program(w.build(seed))
-            .seed(seed)
-            .build();
-        let warm_stop = warm.run_insts(warmup);
-        stats.warmup_wall += warm_start.elapsed().as_secs_f64();
-        stats.warmups_run += 1;
-        if !warm_stop.is_success() {
-            // A truncated warmup cannot seed forks; fall back to the
-            // unshared protocol so each mode reports its own stop reason.
-            eprintln!(
-                "warning: shared warmup of {} under {} stopped early ({warm_stop}); \
-                 falling back to per-mode warmup for this class",
-                w.name,
-                rep.name()
-            );
-            for &m in class {
-                let (r, wall, rec, drop, _) = run_one(w, m, cfg, ring_capacity, None);
-                rows.push((m, (w.name.to_string(), r, wall, rec, drop)));
-                stats.warmups_run += 1;
-            }
-            continue;
-        }
-        stats.warmups_saved += class.len() as u64 - 1;
-        let snap = warm.snapshot();
-        for &m in class {
-            let ring = Shared::new(RingSink::new(ring_capacity));
-            let start = Instant::now();
-            let mut fork = snap.fork_for_mode(m);
-            fork.set_sinks(vec![Box::new(ring.clone())]);
-            fork.run_measure(cfg.insts);
-            let wall = start.elapsed().as_secs_f64();
-            fork.finish_observer();
-            let report = fork.report();
-            warn_if_truncated(w.name, m, &report);
-            let (rec, drop) = ring.with(|s| (s.total_recorded(), s.dropped()));
-            rows.push((m, (w.name.to_string(), report, wall, rec, drop)));
-        }
-    }
-    // Classes interleave the mode order; restore it.
-    let ordered = modes
-        .iter()
-        .map(|m| {
-            let i = rows
-                .iter()
-                .position(|(rm, _)| rm == m)
-                .expect("every mode ran exactly once");
-            rows.remove(i).1
-        })
-        .collect();
-    (ordered, stats)
 }
 
 /// How to run the suite matrix.
@@ -215,31 +63,25 @@ pub struct SuiteOptions {
     pub workloads: Vec<SpecWorkload>,
     /// Event-ring capacity per run.
     pub ring_capacity: usize,
-    /// Warm once per hardware class and fork per mode (disables the
-    /// checkpoint cache: its key describes the unshared protocol).
-    pub shared_warmup: bool,
     /// cs-snap result cache directory.
     pub checkpoint_dir: Option<PathBuf>,
     /// Campaign directory holding the crash-safe journal. When set, a
     /// journal is opened (or resumed) there, completed cells are replayed
     /// without re-simulating, and every finished cell is recorded — so a
     /// killed suite can be rerun with the same directory and produce a
-    /// byte-identical document. Ignored (with a warning) under
-    /// `shared_warmup`, whose snapshot-forking protocol has no journaled
-    /// per-cell results.
+    /// byte-identical document.
     pub resume_dir: Option<PathBuf>,
 }
 
 impl SuiteOptions {
-    /// Suite over `modes`/`workloads` with default sizing, no sharing,
-    /// no cache.
+    /// Suite over `modes`/`workloads` with default sizing, no cache and
+    /// no journal.
     pub fn new(modes: &[SecurityMode], workloads: &[SpecWorkload]) -> Self {
         SuiteOptions {
             cfg: ExperimentConfig::default(),
             modes: modes.to_vec(),
             workloads: workloads.to_vec(),
             ring_capacity: crate::cli::DEFAULT_RING_CAPACITY,
-            shared_warmup: false,
             checkpoint_dir: None,
             resume_dir: None,
         }
@@ -282,8 +124,6 @@ pub struct SuiteOutcome {
     pub cache_hits: u64,
     /// Runs replayed from the campaign journal (resume).
     pub resumed: u64,
-    /// Shared-warmup accounting (zero when not enabled).
-    pub warmup: WarmupShareStats,
     /// Work-stealing pool counters.
     pub exec: ExecStats,
     /// Total events recorded / dropped across every ring.
@@ -294,12 +134,10 @@ pub struct SuiteOutcome {
 
 /// Runs the whole matrix and assembles the [`BenchReport`].
 ///
-/// The unshared path flattens modes×workloads into **one** task list on
-/// the work-stealing pool (task `i` = mode `i / W`, workload `i % W`),
-/// so a slow workload in one mode borrows idle workers from every other
-/// mode. The shared-warmup path parallelizes over workloads (all modes
-/// of a workload fork one warm snapshot on the same worker). Either
-/// way, rows are regrouped to `[mode][workload]` in input order, so the
+/// Modes×workloads are flattened into **one** task list on the
+/// work-stealing pool (task `i` = mode `i / W`, workload `i % W`), so a
+/// slow workload in one mode borrows idle workers from every other mode.
+/// Rows are regrouped to `[mode][workload]` in input order, so the
 /// emitted document is identical at any thread count.
 pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
     let cfg = opts.cfg;
@@ -308,23 +146,13 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
     modes.retain(|m| *m != baseline_mode);
     modes.insert(0, baseline_mode);
     let workloads = &opts.workloads;
-    let checkpoint_dir = opts
-        .checkpoint_dir
-        .as_deref()
-        .filter(|_| !opts.shared_warmup);
+    let checkpoint_dir = opts.checkpoint_dir.as_deref();
 
     // Open (or resume) the campaign journal. A journal that belongs to a
     // different campaign is refused up front by the CLI preflight
     // (`journal::check_resume`); reaching that state through the library
     // degrades to running without a journal rather than mixing results.
     let journal: Option<Journal> = opts.resume_dir.as_deref().and_then(|dir| {
-        if opts.shared_warmup {
-            eprintln!(
-                "warning: --resume is ignored with shared warmup \
-                 (the snapshot-forking protocol has no journaled per-cell results)"
-            );
-            return None;
-        }
         let store = shared_dir_store(dir) as std::sync::Arc<dyn ArtifactStore>;
         match Journal::open(store, &opts.journal_header()) {
             Ok(j) => Some(j),
@@ -342,91 +170,73 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
         ..ExecConfig::default()
     };
 
-    // Collect rows per mode (same order as `modes`), either by forking
-    // shared warm snapshots or by independent per-mode runs.
-    let mut warmup = WarmupShareStats::default();
-    let mut failed: Vec<(SecurityMode, String)> = Vec::new();
-    let mut cache_hits = 0u64;
-    let mut resumed = 0u64;
-    let (mut mode_rows, exec_stats): (Vec<Vec<RunRow>>, ExecStats) = if opts.shared_warmup {
-        // One task per workload: all of its modes fork one warm snapshot.
-        let outcome = run_indexed(workloads.len(), &exec_cfg, |wi| {
-            run_workload_shared(&workloads[wi], &modes, &cfg, opts.ring_capacity)
-        });
-        for f in &outcome.failures {
-            failed.push((baseline_mode, workloads[f.index].name.to_string()));
-        }
-        let mut per_workload: Vec<Vec<RunRow>> = Vec::new();
-        for slot in outcome.slots.into_iter().flatten() {
-            let (rows, s) = slot;
-            warmup.merge(s);
-            per_workload.push(rows);
-        }
-        // Transpose [workload][mode] -> [mode][workload].
-        let per_mode = (0..modes.len())
-            .map(|mi| per_workload.iter().map(|rows| rows[mi].clone()).collect())
-            .collect();
-        (per_mode, outcome.stats)
-    } else {
-        // One task per matrix cell: stealing balances across the whole
-        // modes×workloads matrix, not within one mode at a time. With a
-        // journal, completed cells replay from it (skipping simulation
-        // entirely) and fresh completions are recorded as they land, so a
-        // SIGKILL costs only the in-flight cells.
-        let nw = workloads.len();
-        let journal = journal.as_ref();
-        let outcome = run_indexed(modes.len() * nw, &exec_cfg, |i| {
-            let (mode, w) = (modes[i / nw], &workloads[i % nw]);
-            let task_id = format!("{}/{}", mode.name(), w.name);
-            if let Some(payload) = journal.and_then(|j| j.completed(&task_id)) {
-                match cleanupspec_obs::JsonValue::parse(&payload)
-                    .and_then(|v| cleanupspec::snap::parse_report(&v))
-                {
-                    Ok(r) => return ((w.name.to_string(), r, 0.0, 0, 0), RunSource::Journal),
-                    Err(e) => {
-                        eprintln!("warning: re-running {task_id}: journaled result unusable ({e})")
-                    }
+    // One task per matrix cell: stealing balances across the whole
+    // modes×workloads matrix, not within one mode at a time. With a
+    // journal, completed cells replay from it (skipping simulation
+    // entirely) and fresh completions are recorded as they land, so a
+    // SIGKILL costs only the in-flight cells. A served cell (journal or
+    // checkpoint) did no simulation, so it reports zero wall time.
+    let nw = workloads.len();
+    let journal = journal.as_ref();
+    let outcome = run_indexed(modes.len() * nw, &exec_cfg, |i| {
+        let (mode, w) = (modes[i / nw], &workloads[i % nw]);
+        let task_id = format!("{}/{}", mode.name(), w.name);
+        if let Some(payload) = journal.and_then(|j| j.completed(&task_id)) {
+            match cleanupspec_obs::JsonValue::parse(&payload)
+                .and_then(|v| cleanupspec::snap::parse_report(&v))
+            {
+                Ok(r) => return ((w.name.to_string(), r, 0.0, 0, 0), RunSource::Journal),
+                Err(e) => {
+                    eprintln!("warning: re-running {task_id}: journaled result unusable ({e})")
                 }
             }
-            let (r, wall, rec, drop, cached) =
-                run_one(w, mode, &cfg, opts.ring_capacity, checkpoint_dir);
-            if let Some(j) = journal {
-                // Only completed (non-truncated) runs are replayable facts.
-                if r.stop.as_ref().is_none_or(|s| s.is_success()) {
-                    j.record(&task_id, &cleanupspec::snap::report_json(&r));
-                }
+        }
+        let ring = Shared::new(RingSink::new(opts.ring_capacity));
+        let start = Instant::now();
+        let (r, cached) =
+            run_spec_once(w, mode, &cfg, checkpoint_dir, vec![Box::new(ring.clone())]);
+        let (wall, source) = if cached {
+            (0.0, RunSource::Checkpoint)
+        } else {
+            (start.elapsed().as_secs_f64(), RunSource::Fresh)
+        };
+        if let Some(j) = journal {
+            // Only completed (non-truncated) runs are replayable facts.
+            if r.stop.as_ref().is_none_or(|s| s.is_success()) {
+                j.record(&task_id, &cleanupspec::snap::report_json(&r));
             }
-            let source = if cached {
-                RunSource::Checkpoint
-            } else {
-                RunSource::Fresh
-            };
-            ((w.name.to_string(), r, wall, rec, drop), source)
-        });
-        for f in &outcome.failures {
-            failed.push((
+        }
+        let (rec, drop) = ring.with(|s| (s.total_recorded(), s.dropped()));
+        ((w.name.to_string(), r, wall, rec, drop), source)
+    });
+    let failed: Vec<(SecurityMode, String)> = outcome
+        .failures
+        .iter()
+        .map(|f| {
+            (
                 modes[f.index / nw],
                 workloads[f.index % nw].name.to_string(),
-            ));
-        }
-        let mut slots = outcome.slots.into_iter();
-        let per_mode = (0..modes.len())
-            .map(|_| {
-                (0..nw)
-                    .filter_map(|_| slots.next().flatten())
-                    .map(|(row, source)| {
-                        match source {
-                            RunSource::Fresh => {}
-                            RunSource::Checkpoint => cache_hits += 1,
-                            RunSource::Journal => resumed += 1,
-                        }
-                        row
-                    })
-                    .collect()
-            })
-            .collect();
-        (per_mode, outcome.stats)
-    };
+            )
+        })
+        .collect();
+    let (mut cache_hits, mut resumed, mut fresh_insts) = (0u64, 0u64, 0u64);
+    let mut slots = outcome.slots.into_iter();
+    let mut mode_rows: Vec<Vec<RunRow>> = (0..modes.len())
+        .map(|_| {
+            (0..nw)
+                .filter_map(|_| slots.next().flatten())
+                .map(|(row, source)| {
+                    match source {
+                        RunSource::Fresh => fresh_insts += row.1.total_insts(),
+                        RunSource::Checkpoint => cache_hits += 1,
+                        RunSource::Journal => resumed += 1,
+                    }
+                    row
+                })
+                .collect()
+        })
+        .collect();
+    let exec_stats = outcome.stats;
 
     for (mode, name) in &failed {
         eprintln!(
@@ -436,17 +246,8 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
     }
 
     // Host-side accounting, in the same shape cs-bench always emitted.
-    if opts.shared_warmup {
-        host.add_timing("warmup.shared", warmup.warmup_wall);
-        host.add("warmup_runs", warmup.warmups_run);
-        host.add("warmup_saved_runs", warmup.warmups_saved);
-        if warmup.warmups_run > 0 {
-            host.set_gauge("warmup_secs_saved_est", warmup.saved_secs_est());
-        }
-    } else {
-        host.add("checkpoint_hits", cache_hits);
-        host.add("journal_resumed", resumed);
-    }
+    host.add("checkpoint_hits", cache_hits);
+    host.add("journal_resumed", resumed);
     for (mi, mode) in modes.iter().enumerate() {
         host.add_timing(
             &format!("mode.{}", mode.name()),
@@ -459,11 +260,10 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
     // positional alignment of everything after it.
     let mut sections: Vec<ModeSection> = Vec::new();
     let mut baseline_named: Vec<(String, SimReport)> = Vec::new();
-    let (mut total_insts, mut total_events, mut total_dropped) = (0u64, 0u64, 0u64);
+    let (mut total_events, mut total_dropped) = (0u64, 0u64);
     for (mi, mode) in modes.iter().enumerate() {
         let mut entries = Vec::new();
         for (name, report, wall, recorded, dropped) in mode_rows[mi].drain(..) {
-            total_insts += report.total_insts();
             total_events += recorded;
             total_dropped += dropped;
             host.add("workloads_run", 1);
@@ -499,8 +299,10 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
     host.add("events_recorded", total_events);
     host.add("events_dropped", total_dropped);
     host.set_gauge("ring_capacity", opts.ring_capacity as f64);
+    // Throughput counts only what this process simulated: a served cell
+    // contributes neither instructions nor events.
     if suite_wall > 0.0 {
-        host.set_gauge("sim_kips", total_insts as f64 / 1000.0 / suite_wall);
+        host.set_gauge("sim_kips", fresh_insts as f64 / 1000.0 / suite_wall);
         host.set_gauge("events_per_sec", total_events as f64 / suite_wall);
     }
     // The pool's own counters land in the same host section.
@@ -519,7 +321,6 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
         failed,
         cache_hits,
         resumed,
-        warmup,
         exec: exec_stats,
         events: (total_events, total_dropped),
         wall_secs: suite_wall,
@@ -566,5 +367,57 @@ mod tests {
         assert_eq!(out.exec.tasks_run, 6);
         assert_eq!(out.report.host.counter("exec.tasks"), 6);
         assert_eq!(out.report.host.counter("workloads_run"), 6);
+    }
+
+    #[test]
+    fn served_cells_add_no_host_throughput() {
+        let dir = std::env::temp_dir().join(format!(
+            "cs-suite-served-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut opts = tiny_opts();
+        opts.checkpoint_dir = Some(dir.clone());
+        let first = run_suite(&opts);
+        assert_eq!(first.cache_hits, 0, "cold cache must simulate");
+        let second = run_suite(&opts);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(second.cache_hits, 6, "warm cache must serve every cell");
+        assert_eq!(second.report.host.gauge("sim_kips"), 0.0);
+        for section in &second.report.modes {
+            for e in &section.entries {
+                assert_eq!(e.host_kips(), 0.0, "{} {}", section.mode, e.name);
+            }
+        }
+    }
+
+    #[test]
+    fn suite_and_sweep_measure_by_one_protocol() {
+        let opts = tiny_opts();
+        let out = run_suite(&opts);
+        let sweep = crate::Sweep::new()
+            .modes(&out.modes)
+            .workloads(&opts.workloads)
+            .insts(opts.cfg.insts)
+            .seed(opts.cfg.seed)
+            .threads(opts.cfg.threads)
+            .checkpoints(None)
+            .run();
+        assert!(sweep.is_complete());
+        for section in &out.report.modes {
+            let group = sweep.mode(section.mode).expect("mode was swept");
+            assert_eq!(section.entries.len(), group.runs.len());
+            for e in &section.entries {
+                let swept = group.report(&e.name).expect("workload was swept");
+                assert_eq!(
+                    cleanupspec::snap::report_json(&e.report),
+                    cleanupspec::snap::report_json(swept),
+                    "{} {}",
+                    section.mode,
+                    e.name
+                );
+            }
+        }
     }
 }

@@ -138,27 +138,6 @@ impl SecurityMode {
         }
     }
 
-    /// Groups `modes` into hardware equivalence classes: modes in the
-    /// same class map `base` to the *same* [`MemConfig`] under
-    /// [`Self::apply_mem_config`], so their warmup phases exercise
-    /// identical cache hardware and one warmed cs-snap snapshot can be
-    /// forked across the whole class (`cs-bench --shared-warmup`).
-    ///
-    /// Classes appear in order of their first member; members keep input
-    /// order. Duplicate modes land in one class twice — callers pass
-    /// deduplicated mode lists.
-    pub fn mem_config_classes(modes: &[SecurityMode], base: &MemConfig) -> Vec<Vec<SecurityMode>> {
-        let mut classes: Vec<(MemConfig, Vec<SecurityMode>)> = Vec::new();
-        for &m in modes {
-            let cfg = m.apply_mem_config(base.clone());
-            match classes.iter_mut().find(|(c, _)| *c == cfg) {
-                Some((_, members)) => members.push(m),
-                None => classes.push((cfg, vec![m])),
-            }
-        }
-        classes.into_iter().map(|(_, members)| members).collect()
-    }
-
     /// Builds the speculation scheme for one core.
     pub fn build_scheme(self) -> Box<dyn SpeculationScheme> {
         match self {
@@ -276,36 +255,6 @@ mod tests {
         assert!(cfg.l2_randomized);
         assert_eq!(cfg.l2_skews, 2);
         assert_eq!(cfg.l1_replacement, ReplacementKind::Random);
-    }
-
-    #[test]
-    fn mem_config_classes_group_identical_hardware() {
-        let base = MemConfig::default();
-        let classes = SecurityMode::mem_config_classes(&SecurityMode::MAIN, &base);
-        // NonSecure + both InvisiSpec variants share the baseline cache
-        // hardware; CleanupSpec randomizes L1/L2 on its own.
-        assert_eq!(classes.len(), 2);
-        assert_eq!(
-            classes[0],
-            vec![
-                SecurityMode::NonSecure,
-                SecurityMode::InvisiSpecInitial,
-                SecurityMode::InvisiSpecRevised
-            ]
-        );
-        assert_eq!(classes[1], vec![SecurityMode::CleanupSpec]);
-
-        // Every mode lands in exactly one class, in input order.
-        let all = SecurityMode::ALL;
-        let classes = SecurityMode::mem_config_classes(&all, &base);
-        let flattened: usize = classes.iter().map(Vec::len).sum();
-        assert_eq!(flattened, all.len());
-        for class in &classes {
-            let want = class[0].apply_mem_config(base.clone());
-            for m in class {
-                assert_eq!(m.apply_mem_config(base.clone()), want, "{m}");
-            }
-        }
     }
 
     #[test]

@@ -230,9 +230,8 @@ impl Simulator {
     /// all statistics (caches, branch predictor, and pipeline state stay
     /// warm) and measures `measure` more instructions from here.
     ///
-    /// Call on a fork produced by [`Snapshot::fork_for_mode`] so a
-    /// shared-warmup measurement runs the exact protocol an unshared
-    /// `run_with_warmup` would after its own warmup phase.
+    /// A caller that drives the warmup phase itself (for example in timed
+    /// slices) calls this directly for the measured region.
     pub fn run_measure(&mut self, measure: u64) -> StopReason {
         let base = self.sys.now();
         self.sys.reset_stats();
@@ -331,7 +330,7 @@ impl Simulator {
     /// dirty bits, MSHRs and SEFEs, DRAM queues, CEASER cipher keys, RNG
     /// streams, cycle counters, watchdog progress, and stats.
     ///
-    /// Restoring (or forking) the snapshot and running to completion is
+    /// Restoring the snapshot and running to completion is
     /// bit-exact with an uninterrupted run — the resume-exactness oracle
     /// pinned by `tests/snapshot_resume.rs`.
     pub fn snapshot(&self) -> Snapshot {
@@ -430,9 +429,9 @@ impl Simulator {
 /// (cs-snap).
 ///
 /// Obtained from [`Simulator::snapshot`]; consumed by
-/// [`Simulator::restore`] (rewind in place) or [`Snapshot::fork_for_mode`]
-/// (spawn an independent simulator from a shared warm state). `Clone` is a
-/// deep copy, so snapshots can be stockpiled and forked freely.
+/// [`Simulator::restore`], which rewinds a simulator of the same security
+/// mode in place. `Clone` is a deep copy, so snapshots can be stockpiled
+/// and restored freely.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     sys: System,
@@ -452,36 +451,6 @@ impl Snapshot {
     /// Simulated cycle at capture time.
     pub fn now(&self) -> Cycle {
         self.sys.now()
-    }
-
-    /// Forks this (typically warmed) snapshot into an independent
-    /// simulator that measures under `mode`, swapping in freshly built
-    /// scheme objects for every core. The fork starts with *no* event
-    /// sinks; attach some with [`Simulator::set_sinks`] if needed.
-    ///
-    /// This is the `--shared-warmup` primitive: warm one simulator per
-    /// workload, then fork the snapshot once per security mode instead of
-    /// re-simulating the warmup. It is only sound between modes whose
-    /// [`SecurityMode::apply_mem_config`] produce the same hardware
-    /// configuration (same L1 replacement, L2 randomization, and skews) —
-    /// callers must group modes into such equivalence classes first.
-    pub fn fork_for_mode(&self, mode: SecurityMode) -> Simulator {
-        let mut sys = self.sys.clone();
-        let n = sys.mem().config().num_cores;
-        sys.set_schemes((0..n).map(|_| mode.build_scheme()).collect());
-        let obs = Observer::disabled();
-        sys.set_observer(obs.clone());
-        sys.mem()
-            .fault_injector()
-            .restore_counters(&self.fault_counters);
-        Simulator {
-            sys,
-            mode,
-            obs,
-            probe_seq: self.probe_seq,
-            measure_base: self.measure_base,
-            last_stop: self.last_stop.clone(),
-        }
     }
 }
 

@@ -407,21 +407,6 @@ impl System {
         self.schemes[i].as_ref()
     }
 
-    /// Replaces every core's speculation scheme (one per core).
-    ///
-    /// Used by `--shared-warmup`: a warmed snapshot is forked per security
-    /// mode and the fork's policy objects are swapped in before the
-    /// measured region. Swapping schemes mid-run is only sound when no
-    /// speculative load is in flight (e.g. right after a completed warmup
-    /// run), since in-flight cleanup state lives inside the scheme.
-    ///
-    /// # Panics
-    /// Panics if `schemes.len()` differs from the core count.
-    pub fn set_schemes(&mut self, schemes: Vec<Box<dyn SpeculationScheme>>) {
-        assert_eq!(schemes.len(), self.cores.len(), "one scheme per core");
-        self.schemes = schemes;
-    }
-
     /// Shared memory hierarchy (read-only).
     pub fn mem(&self) -> &MemHierarchy {
         &self.mem

@@ -3,11 +3,8 @@
 //! consistency, single-writer) plus CleanupSpec's state-restoration
 //! guarantees after every step.
 //!
-//! The always-on tests below generate their sequences from the workspace's
-//! deterministic `SplitMix64` so they run hermetically (no registry
-//! dependencies). The original shrinking-capable property tests are kept
-//! behind the off-by-default `proptest` feature; enabling it requires
-//! restoring the `proptest` dev-dependency on a networked machine.
+//! The tests generate their sequences from the workspace's deterministic
+//! `SplitMix64` so they run hermetically (no registry dependencies).
 
 use cleanupspec_mem::hierarchy::{LoadKind, LoadReq, MemConfig, MemHierarchy};
 use cleanupspec_mem::rng::SplitMix64;
@@ -45,9 +42,8 @@ enum Op {
     },
 }
 
-/// Draws one operation; weights mirror the original proptest strategy
-/// (5:1:2:1:1:4:1). A small line universe forces heavy aliasing and
-/// eviction traffic.
+/// Draws one operation, weighted 5:1:2:1:1:4:1 across the forms. A small
+/// line universe forces heavy aliasing and eviction traffic.
 fn gen_op(rng: &mut SplitMix64) -> Op {
     let core = rng.below(3) as u8;
     let line = rng.below(96);
@@ -246,54 +242,5 @@ fn dropped_loads_never_fill() {
         );
         assert!(mem.l2().probe(LineAddr::new(line)).is_none(), "case {case}");
         mem.check_invariants().unwrap();
-    }
-}
-
-// The original shrinking property tests. Enabling this feature requires
-// restoring the `proptest` dev-dependency (removed so the workspace builds
-// with no registry access).
-#[cfg(feature = "proptest")]
-mod property {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn op() -> impl Strategy<Value = Op> {
-        let line = 0u64..96;
-        let core = 0u8..3;
-        prop_oneof![
-            5 => (core.clone(), line.clone(), any::<bool>(), any::<bool>())
-                .prop_map(|(c, l, s, d)| Op::Load { core: c, line: l, spec: s, downgrade: d }),
-            1 => (core.clone(), line.clone()).prop_map(|(c, l)| Op::InvisibleLoad { core: c, line: l }),
-            2 => (core.clone(), line.clone()).prop_map(|(c, l)| Op::Store { core: c, line: l }),
-            1 => (core.clone(), line.clone()).prop_map(|(c, l)| Op::Clflush { core: c, line: l }),
-            1 => core.clone().prop_map(|c| Op::DropInflight { core: c }),
-            4 => (1u16..300).prop_map(|n| Op::Advance { cycles: n }),
-            1 => (core, line).prop_map(|(c, l)| Op::Retire { core: c, line: l }),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn prop_invariants_hold_under_random_traffic(
-            ops in proptest::collection::vec(op(), 1..120),
-            window in any::<bool>(),
-            skewed in any::<bool>(),
-        ) {
-            let mut mem = tiny_mem_skewed(window, if skewed && window { 2 } else { 1 });
-            let mut now: Cycle = 0;
-            let mut seq = 0u64;
-            for o in ops {
-                apply(&mut mem, &mut now, &mut seq, o);
-                mem.advance(now);
-                if let Err(e) = mem.check_invariants() {
-                    panic!("invariant violated after {o:?}: {e}");
-                }
-            }
-            now += 10_000;
-            mem.advance(now);
-            mem.check_invariants().unwrap();
-        }
     }
 }

@@ -6,10 +6,8 @@
 //! architecture.
 
 //!
-//! The always-on test drives 20 random programs from the workspace's
-//! deterministic `SplitMix64` (hermetic build); the original
-//! shrinking-capable proptest version sits behind the off-by-default
-//! `proptest` feature.
+//! The randomized test drives 20 random programs from the workspace's
+//! deterministic `SplitMix64` (hermetic build).
 
 use cleanupspec::prelude::*;
 use cleanupspec_mem::rng::SplitMix64;
@@ -35,8 +33,8 @@ enum BodyOp {
     SkipIf(u8, bool, u8), // (cond reg, on_zero, ops to skip)
 }
 
-/// Draws one body operation; mirrors the original proptest strategy
-/// (four equally-weighted forms over data registers r2..r11).
+/// Draws one body operation from four equally-weighted forms over data
+/// registers r2..r11.
 fn gen_body_op(rng: &mut SplitMix64) -> BodyOp {
     let reg = |rng: &mut SplitMix64| (2 + rng.below(10)) as u8;
     match rng.below(4) {
@@ -159,69 +157,6 @@ fn pipeline_matches_reference_interpreter() {
                     got[r], ref_regs[r],
                     "case {case}: r{r} differs under {mode} (ops {ops:?}, iters {iters})"
                 );
-            }
-        }
-    }
-}
-
-// The original shrinking property test. Enabling this feature requires
-// restoring the `proptest` dev-dependency (removed so the workspace
-// builds with no registry access).
-#[cfg(feature = "proptest")]
-mod property {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn body_op() -> impl Strategy<Value = BodyOp> {
-        prop_oneof![
-            (
-                2u8..12,
-                prop_oneof![
-                    Just(AluOp::Add),
-                    Just(AluOp::Sub),
-                    Just(AluOp::Mul),
-                    Just(AluOp::Xor),
-                    Just(AluOp::And),
-                    Just(AluOp::Or),
-                    Just(AluOp::Shl),
-                    Just(AluOp::Shr)
-                ],
-                2u8..12,
-                -64i64..64
-            )
-                .prop_map(|(d, op, s, imm)| BodyOp::Alu(d, op, s, imm)),
-            (2u8..12, 0u64..64).prop_map(|(d, slot)| BodyOp::Load(d, slot)),
-            (2u8..12, 0u64..64).prop_map(|(s, slot)| BodyOp::Store(s, slot)),
-            (2u8..12, any::<bool>(), 1u8..5).prop_map(|(r, z, n)| BodyOp::SkipIf(r, z, n)),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(20))]
-
-        #[test]
-        fn prop_pipeline_matches_reference_interpreter(
-            ops in proptest::collection::vec(body_op(), 3..18),
-            iters in 2u64..12,
-        ) {
-            let p = build(&ops, iters);
-            let ref_regs = interpret(&p, 2_000_000);
-            for mode in [
-                SecurityMode::NonSecure,
-                SecurityMode::CleanupSpec,
-                SecurityMode::InvisiSpecInitial,
-                SecurityMode::InvisiSpecRevised,
-                SecurityMode::DelaySpeculativeLoads,
-            ] {
-                let got = pipeline_regs(&p, mode);
-                for r in 0..30usize {
-                    prop_assert_eq!(
-                        got[r],
-                        ref_regs[r],
-                        "r{} differs under {} (ops {:?}, iters {})",
-                        r, mode, &ops, iters
-                    );
-                }
             }
         }
     }

@@ -3,10 +3,8 @@
 //! (Section 4c), across the whole simulator stack.
 
 //!
-//! The always-on randomized tests below derive their cases from the
-//! workspace's deterministic `SplitMix64` (hermetic build); the original
-//! shrinking-capable proptest versions sit behind the off-by-default
-//! `proptest` feature.
+//! The randomized tests below derive their cases from the workspace's
+//! deterministic `SplitMix64` (hermetic build).
 
 use cleanupspec::prelude::*;
 use cleanupspec_mem::rng::SplitMix64;
@@ -227,78 +225,6 @@ fn victims_restored() {
                 l1.iter().any(|(l, _)| l.raw() == *v),
                 "case {case}: victim {v:#x} missing after cleanup"
             );
-        }
-    }
-}
-
-// The original shrinking property tests. Enabling this feature requires
-// restoring the `proptest` dev-dependency (removed so the workspace
-// builds with no registry access).
-#[cfg(feature = "proptest")]
-mod property {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        #[test]
-        fn prop_cleanup_removes_all_transient_lines(
-            lines in proptest::collection::vec(0x9000u64..0xF000, 1..8),
-        ) {
-            let (l1, l2) = run_gadget(SecurityMode::CleanupSpec, &lines, 0x8001, &[]);
-            for w in &lines {
-                prop_assert!(!l1.iter().any(|(l, _)| l.raw() == *w));
-                prop_assert!(!l2.iter().any(|(l, _)| l.raw() == *w));
-            }
-        }
-
-        #[test]
-        fn prop_same_set_eviction_chains_unwind(
-            set in 0u64..128,
-            n_wrong in 1usize..6,
-            keys in proptest::collection::vec(64u64..120, 6),
-        ) {
-            let victims: Vec<u64> = (1..=8).map(|k| 0x2_0000 + set + k * 128).collect();
-            let wrong: Vec<u64> = keys
-                .iter()
-                .take(n_wrong)
-                .map(|k| 0x7_0000 + set + k * 128)
-                .collect();
-            let trigger = 0x8001 + ((set + 1) % 128);
-            let (l1, l2) = run_gadget(SecurityMode::CleanupSpec, &wrong, trigger, &victims);
-            for v in &victims {
-                prop_assert!(
-                    l1.iter().any(|(l, _)| l.raw() == *v),
-                    "victim {v:#x} missing after chained cleanup"
-                );
-            }
-            for w in &wrong {
-                prop_assert!(!l1.iter().any(|(l, _)| l.raw() == *w));
-                prop_assert!(!l2.iter().any(|(l, _)| l.raw() == *w));
-            }
-        }
-
-        #[test]
-        fn prop_victims_restored(
-            set in 0u64..128,
-            way_keys in proptest::collection::vec(1u64..60, 8),
-            wrong_off in 0u64..16,
-        ) {
-            let victims: Vec<u64> = way_keys
-                .iter()
-                .enumerate()
-                .map(|(i, k)| 0x2_0000 + set + (k + i as u64 * 61) * 128)
-                .collect();
-            let wrong = vec![0x7_0000 + set + wrong_off * 128];
-            let trigger = 0x8001 + ((set + 1) % 128); // different set
-            let (l1, _) = run_gadget(SecurityMode::CleanupSpec, &wrong, trigger, &victims);
-            for v in &victims {
-                prop_assert!(
-                    l1.iter().any(|(l, _)| l.raw() == *v),
-                    "victim {v:#x} missing after cleanup"
-                );
-            }
         }
     }
 }
