@@ -341,9 +341,7 @@ fn extract_run(
     commits: &Shared<CommitLogSink>,
     episodes: &Shared<EpisodeBuilder>,
 ) -> ModeRun {
-    for _ in 0..DRAIN_CYCLES {
-        sys.tick_mem_only();
-    }
+    sys.advance_mem_only(DRAIN_CYCLES);
 
     let n = sys.mem().config().num_cores;
     let scheme_name = sys.scheme(0).name();

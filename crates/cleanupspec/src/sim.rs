@@ -289,12 +289,10 @@ impl Simulator {
                 LoadReq::non_spec(LoadId(self.probe_seq)),
             ) {
                 Ok(out) => break out,
-                Err(_) => self.sys.tick_mem_only(), // MSHRs busy: wait
+                Err(_) => self.sys.advance_mem_only(1), // MSHRs busy: wait
             }
         };
-        while self.sys.now() < out.complete_at {
-            self.sys.tick_mem_only();
-        }
+        self.wait_until(out.complete_at);
         if let Some(t) = out.token {
             let _ = self.sys.mem_mut().collect(t);
         }
@@ -306,18 +304,18 @@ impl Simulator {
     pub fn flush_line(&mut self, core: CoreId, addr: Addr) {
         let now = self.sys.now();
         let out = self.sys.mem_mut().clflush(core, addr.line(), now);
-        while self.sys.now() < out.complete_at {
-            self.sys.tick_mem_only();
-        }
+        self.wait_until(out.complete_at);
     }
 
     /// Advances simulated time by `cycles` (lets pending fills land, e.g.
     /// after a program finished).
     pub fn drain(&mut self, cycles: Cycle) {
-        let target = self.sys.now() + cycles;
-        while self.sys.now() < target {
-            self.sys.tick_mem_only();
-        }
+        self.sys.advance_mem_only(cycles);
+    }
+
+    /// Advances memory-only time to cycle `at` (no-op if already there).
+    fn wait_until(&mut self, at: Cycle) {
+        self.sys.advance_mem_only(at.saturating_sub(self.sys.now()));
     }
 
     // ------------------------------------------------------------------

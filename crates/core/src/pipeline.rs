@@ -497,7 +497,12 @@ impl Pipeline {
     /// probing, and draining phases), keeping the CPI-stack total equal to
     /// elapsed cycles.
     pub fn note_harness_cycle(&mut self) {
-        self.stats.cpi_stack.charge(StallCause::Harness);
+        self.note_harness_cycles(1);
+    }
+
+    /// [`Self::note_harness_cycle`] for `n` cycles at once.
+    pub(crate) fn note_harness_cycles(&mut self, n: u64) {
+        self.stats.cpi_stack.charge_n(StallCause::Harness, n);
     }
 
     /// Attributes one committless cycle to the single dominant cause, in

@@ -153,6 +153,13 @@ impl CpiStack {
         self.counts[cause.index()] += 1;
     }
 
+    /// Charges `n` cycles to `cause` at once (a jumped run of identical
+    /// cycles).
+    #[inline]
+    pub(crate) fn charge_n(&mut self, cause: StallCause, n: u64) {
+        self.counts[cause.index()] += n;
+    }
+
     /// Cycles charged to `cause`.
     pub fn get(&self, cause: StallCause) -> u64 {
         self.counts[cause.index()]

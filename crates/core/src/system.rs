@@ -193,8 +193,8 @@ pub struct System {
     mem: MemHierarchy,
     dmem: DataMem,
     now: Cycle,
-    /// Cycle of the last observed commit (any core) — or of the last
-    /// harness `tick_mem_only` phase, which also counts as forward
+    /// Cycle of the last observed commit (any core) — or of the end of the
+    /// last harness `advance_mem_only` phase, which also counts as forward
     /// progress. Persistent state (not a `run`-local) so that a restored
     /// snapshot carries the same watchdog gap as the uninterrupted run.
     last_commit_at: Cycle,
@@ -246,16 +246,26 @@ impl System {
         self.now
     }
 
-    /// Advances time and the memory system by one cycle WITHOUT ticking
-    /// the cores. Harness phases (priming, probing, draining) use this so
-    /// that measurement does not perturb the victim programs. The skipped
-    /// core cycles are charged to the CPI stack's `Harness` bucket so the
-    /// per-core stack still sums to elapsed cycles.
-    pub fn tick_mem_only(&mut self) {
-        self.now += 1;
-        self.mem.advance(self.now);
+    /// Advances time and the memory system by `cycles` cycles WITHOUT
+    /// ticking the cores. Harness phases (priming, probing, draining) use
+    /// this so that measurement does not perturb the victim programs. The
+    /// skipped core cycles are charged to the CPI stack's `Harness` bucket
+    /// so the per-core stack still sums to elapsed cycles.
+    ///
+    /// The result is exactly that of `cycles` one-cycle calls: with the
+    /// cores idle, only fills change state, so time jumps from one due
+    /// fill ([`MemHierarchy::next_fill_due`]) to the next.
+    pub fn advance_mem_only(&mut self, cycles: Cycle) {
+        if cycles == 0 {
+            return;
+        }
+        let end = self.now + cycles;
+        while self.now < end {
+            self.now = self.mem.next_fill_due().clamp(self.now + 1, end);
+            self.mem.advance(self.now);
+        }
         for c in &mut self.cores {
-            c.note_harness_cycle();
+            c.note_harness_cycles(cycles);
         }
         // Harness phases (priming, probing, draining) are deliberate idle
         // time, not a livelock: keep the watchdog gap closed.
@@ -280,7 +290,7 @@ impl System {
     ///
     /// The forward-progress watchdog reads the persistent
     /// `last_commit_at` marker (updated by every [`Self::tick`] /
-    /// [`Self::tick_mem_only`]) rather than run-local state, so stopping a
+    /// [`Self::advance_mem_only`]) rather than run-local state, so stopping a
     /// run, snapshotting, and resuming measures the same commit gap as an
     /// uninterrupted run.
     pub fn run(&mut self, limits: RunLimits) -> StopReason {

@@ -265,6 +265,9 @@ pub struct MemHierarchy {
     l2: SetAssocCache,
     dir: HashMap<LineAddr, DirEntry>,
     mshr: Vec<MshrFile>,
+    /// Scratch list of the slots due in the current fill pass (empty
+    /// between calls; kept only to reuse its allocation).
+    due: Vec<usize>,
     dram: Dram,
     epoch: Vec<EpochId>,
     stats: MemStats,
@@ -357,6 +360,7 @@ impl MemHierarchy {
             l2,
             dir: HashMap::new(),
             mshr,
+            due: Vec::new(),
             stats: MemStats::default(),
             traffic: Traffic::default(),
             obs: Observer::disabled(),
@@ -483,6 +487,11 @@ impl MemHierarchy {
     /// Read-only view of the L2.
     pub fn l2(&self) -> &SetAssocCache {
         &self.l2
+    }
+
+    /// Read-only view of a core's MSHR file (diagnostics).
+    pub fn mshr(&self, core: CoreId) -> &MshrFile {
+        &self.mshr[core.index()]
     }
 
     /// Per-core MSHR occupancy (diagnostics).
@@ -845,18 +854,20 @@ impl MemHierarchy {
 
     /// Advances the hierarchy to cycle `now`: performs all fills whose
     /// responses have arrived, and frees dropped entries. Must be called
-    /// once per cycle, before the cores issue new accesses.
+    /// once per cycle, before the cores issue new accesses; while no core
+    /// acts, the cycles before [`Self::next_fill_due`] may be skipped.
+    /// A core's file is scanned only when its `next_due` bound has come.
     pub fn advance(&mut self, now: Cycle) {
         self.now_hint = now;
+        let mut due = std::mem::take(&mut self.due);
         for ci in 0..self.cfg.num_cores {
             self.mshr[ci].stamp(now);
-            // Collect due slots first to avoid borrowing issues.
-            let due: Vec<(usize, MshrEntry)> = self.mshr[ci]
-                .iter_mut_indexed()
-                .filter(|(_, e)| e.complete_at <= now && e.state != MshrState::Filled)
-                .map(|(i, e)| (i, e.clone()))
-                .collect();
-            for (slot, entry) in due {
+            if self.mshr[ci].next_due() > now {
+                continue;
+            }
+            self.mshr[ci].take_due(now, &mut due);
+            for &slot in &due {
+                let entry = self.mshr[ci].slot(slot).expect("due slot is live");
                 match entry.state {
                     MshrState::Dropped => {
                         // Squashed inflight load: data returns, nothing
@@ -896,16 +907,47 @@ impl MemHierarchy {
                                 },
                             );
                             self.mshr[ci].clear_slot(slot);
-                        } else if let Some(e) =
-                            self.mshr[ci].iter_mut_indexed().find(|(i, _)| *i == slot)
-                        {
-                            e.1.record = rec;
-                            e.1.state = MshrState::Filled;
+                        } else {
+                            self.mshr[ci].mark_filled(slot, rec);
                         }
                     }
-                    MshrState::Filled => unreachable!("filtered above"),
+                    MshrState::Filled => unreachable!("take_due skips filled entries"),
                 }
             }
+        }
+        self.due = due;
+        #[cfg(debug_assertions)]
+        self.check_next_due(now);
+    }
+
+    /// Earliest cycle at which [`Self::advance`] can have a fill to perform
+    /// (a lower bound; `Cycle::MAX` when no miss is outstanding). Advancing
+    /// to any earlier cycle changes nothing but the cycle stamp, so a
+    /// memory-only phase may jump straight to it.
+    pub fn next_fill_due(&self) -> Cycle {
+        self.mshr
+            .iter()
+            .map(MshrFile::next_due)
+            .min()
+            .unwrap_or(Cycle::MAX)
+    }
+
+    /// Re-derives every file's earliest unfilled `complete_at` by a full
+    /// scan after `advance(now)` and checks it against the `next_due`
+    /// bound the skip relies on (debug builds only).
+    #[cfg(debug_assertions)]
+    fn check_next_due(&self, now: Cycle) {
+        for (ci, file) in self.mshr.iter().enumerate() {
+            let min = file.min_unfilled_due();
+            assert!(
+                min >= file.next_due(),
+                "core {ci}: unfilled entry due at {min} below next_due {}",
+                file.next_due()
+            );
+            assert!(
+                min > now,
+                "core {ci}: entry due at {min} left unfilled by advance({now})"
+            );
         }
     }
 
@@ -1264,21 +1306,9 @@ impl MemHierarchy {
     /// This models insecure baselines, where squashed loads still install.
     /// Returns the number of orphaned loads.
     pub fn orphan_core_inflight(&mut self, core: CoreId) -> usize {
-        let ci = core.index();
-        let mut n = 0;
         // Orphaned fills must not carry spec tags (there is no retirement
         // to clear them); they are plain wrong-path installs.
-        let slots: Vec<usize> = self.mshr[ci]
-            .iter_mut_indexed()
-            .filter(|(_, e)| e.state == MshrState::Pending)
-            .map(|(i, e)| {
-                e.orphan = true;
-                e.is_spec = false;
-                i
-            })
-            .collect();
-        n += slots.len();
-        n
+        self.mshr[core.index()].orphan_pending()
     }
 
     /// Frees a filled-but-uncollected MSHR entry (squashed after fill in
@@ -1293,18 +1323,12 @@ impl MemHierarchy {
     /// wrong-path install still lands in the cache (the leak CleanupSpec
     /// closes). No-op if the token is stale or already filled.
     pub fn orphan_token(&mut self, token: MshrToken) {
-        if let Some(e) = self.mshr[token.core.index()].get_mut(token) {
-            match e.state {
-                MshrState::Pending => {
-                    e.orphan = true;
-                    e.is_spec = false;
-                }
-                MshrState::Filled => {
-                    // Fill already happened (and stays — insecure).
-                    self.mshr[token.core.index()].free(token);
-                }
-                MshrState::Dropped => {}
-            }
+        let file = &mut self.mshr[token.core.index()];
+        match file.get(token).map(|e| e.state) {
+            Some(MshrState::Pending) => file.orphan(token),
+            // Fill already happened (and stays — insecure).
+            Some(MshrState::Filled) => file.free(token),
+            Some(MshrState::Dropped) | None => {}
         }
     }
 

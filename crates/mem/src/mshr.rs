@@ -96,7 +96,7 @@ pub enum MshrState {
 }
 
 /// One MSHR entry (plus its SEFE fields).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct MshrEntry {
     /// Missing line address.
     pub line: LineAddr,
@@ -139,10 +139,21 @@ pub struct MshrToken {
 }
 
 /// A fixed-capacity MSHR file for one core.
+///
+/// Besides the slots, the file keeps the counts of live and of
+/// speculation-tagged entries, and `next_due`: a lower bound on the
+/// `complete_at` of every entry that is not yet `Filled` (`Cycle::MAX`
+/// when there is none). [`Self::alloc`] lowers the bound and
+/// [`Self::take_due`] makes it exact; no other method adds an unfilled
+/// entry or moves a `complete_at`, so the bound holds between fill passes
+/// and the hierarchy skips a file whose bound lies in the future.
 #[derive(Clone, Debug)]
 pub struct MshrFile {
     core: CoreId,
     slots: Vec<Option<MshrEntry>>,
+    live: usize,
+    spec: usize,
+    next_due: Cycle,
     gen: u64,
     high_water: usize,
     obs: Observer,
@@ -170,6 +181,9 @@ impl MshrFile {
         MshrFile {
             core,
             slots: (0..capacity).map(|_| None).collect(),
+            live: 0,
+            spec: 0,
+            next_due: Cycle::MAX,
             gen: 0,
             high_water: 0,
             obs: Observer::disabled(),
@@ -194,11 +208,14 @@ impl MshrFile {
     /// Returns [`MshrFullError`] when no slot is free; the caller should
     /// retry the access on a later cycle.
     pub fn alloc(&mut self, entry: MshrEntry) -> Result<MshrToken, MshrFullError> {
+        if self.live == self.slots.len() {
+            return Err(MshrFullError);
+        }
         let idx = self
             .slots
             .iter()
             .position(|s| s.is_none())
-            .ok_or(MshrFullError)?;
+            .expect("a file below capacity has a free slot");
         self.gen += 1;
         let token = MshrToken {
             core: self.core,
@@ -206,17 +223,19 @@ impl MshrFile {
             gen: self.gen,
         };
         let (line, is_spec) = (entry.line, entry.is_spec);
+        self.next_due = self.next_due.min(entry.complete_at);
         self.slots[idx] = Some(MshrEntry {
             gen: self.gen,
             ..entry
         });
-        let occupancy = self.occupancy();
-        self.high_water = self.high_water.max(occupancy);
+        self.live += 1;
+        self.spec += usize::from(is_spec);
+        self.high_water = self.high_water.max(self.live);
         self.obs.emit_with(self.now_hint, || SimEvent::MshrAlloc {
             core: self.core.0,
             line: line.raw(),
             spec: is_spec,
-            occupancy: occupancy as u64,
+            occupancy: self.live as u64,
         });
         Ok(token)
     }
@@ -229,29 +248,11 @@ impl MshrFile {
             .filter(|e| e.gen == token.gen)
     }
 
-    /// Mutable lookup by token.
-    pub fn get_mut(&mut self, token: MshrToken) -> Option<&mut MshrEntry> {
-        self.slots
-            .get_mut(token.idx)?
-            .as_mut()
-            .filter(|e| e.gen == token.gen)
-    }
-
     /// Frees the entry addressed by `token` (no-op if stale).
     pub fn free(&mut self, token: MshrToken) {
         if self.get(token).is_some() {
-            let entry = self.slots[token.idx].take().expect("checked live");
-            self.emit_retire(&entry);
+            self.clear_slot(token.idx);
         }
-    }
-
-    fn emit_retire(&self, entry: &MshrEntry) {
-        self.obs.emit_with(self.now_hint, || SimEvent::MshrRetire {
-            core: self.core.0,
-            line: entry.line.raw(),
-            spec: entry.is_spec,
-            occupancy: self.occupancy() as u64,
-        });
     }
 
     /// Finds a pending entry for `line` (miss merging).
@@ -267,29 +268,82 @@ impl MshrFile {
         self.slots.iter().flatten()
     }
 
-    /// Iterates mutably with slot indices (for the hierarchy's fill pass).
-    pub fn iter_mut_indexed(&mut self) -> impl Iterator<Item = (usize, &mut MshrEntry)> {
-        self.slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_mut().map(|e| (i, e)))
+    /// Lower bound on the `complete_at` of every entry not yet `Filled`
+    /// (`Cycle::MAX` when there is none).
+    pub(crate) fn next_due(&self) -> Cycle {
+        self.next_due
+    }
+
+    /// The earliest `complete_at` among entries not yet `Filled`, by a
+    /// full scan (`Cycle::MAX` when there is none): what `next_due` bounds.
+    #[cfg(any(debug_assertions, test))]
+    pub(crate) fn min_unfilled_due(&self) -> Cycle {
+        self.iter()
+            .filter(|e| e.state != MshrState::Filled)
+            .map(|e| e.complete_at)
+            .min()
+            .unwrap_or(Cycle::MAX)
+    }
+
+    /// Starts a fill pass at `now`: replaces `due` with the slots, in slot
+    /// order, of every unfilled entry whose response has arrived, and sets
+    /// `next_due` exactly for the rest. The caller then fills or clears
+    /// every slot in `due` ([`Self::mark_filled`], [`Self::clear_slot`]).
+    pub(crate) fn take_due(&mut self, now: Cycle, due: &mut Vec<usize>) {
+        due.clear();
+        let mut next_due = Cycle::MAX;
+        for (i, e) in self.slots.iter().enumerate() {
+            match e {
+                Some(e) if e.state != MshrState::Filled => {
+                    if e.complete_at <= now {
+                        due.push(i);
+                    } else {
+                        next_due = next_due.min(e.complete_at);
+                    }
+                }
+                _ => {}
+            }
+        }
+        self.next_due = next_due;
+    }
+
+    /// The entry in slot `idx`, copied out (the fill pass reads it while
+    /// it mutates the caches).
+    pub(crate) fn slot(&self, idx: usize) -> Option<MshrEntry> {
+        self.slots[idx]
+    }
+
+    /// Completes the fill of the entry in `idx`: it now waits for the core
+    /// to collect `record`.
+    pub(crate) fn mark_filled(&mut self, idx: usize, record: SefeRecord) {
+        if let Some(e) = &mut self.slots[idx] {
+            e.record = record;
+            e.state = MshrState::Filled;
+        }
     }
 
     /// Removes the entry in `idx` (used by the fill pass after dropping).
     pub(crate) fn clear_slot(&mut self, idx: usize) {
         if let Some(entry) = self.slots[idx].take() {
-            self.emit_retire(&entry);
+            self.live -= 1;
+            self.spec -= usize::from(entry.is_spec);
+            self.obs.emit_with(self.now_hint, || SimEvent::MshrRetire {
+                core: self.core.0,
+                line: entry.line.raw(),
+                spec: entry.is_spec,
+                occupancy: self.live as u64,
+            });
         }
     }
 
     /// Live entry count.
     pub fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.live
     }
 
     /// Live speculation-tagged entry count (the SEFE occupancy).
     pub fn spec_occupancy(&self) -> usize {
-        self.slots.iter().flatten().filter(|e| e.is_spec).count()
+        self.spec
     }
 
     /// Maximum simultaneous occupancy seen.
@@ -318,6 +372,34 @@ impl MshrFile {
             });
         }
         n
+    }
+
+    /// Marks the still-pending entry addressed by `token` as an orphan: its
+    /// fill will land untagged and the entry then self-frees (insecure
+    /// baselines). No-op if the token is stale or the entry not pending.
+    pub(crate) fn orphan(&mut self, token: MshrToken) {
+        if self.get(token).is_some() {
+            self.orphan_slot(token.idx);
+        }
+    }
+
+    /// [`Self::orphan`]s every pending entry and returns how many there were.
+    pub(crate) fn orphan_pending(&mut self) -> usize {
+        (0..self.slots.len())
+            .filter(|&i| self.orphan_slot(i))
+            .count()
+    }
+
+    fn orphan_slot(&mut self, idx: usize) -> bool {
+        match &mut self.slots[idx] {
+            Some(e) if e.state == MshrState::Pending => {
+                self.spec -= usize::from(e.is_spec);
+                e.orphan = true;
+                e.is_spec = false;
+                true
+            }
+            _ => false,
+        }
     }
 }
 
@@ -377,7 +459,7 @@ mod tests {
         let mut m = MshrFile::new(CoreId(0), 4);
         let t = m.alloc(entry(7, 10)).unwrap();
         assert!(m.find_pending(LineAddr::new(7)).is_some());
-        m.get_mut(t).unwrap().state = MshrState::Filled;
+        m.mark_filled(t.idx, SefeRecord::default());
         assert!(m.find_pending(LineAddr::new(7)).is_none());
     }
 
@@ -386,12 +468,131 @@ mod tests {
         let mut m = MshrFile::new(CoreId(0), 4);
         let t1 = m.alloc(entry(1, 10)).unwrap();
         let t2 = m.alloc(entry(2, 10)).unwrap();
-        m.get_mut(t2).unwrap().state = MshrState::Filled;
+        m.mark_filled(t2.idx, SefeRecord::default());
         assert_eq!(m.drop_pending(3), 1);
         assert_eq!(m.get(t1).unwrap().state, MshrState::Dropped);
         assert_eq!(m.get(t1).unwrap().episode, 3, "drop stamps the episode");
         assert_eq!(m.get(t2).unwrap().state, MshrState::Filled);
         assert_eq!(m.get(t2).unwrap().episode, 0, "filled entry untouched");
+    }
+
+    /// `next_due` must never exceed the true earliest unfilled
+    /// `complete_at`, whatever the lifecycle step.
+    fn assert_bound(m: &MshrFile) {
+        assert!(
+            m.next_due() <= m.min_unfilled_due(),
+            "next_due {} above the earliest unfilled entry {}",
+            m.next_due(),
+            m.min_unfilled_due()
+        );
+    }
+
+    #[test]
+    fn alloc_lowers_next_due() {
+        let mut m = MshrFile::new(CoreId(0), 4);
+        assert_eq!(m.next_due(), Cycle::MAX, "empty file has nothing due");
+        m.alloc(entry(1, 20)).unwrap();
+        assert_eq!(m.next_due(), 20);
+        m.alloc(entry(2, 30)).unwrap();
+        assert_eq!(m.next_due(), 20, "a later entry leaves the bound");
+        m.alloc(entry(3, 5)).unwrap();
+        assert_eq!(m.next_due(), 5, "an earlier entry lowers it");
+        assert_bound(&m);
+    }
+
+    #[test]
+    fn fill_pass_makes_next_due_exact() {
+        let mut m = MshrFile::new(CoreId(0), 4);
+        let t1 = m.alloc(entry(1, 10)).unwrap();
+        let t2 = m.alloc(entry(2, 30)).unwrap();
+        let t3 = m.alloc(entry(3, 10)).unwrap();
+        let mut due = vec![99];
+        m.take_due(9, &mut due);
+        assert!(due.is_empty(), "nothing is due before cycle 10");
+        assert_eq!(m.next_due(), 10);
+        m.take_due(10, &mut due);
+        assert_eq!(due, vec![t1.idx, t3.idx], "due slots come in slot order");
+        assert_eq!(m.next_due(), 30, "the bound skips the due entries");
+        m.mark_filled(t1.idx, SefeRecord::default());
+        m.clear_slot(t3.idx);
+        assert_bound(&m);
+        assert_eq!(m.min_unfilled_due(), 30);
+        m.take_due(30, &mut due);
+        assert_eq!(due, vec![t2.idx]);
+        m.mark_filled(t2.idx, SefeRecord::default());
+        assert_eq!(m.next_due(), Cycle::MAX, "only filled entries remain");
+        assert_eq!(m.min_unfilled_due(), Cycle::MAX);
+        m.take_due(40, &mut due);
+        assert!(due.is_empty(), "filled entries are never due again");
+    }
+
+    #[test]
+    fn drop_and_orphan_keep_entries_due() {
+        let mut m = MshrFile::new(CoreId(0), 4);
+        let t1 = m.alloc(entry(1, 10)).unwrap();
+        let t2 = m.alloc(entry(2, 15)).unwrap();
+        assert_eq!(m.drop_pending(1), 2);
+        assert_eq!(m.next_due(), 10, "a dropped response still arrives");
+        assert_bound(&m);
+
+        let mut n = MshrFile::new(CoreId(0), 4);
+        let o1 = n.alloc(entry(1, 10)).unwrap();
+        n.alloc(entry(2, 15)).unwrap();
+        n.orphan(o1);
+        assert_eq!(n.next_due(), 10, "an orphan's fill still lands");
+        assert_eq!(n.orphan_pending(), 2, "orphans stay pending until filled");
+        assert_bound(&n);
+
+        let mut due = Vec::new();
+        m.take_due(15, &mut due);
+        assert_eq!(due, vec![t1.idx, t2.idx]);
+    }
+
+    #[test]
+    fn free_and_clear_leave_a_valid_bound() {
+        let mut m = MshrFile::new(CoreId(0), 4);
+        let t1 = m.alloc(entry(1, 10)).unwrap();
+        let t2 = m.alloc(entry(2, 20)).unwrap();
+        m.alloc(entry(3, 30)).unwrap();
+        m.free(t1);
+        assert_eq!(m.next_due(), 10, "freeing may leave the bound stale-low");
+        assert_bound(&m);
+        m.clear_slot(t2.idx);
+        assert_bound(&m);
+        let mut due = Vec::new();
+        m.take_due(12, &mut due);
+        assert!(due.is_empty());
+        assert_eq!(m.next_due(), 30, "the next pass re-derives it exactly");
+    }
+
+    #[test]
+    fn occupancy_counters_follow_the_lifecycle() {
+        let mut m = MshrFile::new(CoreId(0), 4);
+        let t1 = m.alloc(entry(1, 10)).unwrap();
+        let t2 = m.alloc(entry(2, 10)).unwrap();
+        let t3 = m
+            .alloc(MshrEntry {
+                is_spec: false,
+                ..entry(3, 10)
+            })
+            .unwrap();
+        assert_eq!((m.occupancy(), m.spec_occupancy()), (3, 2));
+        m.orphan(t1);
+        assert_eq!(
+            (m.occupancy(), m.spec_occupancy()),
+            (3, 1),
+            "orphans are untagged"
+        );
+        m.orphan(t1);
+        assert_eq!(m.spec_occupancy(), 1, "orphaning twice counts once");
+        m.free(t2);
+        assert_eq!((m.occupancy(), m.spec_occupancy()), (2, 0));
+        m.free(t2);
+        assert_eq!(m.occupancy(), 2, "a stale token frees nothing");
+        m.clear_slot(t3.idx);
+        m.clear_slot(t1.idx);
+        assert_eq!((m.occupancy(), m.spec_occupancy()), (0, 0));
+        assert_eq!(m.high_water(), 3);
     }
 
     #[test]
