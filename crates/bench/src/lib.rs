@@ -1,10 +1,8 @@
 //! # cleanupspec-bench
 //!
 //! Experiment harness for the CleanupSpec reproduction: one binary per
-//! table/figure of the paper (see `src/bin/`), plus wall-clock
-//! microbenchmarks (see `benches/`). This library holds the shared
-//! experiment runner, the micro-benchmark harness, and plain-text
-//! table/chart formatting.
+//! table/figure of the paper (see `src/bin/`). This library holds the
+//! shared experiment runner and plain-text table/chart formatting.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -17,7 +15,6 @@ pub mod exec;
 pub mod fmt;
 pub mod fuzz;
 pub mod journal;
-pub mod microbench;
 pub mod runner;
 pub mod store;
 pub mod suite;

@@ -15,34 +15,12 @@ use cleanupspec_mem::mshr::MshrState;
 use cleanupspec_mem::types::CoreId;
 use cleanupspec_obs::JsonlSink;
 use cleanupspec_workloads::smith::{assemble_plan, plan};
-use std::io::{self, Write};
-use std::sync::{Arc, Mutex};
+use common::Buf;
+
+mod common;
 
 /// The drain `fuzz::extract_run` applies after halt.
 const DRAIN: u64 = 4_000;
-
-/// A JSONL target the test can read back while the sink still owns it.
-#[derive(Clone, Default)]
-struct Buf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for Buf {
-    fn write(&mut self, b: &[u8]) -> io::Result<usize> {
-        self.0
-            .lock()
-            .expect("no writer panicked")
-            .extend_from_slice(b);
-        Ok(b.len())
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl Buf {
-    fn bytes(&self) -> Vec<u8> {
-        self.0.lock().expect("no writer panicked").clone()
-    }
-}
 
 /// The seed's programs run to halt under `mode` on the fuzzing hierarchy,
 /// tracing into the returned buffer.

@@ -305,6 +305,63 @@ fn is_squash_source(e: &RobEntry) -> bool {
         || (e.inst.is_load() && (e.status == Status::Waiting || e.faulting))
 }
 
+/// What one [`Pipeline::tick`] did, stage by stage: whether each stage
+/// changed any state, plus the per-cycle charges the tick made.
+///
+/// A *quiet* tick changed nothing. Its only effects were charging
+/// `cause` to the CPI stack and, when `fetch_stalled`, one
+/// `fetch_stall_cycles`; every later tick repeats it exactly until
+/// [`Pipeline::quiet_until`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TickActivity {
+    /// A completion was popped, or a held LQ slot expired.
+    pub complete: bool,
+    /// A squash or a cleanup ran.
+    pub squash: bool,
+    /// A visibility hook ran, or a slot left the pending list.
+    pub visibility: bool,
+    /// Commit got past the head's `commit_ready_at` gate.
+    pub commit: bool,
+    /// An issue slot was charged or an entry was parked.
+    pub issue: bool,
+    /// An instruction was dispatched.
+    pub fetch: bool,
+    /// Instructions committed.
+    pub committed: u64,
+    /// Fetch was stalled (the tick charged `fetch_stall_cycles`).
+    pub fetch_stalled: bool,
+    /// The CPI-stack cause the tick charged.
+    pub cause: StallCause,
+}
+
+impl Default for TickActivity {
+    fn default() -> Self {
+        TickActivity {
+            complete: false,
+            squash: false,
+            visibility: false,
+            commit: false,
+            issue: false,
+            fetch: false,
+            committed: 0,
+            fetch_stalled: false,
+            cause: StallCause::Exec,
+        }
+    }
+}
+
+impl TickActivity {
+    /// Whether no stage changed any state.
+    pub fn is_quiet(&self) -> bool {
+        !(self.complete
+            || self.squash
+            || self.visibility
+            || self.commit
+            || self.issue
+            || self.fetch)
+    }
+}
+
 /// One simulated out-of-order core.
 ///
 /// `Clone` deep-copies the full microarchitectural state — ROB, LQ/SQ,
@@ -344,6 +401,8 @@ pub struct Pipeline {
     halt_after_squash: bool,
     load_id_ctr: u64,
     sched: Worklists,
+    /// What the last tick did (the system runner's quiet-cycle jump).
+    last_tick: TickActivity,
     stats: CoreStats,
     obs: Observer,
 }
@@ -375,6 +434,7 @@ impl Pipeline {
             halt_after_squash: false,
             load_id_ctr: 0,
             sched: Worklists::new(cfg.rob_entries),
+            last_tick: TickActivity::default(),
             stats: CoreStats::default(),
             obs: Observer::disabled(),
             core,
@@ -457,6 +517,11 @@ impl Pipeline {
     /// Every call charges exactly one cycle to the top-down CPI stack
     /// ([`CoreStats::cpi_stack`]): the per-core stack sums to the number
     /// of ticks, which the system runner keeps equal to elapsed cycles.
+    ///
+    /// A tick is a fixed sequence of stages: complete, squash, visibility
+    /// scan, commit, issue, fetch and classify (a halted core only charges
+    /// a `Halted` cycle). Each stage records whether it changed any state
+    /// in [`Self::last_tick`].
     pub fn tick(
         &mut self,
         scheme: &mut dyn SpeculationScheme,
@@ -465,31 +530,151 @@ impl Pipeline {
         now: Cycle,
     ) {
         if self.halted {
-            self.stats.cpi_stack.charge(StallCause::Halted);
+            self.stage_halted();
             return;
         }
-        self.mshr_blocked = false;
-        self.lq_held.retain(|&c| c > now);
-        self.complete(mem, now);
+        self.stage_complete(mem, now);
         // Squash handling runs BEFORE the visibility scan: when a branch
         // resolves mispredicted, its wrong-path loads must be squashed in
         // the same cycle — never exposed (they would otherwise appear
         // unsquashable for one cycle).
-        self.process_squash(scheme, mem, now);
-        self.visibility_scan(scheme, mem, now);
-        let committed_before = self.stats.committed_insts;
-        self.commit(scheme, mem, dmem, now);
-        let committed = self.stats.committed_insts - committed_before;
+        self.stage_squash(scheme, mem, now);
+        self.stage_visibility(scheme, mem, now);
+        self.stage_commit(scheme, mem, dmem, now);
+        self.stage_issue(scheme, mem, dmem, now);
+        self.stage_fetch(now);
+        self.stage_classify(now);
+    }
+
+    /// The whole tick of a halted core: one `Halted` cycle, nothing else.
+    fn stage_halted(&mut self) {
+        self.last_tick = TickActivity {
+            cause: StallCause::Halted,
+            ..TickActivity::default()
+        };
+        self.stats.cpi_stack.charge(StallCause::Halted);
+    }
+
+    /// Tick stage 1: expires InvisiSpec-held LQ slots and finishes every
+    /// issued entry whose `done_at` has arrived.
+    fn stage_complete(&mut self, mem: &mut MemHierarchy, now: Cycle) {
+        self.last_tick = TickActivity::default();
+        self.mshr_blocked = false;
+        let held = self.lq_held.len();
+        if held > 0 {
+            self.lq_held.retain(|&c| c > now);
+        }
+        let completed = self.complete(mem, now);
+        self.last_tick.complete = completed || self.lq_held.len() < held;
+    }
+
+    /// Tick stage 2: squashes at a mispredict resolved this tick and runs
+    /// a pending cleanup once it may.
+    fn stage_squash(
+        &mut self,
+        scheme: &mut dyn SpeculationScheme,
+        mem: &mut MemHierarchy,
+        now: Cycle,
+    ) {
+        self.last_tick.squash = self.process_squash(scheme, mem, now);
+    }
+
+    /// Tick stage 3: the visibility-point scan.
+    fn stage_visibility(
+        &mut self,
+        scheme: &mut dyn SpeculationScheme,
+        mem: &mut MemHierarchy,
+        now: Cycle,
+    ) {
+        self.last_tick.visibility = self.visibility_scan(scheme, mem, now);
+    }
+
+    /// Tick stage 4: in-order commit.
+    fn stage_commit(
+        &mut self,
+        scheme: &mut dyn SpeculationScheme,
+        mem: &mut MemHierarchy,
+        dmem: &mut DataMem,
+        now: Cycle,
+    ) {
+        let before = self.stats.committed_insts;
+        self.last_tick.commit = self.commit(scheme, mem, dmem, now);
+        self.last_tick.committed = self.stats.committed_insts - before;
+    }
+
+    /// Tick stage 5: dataflow issue (skipped while a pending cleanup
+    /// blocks issue).
+    fn stage_issue(
+        &mut self,
+        scheme: &mut dyn SpeculationScheme,
+        mem: &mut MemHierarchy,
+        dmem: &mut DataMem,
+        now: Cycle,
+    ) {
         let issue_blocked = matches!(self.squash, SquashPhase::WaitInflight { .. })
             && scheme.stalls_issue_during_cleanup();
         if !issue_blocked {
-            self.issue(scheme, mem, dmem, now);
+            self.last_tick.issue = self.issue(scheme, mem, dmem, now);
         }
-        self.fetch(now);
-        let cause = self.classify_cycle(now, committed);
+    }
+
+    /// Tick stage 6: fetch and dispatch.
+    fn stage_fetch(&mut self, now: Cycle) {
+        self.last_tick.fetch_stalled = now < self.fetch_stall_until;
+        self.last_tick.fetch = self.fetch(now);
+    }
+
+    /// Tick stage 7: charges the cycle to its CPI-stack cause.
+    fn stage_classify(&mut self, now: Cycle) {
+        let cause = self.classify_cycle(now, self.last_tick.committed);
+        self.last_tick.cause = cause;
         self.stats.cpi_stack.charge(cause);
         #[cfg(debug_assertions)]
-        self.check_worklists();
+        {
+            self.check_worklists();
+            self.check_quiet_bound(now);
+        }
+    }
+
+    /// What the last [`Self::tick`] did.
+    #[doc(hidden)]
+    pub fn last_tick(&self) -> TickActivity {
+        self.last_tick
+    }
+
+    /// The earliest cycle after `now` at which this core, having just
+    /// ticked quietly at `now`, can change state or its stall cause:
+    /// until then every tick repeats the quiet one. The bound is the
+    /// soonest of the next completion, the next held LQ slot to expire,
+    /// the head's commit gate, and the end of the fetch and cleanup
+    /// stalls. `Cycle::MAX` for a halted core.
+    pub fn quiet_until(&self, now: Cycle) -> Cycle {
+        if self.halted {
+            return Cycle::MAX;
+        }
+        let ahead = |c: Cycle| if c > now { c } else { Cycle::MAX };
+        let mut wake = ahead(self.fetch_stall_until).min(ahead(self.cleanup_stall_until));
+        if let Some(&Reverse((done_at, _))) = self.sched.completions.peek() {
+            wake = wake.min(done_at);
+        }
+        if let Some(&held) = self.lq_held.iter().min() {
+            wake = wake.min(held);
+        }
+        if let Some(at) = self.rob.front().and_then(|e| e.commit_ready_at) {
+            wake = wake.min(at);
+        }
+        wake
+    }
+
+    /// Replays the quiet tick of [`Self::last_tick`] `n` more times: the
+    /// same CPI cause, and the fetch stall where fetch was stalled.
+    #[doc(hidden)]
+    pub fn repeat_quiet_tick(&mut self, n: u64) {
+        debug_assert!(self.last_tick.is_quiet());
+        self.stats.cpi_stack.charge_n(self.last_tick.cause, n);
+        if self.last_tick.fetch_stalled {
+            self.stats.fetch_stall_cycles += n;
+        }
     }
 
     /// Charges one cycle to the `Harness` bucket: the system runner calls
@@ -579,8 +764,8 @@ impl Pipeline {
 
     /// Finishes every issued entry whose `done_at` has arrived, in seq
     /// order — the order `LoadId`s, SEFE collection and predictor training
-    /// have always followed.
-    fn complete(&mut self, mem: &mut MemHierarchy, now: Cycle) {
+    /// have always followed. Returns whether any item was due.
+    fn complete(&mut self, mem: &mut MemHierarchy, now: Cycle) -> bool {
         let mut due = std::mem::take(&mut self.sched.due);
         while let Some(&Reverse((done_at, seq))) = self.sched.completions.peek() {
             if done_at > now {
@@ -589,6 +774,7 @@ impl Pipeline {
             self.sched.completions.pop();
             due.push(seq);
         }
+        let popped = !due.is_empty();
         due.sort_unstable();
         for &seq in &due {
             // Skip items of squashed seqs: gone from the ROB, or reused by an
@@ -670,6 +856,7 @@ impl Pipeline {
         }
         due.clear();
         self.sched.due = due;
+        popped
     }
 
     /// Returns the entries parked on `producer` (now done) to the waiting
@@ -693,14 +880,15 @@ impl Pipeline {
 
     /// Fires [`SpeculationScheme::on_load_visible`] for completed loads
     /// that have become unsquashable (InvisiSpec's visibility point), in
-    /// LQ-slot order.
+    /// LQ-slot order. Returns whether any slot left the pending list.
     fn visibility_scan(
         &mut self,
         scheme: &mut dyn SpeculationScheme,
         mem: &mut MemHierarchy,
         now: Cycle,
-    ) {
+    ) -> bool {
         let mut pending = std::mem::take(&mut self.sched.visibility_pending);
+        let before = pending.len();
         pending.retain(|&li| {
             let Some(lqe) = self.lq[li] else {
                 return false;
@@ -750,21 +938,26 @@ impl Pipeline {
             }
             false
         });
+        let changed = pending.len() < before;
         self.sched.visibility_pending = pending;
+        changed
     }
 
     // ------------------------------------------------------------------
     // Squash machinery
     // ------------------------------------------------------------------
 
+    /// Returns whether a squash or a cleanup ran.
     fn process_squash(
         &mut self,
         scheme: &mut dyn SpeculationScheme,
         mem: &mut MemHierarchy,
         now: Cycle,
-    ) {
+    ) -> bool {
+        let mut acted = false;
         // First: squash at the oldest mispredict resolved this tick.
         if let Some(branch_seq) = self.sched.mispredict.take() {
+            acted = true;
             let pos = self.rob_index(branch_seq).expect("resolved this tick");
             let redirect = self.rob[pos].actual_target;
             self.rob[pos].mispredict_pending = false;
@@ -819,6 +1012,7 @@ impl Pipeline {
         if let SquashPhase::WaitInflight { mispredict_at, .. } = self.squash {
             let must_wait = scheme.waits_for_older_inflight() && self.any_inflight_load();
             if !must_wait {
+                acted = true;
                 let (loads, episode, seq) =
                     match std::mem::replace(&mut self.squash, SquashPhase::Running) {
                         SquashPhase::WaitInflight {
@@ -872,6 +1066,7 @@ impl Pipeline {
                 }
             }
         }
+        acted
     }
 
     /// Emits one [`SimEvent::SquashedLoad`] per squashed load with a known
@@ -1013,25 +1208,30 @@ impl Pipeline {
     // Commit
     // ------------------------------------------------------------------
 
+    /// Retires up to `commit_width` done entries from the ROB head.
+    /// Returns whether commit got past the head's `commit_ready_at` gate
+    /// (the only way it changes any state).
     fn commit(
         &mut self,
         scheme: &mut dyn SpeculationScheme,
         mem: &mut MemHierarchy,
         dmem: &mut DataMem,
         now: Cycle,
-    ) {
+    ) -> bool {
+        let mut passed = false;
         for _ in 0..self.cfg.commit_width {
             let Some(head) = self.rob.front() else {
-                return;
+                return passed;
             };
             if head.status != Status::Done {
-                return;
+                return passed;
             }
             if let Some(at) = head.commit_ready_at {
                 if now < at {
-                    return;
+                    return passed;
                 }
             }
+            passed = true;
             let mut entry = self.rob.front().expect("checked").clone();
             // Capture the load's line for the commit event before the LQ
             // slot is freed below.
@@ -1059,10 +1259,10 @@ impl Pipeline {
                     // transiently in that window (the Meltdown race).
                     self.rob.front_mut().expect("head").commit_ready_at =
                         Some(now + self.cfg.fault_check_latency);
-                    return;
+                    return true;
                 }
                 self.raise_fault(now);
-                return;
+                return true;
             }
             // Scheme hook + memory side effects.
             match entry.inst {
@@ -1090,7 +1290,7 @@ impl Pipeline {
                             if now < at {
                                 self.rob.front_mut().expect("head").commit_ready_at = Some(at);
                                 self.stats.commit_stall_cycles += at - now;
-                                return;
+                                return true;
                             }
                         }
                         if let Some(line) = line {
@@ -1123,7 +1323,7 @@ impl Pipeline {
                                         true;
                                     if now < c {
                                         self.stats.commit_stall_cycles += c - now;
-                                        return;
+                                        return true;
                                     }
                                 }
                                 CommitAction::HoldLqUntil(c) => {
@@ -1193,9 +1393,10 @@ impl Pipeline {
             self.rob.pop_front();
             self.stats.committed_insts += 1;
             if self.halted {
-                return;
+                return true;
             }
         }
+        passed
     }
 
     /// Raises the deferred fault of the ROB head: squashes the head and
@@ -1271,16 +1472,18 @@ impl Pipeline {
     /// once, and the squash-source and address-less-store lists are updated
     /// before the next (younger) entry is considered, so same-cycle
     /// decisions see exactly the state a full in-order ROB walk would.
+    /// Returns whether an issue slot was charged or an entry was parked.
     fn issue(
         &mut self,
         scheme: &mut dyn SpeculationScheme,
         mem: &mut MemHierarchy,
         dmem: &mut DataMem,
         now: Cycle,
-    ) {
+    ) -> bool {
         let Some(head) = self.rob.front().map(|e| e.seq) else {
-            return;
+            return false;
         };
+        let mut parked = false;
         let mut waiting = std::mem::take(&mut self.sched.waiting);
         let mut budget = self.cfg.issue_width;
         let mut k = 0;
@@ -1297,6 +1500,7 @@ impl Pipeline {
                     self.rob[i].parked_on = Some(p);
                     self.sched.wakeup_slot(p).push(seq);
                     waiting.0.remove(k);
+                    parked = true;
                 } else {
                     k += 1;
                 }
@@ -1315,6 +1519,7 @@ impl Pipeline {
             }
         }
         self.sched.waiting = waiting;
+        parked || budget < self.cfg.issue_width
     }
 
     /// Tries to issue the waiting ROB entry `i`, charging `budget` for
@@ -1595,14 +1800,17 @@ impl Pipeline {
     // Fetch / dispatch
     // ------------------------------------------------------------------
 
-    fn fetch(&mut self, now: Cycle) {
+    /// Fetches and dispatches up to `fetch_width` instructions. Returns
+    /// whether any was dispatched.
+    fn fetch(&mut self, now: Cycle) -> bool {
         if now < self.fetch_stall_until {
             self.stats.fetch_stall_cycles += 1;
-            return;
+            return false;
         }
         if self.fetch_halted || self.halted {
-            return;
+            return false;
         }
+        let first = self.next_seq;
         for _ in 0..self.cfg.fetch_width {
             if self.rob.len() >= self.cfg.rob_entries {
                 break;
@@ -1714,6 +1922,7 @@ impl Pipeline {
                 break;
             }
         }
+        self.next_seq != first
     }
 
     fn capture_srcs(&self, inst: Inst) -> [Option<Src>; 2] {
@@ -1836,6 +2045,46 @@ impl Pipeline {
                     "LQ slot {li} not pending"
                 );
             }
+        }
+    }
+
+    /// Debug-build check of [`Self::quiet_until`], run after every tick:
+    /// re-derives the earliest cycle a quiet core can act by a full ROB
+    /// scan and asserts the worklist bound is not later. After a quiet
+    /// tick the bound must also lie ahead of `now`, or the tick would not
+    /// have been quiet.
+    #[cfg(debug_assertions)]
+    fn check_quiet_bound(&self, now: Cycle) {
+        if self.halted {
+            return;
+        }
+        let ahead = |c: Cycle| if c > now { c } else { Cycle::MAX };
+        let issued = self.rob.iter().filter_map(|e| match e.status {
+            Status::Issued { done_at } => Some(done_at),
+            _ => None,
+        });
+        let gate = self
+            .rob
+            .front()
+            .filter(|e| e.status == Status::Done)
+            .and_then(|e| e.commit_ready_at);
+        let scan = issued
+            .chain(self.lq_held.iter().copied())
+            .chain(gate)
+            .chain([
+                ahead(self.fetch_stall_until),
+                ahead(self.cleanup_stall_until),
+            ])
+            .min()
+            .unwrap_or(Cycle::MAX);
+        let bound = self.quiet_until(now);
+        assert!(
+            bound <= scan,
+            "core {}: quiet bound {bound} later than scanned wake {scan}",
+            self.core.index()
+        );
+        if self.last_tick.is_quiet() {
+            assert!(bound > now, "quiet tick at {now} with wake bound {bound}");
         }
     }
 }

@@ -135,6 +135,13 @@ pub struct SquashResponse {
 /// Implementations live in the `cleanupspec` crate: `NonSecure`,
 /// `CleanupSpec`, `NaiveInvalidate`, `InvisiSpec` (initial and revised),
 /// and `DelayOnMiss`-style baselines.
+///
+/// The policy queries (`issue_policy`, `waits_for_older_inflight`,
+/// `stalls_issue_during_cleanup`, `uses_window_protection`) must return
+/// the same answer for the scheme's whole lifetime: the system runner
+/// charges a run of quiet cycles in one step, assuming a core that could
+/// not act one cycle cannot act the next either
+/// ([`crate::pipeline::Pipeline::quiet_until`]).
 pub trait SpeculationScheme: std::fmt::Debug {
     /// Scheme name for reports.
     fn name(&self) -> &'static str;

@@ -274,19 +274,68 @@ impl System {
 
     /// Advances the whole system by one cycle.
     pub fn tick(&mut self) {
+        self.step();
+    }
+
+    /// [`Self::tick`], returning whether the cycle was quiet: no core
+    /// changed any state. A fill the cycle performed does not matter: the
+    /// cores ticked after it, and the next one is due at
+    /// [`MemHierarchy::next_fill_due`].
+    ///
+    /// Forced inline: `run` steps every cycle, and left out of line (it has
+    /// two callers) the step became a call per cycle.
+    #[inline(always)]
+    fn step(&mut self) -> bool {
         self.now += 1;
+        let mut quiet = true;
         self.mem.advance(self.now);
         for (core, scheme) in self.cores.iter_mut().zip(self.schemes.iter_mut()) {
             core.tick(scheme.as_mut(), &mut self.mem, &mut self.dmem, self.now);
+            quiet &= core.last_tick().is_quiet();
         }
         let committed: u64 = self.cores.iter().map(|c| c.stats().committed_insts).sum();
         if committed != self.last_committed {
             self.last_committed = committed;
             self.last_commit_at = self.now;
         }
+        quiet
+    }
+
+    /// After a quiet cycle, jumps over the quiet cycles that follow: every
+    /// core repeats its quiet tick until the first cycle at which a core
+    /// can act ([`Pipeline::quiet_until`]) or a fill is due, so time
+    /// jumps to the cycle before it. The jump stops short of the cycle
+    /// and watchdog limits, where [`Self::run`] must stop exactly as it
+    /// would stepping one cycle at a time.
+    fn skip_quiet(&mut self, limits: &RunLimits) {
+        let now = self.now;
+        let wake = self
+            .cores
+            .iter()
+            .map(|c| c.quiet_until(now))
+            .fold(self.mem.next_fill_due(), Cycle::min);
+        let mut to = wake.saturating_sub(1).min(limits.max_cycles);
+        if let Some(wd) = limits.watchdog {
+            to = to.min(self.last_commit_at.saturating_add(wd));
+        }
+        if to <= now {
+            return;
+        }
+        for c in &mut self.cores {
+            c.repeat_quiet_tick(to - now);
+        }
+        self.now = to;
+        // Nothing is due before `wake`: this only stamps the cycle, as
+        // the skipped one-cycle advances would have.
+        self.mem.advance(to);
     }
 
     /// Runs until a stop condition is met.
+    ///
+    /// The result is exactly that of calling [`Self::tick`] until a stop
+    /// condition holds, but runs of quiet cycles, in which no core can
+    /// change any state, are charged in one step
+    /// ([`Pipeline::quiet_until`]).
     ///
     /// The forward-progress watchdog reads the persistent
     /// `last_commit_at` marker (updated by every [`Self::tick`] /
@@ -320,7 +369,9 @@ impl System {
                     return StopReason::Livelock(Box::new(dump));
                 }
             }
-            self.tick();
+            if self.step() {
+                self.skip_quiet(&limits);
+            }
         }
     }
 

@@ -6,7 +6,7 @@
 //! reference interpreter: schemes may reorder *execution* freely, but the
 //! committed stream is architecture and must be identical everywhere.
 
-use crate::event::SimEvent;
+use crate::event::{KindSet, SimEvent};
 use crate::observer::EventSink;
 
 /// One committed instruction: its PC and, for loads, the accessed line.
@@ -67,6 +67,11 @@ impl EventSink for CommitLogSink {
             });
         }
     }
+
+    fn interest(&self) -> KindSet {
+        const COMMITS: KindSet = KindSet::of(&["commit"]);
+        COMMITS
+    }
 }
 
 #[cfg(test)]
@@ -110,5 +115,26 @@ mod tests {
         assert_eq!(s.stream(1)[0].line, Some(0x40));
         assert_eq!(s.total(), 3);
         assert!(s.stream(7).is_empty());
+    }
+
+    #[test]
+    fn kinds_outside_interest_leave_the_log_untouched() {
+        let mut s = CommitLogSink::new();
+        let interest = s.interest();
+        let events = crate::event::sample_events();
+        for (cycle, e) in (0..).zip(&events) {
+            if interest.contains(e) {
+                s.record(cycle, e);
+            }
+        }
+        let before = format!("{s:?}");
+        for (cycle, e) in (0..).zip(&events) {
+            if !interest.contains(e) {
+                s.record(cycle, e);
+            }
+        }
+        assert_eq!(format!("{s:?}"), before);
+        assert_eq!(s.total(), 1);
+        assert_eq!(interest, KindSet::of(&["commit"]));
     }
 }

@@ -33,7 +33,7 @@
 //! the squash (the classic insecure-mode leak — drain the simulation
 //! before asking) are still caught.
 
-use crate::event::{CacheLevel, SimEvent};
+use crate::event::{CacheLevel, KindSet, SimEvent};
 use crate::observer::EventSink;
 use std::collections::HashMap;
 
@@ -384,7 +384,36 @@ impl EpisodeBuilder {
     }
 }
 
+/// The kinds [`EpisodeBuilder`]'s `record` matches, in arm order.
+const EPISODE_KINDS: KindSet = KindSet::of(&[
+    "squash",
+    "squashed-load",
+    "cleanup-start",
+    "cleanup-end",
+    "cleanup-inval",
+    "cleanup-restore",
+    "dropped-fill",
+    "epoch-bump",
+    "dummy-miss",
+    "load-issue",
+    "fill",
+    "orphan-fill",
+    "evict",
+    "back-inval",
+    "clflush",
+    "commit",
+    "spec-retire",
+    "downgrade",
+    "mshr-alloc",
+    "mshr-retire",
+    "snapshot-restored",
+]);
+
 impl EventSink for EpisodeBuilder {
+    fn interest(&self) -> KindSet {
+        EPISODE_KINDS
+    }
+
     fn record(&mut self, cycle: u64, event: &SimEvent) {
         match *event {
             SimEvent::Squash {
@@ -1316,5 +1345,47 @@ mod tests {
     fn report_display_mentions_verdict() {
         let b = EpisodeBuilder::new();
         assert!(b.report().to_string().contains("BALANCED"));
+    }
+
+    #[test]
+    fn kinds_outside_interest_leave_the_ledger_untouched() {
+        let mut b = EpisodeBuilder::new();
+        let interest = b.interest();
+        let events = crate::event::sample_events();
+        // Build up state first, so an ignored kind has something to
+        // disturb.
+        for (cycle, e) in (0..).zip(&events) {
+            if interest.contains(e) {
+                b.record(cycle, e);
+            }
+        }
+        let (state, report) = (format!("{b:?}"), b.report());
+        for (cycle, e) in (100..).zip(&events) {
+            if !interest.contains(e) {
+                b.record(cycle, e);
+            }
+        }
+        assert_eq!(format!("{b:?}"), state);
+        assert_eq!(b.report(), report);
+        let ignored: Vec<_> = (0..)
+            .zip(SimEvent::KINDS)
+            .filter(|&(k, _)| !interest.contains_index(k))
+            .map(|(_, name)| name)
+            .collect();
+        assert_eq!(
+            ignored,
+            [
+                "dispatch",
+                "fault",
+                "gets-safe-defer",
+                "livelock",
+                "snapshot-taken",
+                "mshr-drop",
+                "sefe-overflow",
+                "ceaser-remap",
+                "dram-read",
+                "dram-writeback",
+            ]
+        );
     }
 }

@@ -481,6 +481,77 @@ pub enum FieldValue {
     Str(&'static str),
 }
 
+/// A set of event kinds: a bitset over [`SimEvent::KINDS`].
+///
+/// Sinks declare the kinds they read with it ([`EventSink::interest`]), so
+/// the [`Observer`] delivers nothing else.
+///
+/// [`EventSink::interest`]: crate::EventSink::interest
+/// [`Observer`]: crate::Observer
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct KindSet(u32);
+
+impl KindSet {
+    /// Every kind.
+    pub const ALL: KindSet = KindSet(u32::MAX >> (32 - SimEvent::KINDS.len()));
+
+    /// No kind.
+    pub const NONE: KindSet = KindSet(0);
+
+    /// The kinds named in `names`.
+    ///
+    /// # Panics
+    /// Panics on a name missing from [`SimEvent::KINDS`] — at compile time
+    /// when evaluated in a `const`.
+    pub const fn of(names: &[&str]) -> KindSet {
+        let mut bits = 0;
+        let mut n = 0;
+        while n < names.len() {
+            let mut k = 0;
+            while !str_eq(SimEvent::KINDS[k], names[n]) {
+                k += 1;
+                assert!(k < SimEvent::KINDS.len(), "unknown event kind");
+            }
+            bits |= 1 << k;
+            n += 1;
+        }
+        KindSet(bits)
+    }
+
+    /// Every kind in `self` or `other`.
+    pub const fn union(self, other: KindSet) -> KindSet {
+        KindSet(self.0 | other.0)
+    }
+
+    /// Whether `event`'s kind is in the set.
+    #[inline]
+    pub fn contains(self, event: &SimEvent) -> bool {
+        self.contains_index(event.kind_index())
+    }
+
+    /// Whether the kind at `index` in [`SimEvent::KINDS`] is in the set.
+    #[inline]
+    pub fn contains_index(self, index: usize) -> bool {
+        self.0 >> index & 1 == 1
+    }
+}
+
+/// `a == b` in a `const fn`.
+const fn str_eq(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
 impl SimEvent {
     /// Every kind name [`Self::kind`] can return, in declaration order.
     /// CLI filters (`cs-trace --filter`) validate against this list so a
@@ -521,38 +592,44 @@ impl SimEvent {
 
     /// Stable kebab-case event name.
     pub fn kind(&self) -> &'static str {
+        Self::KINDS[self.kind_index()]
+    }
+
+    /// Position of [`Self::kind`] in [`Self::KINDS`] (the bit of the kind
+    /// in a [`KindSet`]).
+    pub fn kind_index(&self) -> usize {
         match self {
-            SimEvent::Dispatch { .. } => "dispatch",
-            SimEvent::LoadIssue { .. } => "load-issue",
-            SimEvent::Commit { .. } => "commit",
-            SimEvent::Squash { .. } => "squash",
-            SimEvent::SquashedLoad { .. } => "squashed-load",
-            SimEvent::Fault { .. } => "fault",
-            SimEvent::CleanupStart { .. } => "cleanup-start",
-            SimEvent::CleanupEnd { .. } => "cleanup-end",
-            SimEvent::Fill { .. } => "fill",
-            SimEvent::Evict { .. } => "evict",
-            SimEvent::BackInval { .. } => "back-inval",
-            SimEvent::Clflush { .. } => "clflush",
-            SimEvent::DummyMiss { .. } => "dummy-miss",
-            SimEvent::GetsSafeDefer { .. } => "gets-safe-defer",
-            SimEvent::Downgrade { .. } => "downgrade",
-            SimEvent::Livelock { .. } => "livelock",
-            SimEvent::SnapshotTaken { .. } => "snapshot-taken",
-            SimEvent::SnapshotRestored { .. } => "snapshot-restored",
-            SimEvent::MshrAlloc { .. } => "mshr-alloc",
-            SimEvent::MshrRetire { .. } => "mshr-retire",
-            SimEvent::MshrDrop { .. } => "mshr-drop",
-            SimEvent::SefeOverflow { .. } => "sefe-overflow",
-            SimEvent::DroppedFill { .. } => "dropped-fill",
-            SimEvent::OrphanFill { .. } => "orphan-fill",
-            SimEvent::CleanupInval { .. } => "cleanup-inval",
-            SimEvent::CleanupRestore { .. } => "cleanup-restore",
-            SimEvent::EpochBump { .. } => "epoch-bump",
-            SimEvent::SpecRetire { .. } => "spec-retire",
-            SimEvent::CeaserRemap { .. } => "ceaser-remap",
-            SimEvent::DramRead { .. } => "dram-read",
-            SimEvent::DramWriteback { .. } => "dram-writeback",
+            SimEvent::Dispatch { .. } => 0,
+            SimEvent::LoadIssue { .. } => 1,
+            SimEvent::Commit { .. } => 2,
+            SimEvent::Squash { .. } => 3,
+            SimEvent::SquashedLoad { .. } => 4,
+            SimEvent::Fault { .. } => 5,
+            SimEvent::CleanupStart { .. } => 6,
+            SimEvent::CleanupEnd { .. } => 7,
+            SimEvent::Fill { .. } => 8,
+            SimEvent::Evict { .. } => 9,
+            SimEvent::BackInval { .. } => 10,
+            SimEvent::Clflush { .. } => 11,
+            SimEvent::DummyMiss { .. } => 12,
+            SimEvent::GetsSafeDefer { .. } => 13,
+            SimEvent::Downgrade { .. } => 14,
+            SimEvent::Livelock { .. } => 15,
+            SimEvent::SnapshotTaken { .. } => 16,
+            SimEvent::SnapshotRestored { .. } => 17,
+            SimEvent::MshrAlloc { .. } => 18,
+            SimEvent::MshrRetire { .. } => 19,
+            SimEvent::MshrDrop { .. } => 20,
+            SimEvent::SefeOverflow { .. } => 21,
+            SimEvent::DroppedFill { .. } => 22,
+            SimEvent::OrphanFill { .. } => 23,
+            SimEvent::CleanupInval { .. } => 24,
+            SimEvent::CleanupRestore { .. } => 25,
+            SimEvent::EpochBump { .. } => 26,
+            SimEvent::SpecRetire { .. } => 27,
+            SimEvent::CeaserRemap { .. } => 28,
+            SimEvent::DramRead { .. } => 29,
+            SimEvent::DramWriteback { .. } => 30,
         }
     }
 

@@ -1,7 +1,7 @@
 //! The shared [`Observer`] handle instrumented code emits through, and the
 //! [`EventSink`] trait sinks implement.
 
-use crate::event::SimEvent;
+use crate::event::{KindSet, SimEvent};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -14,20 +14,34 @@ pub trait EventSink: Send {
     /// Consumes one event. `cycle` is the simulation cycle it occurred at.
     fn record(&mut self, cycle: u64, event: &SimEvent);
 
+    /// The event kinds `record` reads; the [`Observer`] delivers no other
+    /// kind. It must be constant for the sink's lifetime (the observer
+    /// reads it once), and leaving a kind out must mean `record` ignores
+    /// that kind. Defaults to every kind.
+    fn interest(&self) -> KindSet {
+        KindSet::ALL
+    }
+
     /// Flushes buffered output. Called once when the run finishes.
     fn finish(&mut self) {}
 }
 
-/// The shared fan-out list behind an enabled [`Observer`].
-type SinkList = Arc<Mutex<Vec<Box<dyn EventSink>>>>;
+/// The shared fan-out list behind an enabled [`Observer`]: every sink
+/// with its interest, and their union.
+struct Fanout {
+    interest: KindSet,
+    sinks: Mutex<Vec<(KindSet, Box<dyn EventSink>)>>,
+}
 
 /// A cloneable handle that fans events out to attached sinks.
 ///
 /// The disabled handle (no sinks, the default) costs one branch per
-/// emission site.
+/// emission site. An event whose kind no sink is interested in
+/// ([`EventSink::interest`]) costs one more, and each sink receives only
+/// the kinds it declared.
 #[derive(Clone, Default)]
 pub struct Observer {
-    sinks: Option<SinkList>,
+    sinks: Option<Arc<Fanout>>,
 }
 
 impl Observer {
@@ -39,11 +53,17 @@ impl Observer {
     /// A handle fanning out to `sinks` (disabled if the list is empty).
     pub fn new(sinks: Vec<Box<dyn EventSink>>) -> Self {
         if sinks.is_empty() {
-            Observer::disabled()
-        } else {
-            Observer {
-                sinks: Some(Arc::new(Mutex::new(sinks))),
-            }
+            return Observer::disabled();
+        }
+        let sinks: Vec<_> = sinks.into_iter().map(|s| (s.interest(), s)).collect();
+        let interest = sinks
+            .iter()
+            .fold(KindSet::NONE, |all, (kinds, _)| all.union(*kinds));
+        Observer {
+            sinks: Some(Arc::new(Fanout {
+                interest,
+                sinks: Mutex::new(sinks),
+            })),
         }
     }
 
@@ -59,13 +79,20 @@ impl Observer {
         self.sinks.is_some()
     }
 
-    /// Records `event` at `cycle` in every sink. No-op when disabled.
+    /// Records `event` at `cycle` in every sink interested in its kind.
+    /// No-op when disabled or when no sink is interested.
     #[inline]
     pub fn emit(&self, cycle: u64, event: SimEvent) {
-        if let Some(sinks) = &self.sinks {
-            let mut sinks = sinks.lock().expect("observer sink poisoned");
-            for s in sinks.iter_mut() {
-                s.record(cycle, &event);
+        if let Some(fanout) = &self.sinks {
+            let kind = event.kind_index();
+            if !fanout.interest.contains_index(kind) {
+                return;
+            }
+            let mut sinks = fanout.sinks.lock().expect("observer sink poisoned");
+            for (interest, s) in sinks.iter_mut() {
+                if interest.contains_index(kind) {
+                    s.record(cycle, &event);
+                }
             }
         }
     }
@@ -81,9 +108,9 @@ impl Observer {
 
     /// Calls [`EventSink::finish`] on every sink.
     pub fn finish(&self) {
-        if let Some(sinks) = &self.sinks {
-            let mut sinks = sinks.lock().expect("observer sink poisoned");
-            for s in sinks.iter_mut() {
+        if let Some(fanout) = &self.sinks {
+            let mut sinks = fanout.sinks.lock().expect("observer sink poisoned");
+            for (_, s) in sinks.iter_mut() {
                 s.finish();
             }
         }
@@ -93,8 +120,8 @@ impl Observer {
 impl fmt::Debug for Observer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.sinks {
-            Some(s) => {
-                let n = s.lock().map(|v| v.len()).unwrap_or(0);
+            Some(fanout) => {
+                let n = fanout.sinks.lock().map(|v| v.len()).unwrap_or(0);
                 write!(f, "Observer({n} sinks)")
             }
             None => write!(f, "Observer(disabled)"),
@@ -146,6 +173,10 @@ impl<S: EventSink> EventSink for Shared<S> {
 
     fn finish(&mut self) {
         self.0.lock().expect("shared sink poisoned").finish();
+    }
+
+    fn interest(&self) -> KindSet {
+        self.0.lock().expect("shared sink poisoned").interest()
     }
 }
 
@@ -220,5 +251,77 @@ mod tests {
         obs.emit(0, SimEvent::DramWriteback { line: 0 });
         obs2.emit(1, SimEvent::DramWriteback { line: 1 });
         assert_eq!(a.with(|s| s.seen), 2);
+    }
+
+    /// Records every event it receives, in order.
+    struct Log {
+        interest: KindSet,
+        seen: Vec<(u64, SimEvent)>,
+    }
+    impl EventSink for Log {
+        fn record(&mut self, cycle: u64, event: &SimEvent) {
+            self.seen.push((cycle, *event));
+        }
+        fn interest(&self) -> KindSet {
+            self.interest
+        }
+    }
+
+    fn log(interest: KindSet) -> Shared<Log> {
+        Shared::new(Log {
+            interest,
+            seen: Vec::new(),
+        })
+    }
+
+    #[test]
+    fn each_sink_receives_exactly_its_kinds_in_order() {
+        let commits = log(KindSet::of(&["commit"]));
+        let all = log(KindSet::ALL);
+        let obs = Observer::new(vec![Box::new(commits.clone()), Box::new(all.clone())]);
+        let events: Vec<(u64, SimEvent)> = (0..).zip(crate::event::sample_events()).collect();
+        for &(cycle, e) in &events {
+            obs.emit(cycle, e);
+        }
+        assert_eq!(all.with(|l| l.seen.clone()), events);
+        let seen = commits.with(|l| l.seen.clone());
+        assert_eq!(seen.len(), 1);
+        assert_eq!(seen[0].1.kind(), "commit");
+    }
+
+    #[test]
+    fn kinds_no_sink_reads_are_not_delivered() {
+        let fills = log(KindSet::of(&["fill", "evict"]));
+        let commits = log(KindSet::of(&["commit"]));
+        let obs = Observer::new(vec![Box::new(fills.clone()), Box::new(commits.clone())]);
+        for (cycle, e) in (0..).zip(crate::event::sample_events()) {
+            obs.emit(cycle, e);
+        }
+        let kinds =
+            |l: &Shared<Log>| l.with(|l| l.seen.iter().map(|(_, e)| e.kind()).collect::<Vec<_>>());
+        assert_eq!(kinds(&fills), ["fill", "evict"]);
+        assert_eq!(kinds(&commits), ["commit"]);
+    }
+
+    #[test]
+    fn kind_sets_hold_their_kinds() {
+        let all = |set: KindSet| (0..SimEvent::KINDS.len()).all(|k| set.contains_index(k));
+        assert!(all(KindSet::ALL));
+        assert!(!(0..SimEvent::KINDS.len()).any(|k| KindSet::NONE.contains_index(k)));
+        let set = KindSet::of(&["evict", "dispatch"]);
+        assert!(!all(set));
+        assert_eq!(set.union(KindSet::ALL), KindSet::ALL);
+        assert!(set.contains(&SimEvent::Dispatch {
+            core: 0,
+            seq: 0,
+            pc: 0
+        }));
+        assert!(!set.contains(&SimEvent::DramWriteback { line: 0 }));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown event kind")]
+    fn kind_sets_refuse_unknown_names() {
+        let _ = KindSet::of(&["no-such-kind"]);
     }
 }
