@@ -16,10 +16,9 @@ fn main() {
     let cfg = ExperimentConfig::default();
     println!("== Ablations: every mode vs non-secure ==");
     println!("   {} instructions per workload\n", cfg.insts);
-    // One sweep over the full mode x workload matrix: the work-stealing
-    // pool balances all of it instead of |ALL| serial per-mode passes.
+    // One sweep over the full mode x workload matrix: the executor
+    // balances all of it instead of |ALL| serial per-mode passes.
     let sweep = Sweep::new().modes(&SecurityMode::ALL).config(&cfg).run();
-    sweep.warn_if_incomplete();
     let base = &sweep.mode(SecurityMode::NonSecure).expect("baseline").runs;
     let mut rows = Vec::new();
     for mode in SecurityMode::ALL {

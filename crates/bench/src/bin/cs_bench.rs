@@ -15,7 +15,7 @@
 //! deterministic per seed, so IPC is machine-independent, while the host
 //! metrics (wall, KIPS) vary by machine and are never gated.
 //!
-//! The sweep itself runs on the shared `cs-exec` work-stealing pool via
+//! The sweep itself runs on the shared `cs-exec` executor via
 //! [`cleanupspec_bench::suite::run_suite`]; this binary only parses
 //! flags, prints the summary, and writes the artifact.
 
@@ -257,19 +257,17 @@ fn run(args: &Args) -> ExitCode {
             &rows
         )
     );
-    let (events, dropped) = outcome.events;
+    let (_, dropped) = outcome.events;
     println!(
         "host: {:.1}s wall, {:.0} KIPS, {:.0} events/s ({} dropped at ring capacity {}), \
-         {} task(s) stolen across {} worker(s)",
+         {} worker(s)",
         outcome.wall_secs,
         outcome.report.host.gauge("sim_kips"),
         outcome.report.host.gauge("events_per_sec"),
         dropped,
         opts.ring_capacity,
-        outcome.exec.tasks_stolen,
         outcome.exec.threads
     );
-    let _ = events;
 
     let json = outcome.report.to_json();
     // Self-check the artifact before writing: a BENCH file that fails its

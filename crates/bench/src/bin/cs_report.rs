@@ -23,7 +23,7 @@
 use cleanupspec::modes::SecurityMode;
 use cleanupspec::sim::SimBuilder;
 use cleanupspec_bench::cli::{CommonCli, DEFAULT_SEED};
-use cleanupspec_bench::exec::{run_indexed, ExecConfig};
+use cleanupspec_bench::exec::run_indexed;
 use cleanupspec_bench::fuzz::fuzz_mem_config;
 use cleanupspec_bench::target::{resolve_programs, TARGET_HELP};
 use cleanupspec_core::system::RunLimits;
@@ -678,8 +678,7 @@ fn main() -> ExitCode {
         } else {
             vec![args.mode]
         };
-        let cfg = ExecConfig::with_threads(args.threads);
-        let outcome = run_indexed(modes.len(), &cfg, |i| {
+        let outcome = run_indexed(modes.len(), args.threads, |i| {
             let mode = modes[i];
             run_workload(
                 mode,

@@ -18,7 +18,6 @@ fn main() {
         .modes(&[SecurityMode::NonSecure, SecurityMode::InvisiSpecInitial])
         .config(&cfg)
         .run();
-    sweep.warn_if_incomplete();
     let mut groups = sweep.modes.into_iter();
     let base = groups.next().expect("baseline mode").into_pairs();
     let invi = groups.next().expect("invisispec mode").into_pairs();

@@ -6,7 +6,7 @@
 
 use cleanupspec::modes::SecurityMode;
 use cleanupspec::sim::SimBuilder;
-use cleanupspec_bench::exec::{run_indexed, ExecConfig};
+use cleanupspec_bench::exec::{default_threads, run_indexed};
 use cleanupspec_bench::fmt::{pct, table};
 use cleanupspec_workloads::sharing::SHARING_WORKLOADS;
 
@@ -17,7 +17,7 @@ fn main() {
         .unwrap_or(120_000);
     let cores = 4;
     println!("== Figure 9: load breakup by line state (4-core, {insts} inst/core) ==\n");
-    let outcome = run_indexed(SHARING_WORKLOADS.len(), &ExecConfig::default(), |i| {
+    let outcome = run_indexed(SHARING_WORKLOADS.len(), default_threads(), |i| {
         let w = &SHARING_WORKLOADS[i];
         let mut b = SimBuilder::new(SecurityMode::NonSecure);
         for p in w.build_all(cores, 0xF199) {

@@ -16,7 +16,6 @@ fn main() {
         .modes(&[SecurityMode::NonSecure, SecurityMode::CleanupSpec])
         .config(&cfg)
         .run();
-    sweep.warn_if_incomplete();
     let mut groups = sweep.modes.into_iter();
     let base = groups.next().expect("baseline mode").into_pairs();
     let cusp = groups.next().expect("cleanupspec mode").into_pairs();

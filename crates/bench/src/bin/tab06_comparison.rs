@@ -22,7 +22,6 @@ fn main() {
     let mut modes = vec![SecurityMode::NonSecure];
     modes.extend(entries.iter().map(|(m, _)| *m));
     let sweep = Sweep::new().modes(&modes).config(&cfg).run();
-    sweep.warn_if_incomplete();
     let base = &sweep.mode(SecurityMode::NonSecure).expect("baseline").runs;
     let mut rows = Vec::new();
     for (mode, paper) in entries {

@@ -267,7 +267,7 @@ mod tests {
         let args = argv(&["--threads"]);
         let mut it = args.iter();
         assert!(cli.accept(it.next().unwrap(), &mut it).is_err());
-        // Zero threads would deadlock the pool: rejected at parse time.
+        // Zero threads names no worker: rejected at parse time.
         let args = argv(&["--threads", "0"]);
         let mut it = args.iter();
         assert!(cli.accept(it.next().unwrap(), &mut it).is_err());

@@ -21,12 +21,13 @@
 //! }
 //! ```
 //!
-//! The whole matrix is flattened into one task list for the
-//! work-stealing pool, so a slow workload in one mode steals no time
-//! from the other modes' fast workloads. Results come back grouped by
-//! mode, workloads in input order, independent of scheduling.
+//! The whole matrix is flattened into one task list for the executor,
+//! so a slow workload in one mode holds up no other mode's fast
+//! workloads. Results come back grouped by mode, workloads in input
+//! order, independent of scheduling. A run that panics is dropped from
+//! its group and named in a stderr warning.
 
-use super::pool::{run_indexed, ExecConfig, ExecStats, PanicPolicy};
+use super::pool::{run_indexed, ExecStats};
 use crate::runner::{
     checkpoint_dir_from_env, checkpoint_key, load_checkpoint, store_checkpoint, warmup_insts,
     ExperimentConfig,
@@ -104,18 +105,15 @@ impl ModeSweep {
     }
 }
 
-/// Everything a sweep produced: per-mode survivors, failures, skipped
-/// runs, and scheduling/timing counters.
+/// Everything a sweep produced: per-mode survivors, failures, and
+/// timing counters.
 #[derive(Clone, Debug)]
 pub struct SweepResult {
     /// One group per requested mode, in request order.
     pub modes: Vec<ModeSweep>,
-    /// Runs that panicked (isolated; the rest of the sweep completed
-    /// or was cancelled according to the panic policy).
+    /// Runs that panicked (isolated; the rest of the sweep completed).
     pub failures: Vec<SweepFailure>,
-    /// Runs skipped by fail-fast cancellation, as `(mode, workload)`.
-    pub skipped: Vec<(SecurityMode, String)>,
-    /// Work-stealing pool counters for the whole sweep.
+    /// Executor counters for the whole sweep.
     pub stats: ExecStats,
     /// End-to-end wall-clock of the sweep.
     pub wall_secs: f64,
@@ -126,7 +124,7 @@ pub struct SweepResult {
 impl SweepResult {
     /// Whether every requested run produced a report.
     pub fn is_complete(&self) -> bool {
-        self.failures.is_empty() && self.skipped.is_empty()
+        self.failures.is_empty()
     }
 
     /// The group for `mode`, if it was part of the sweep.
@@ -148,34 +146,30 @@ impl SweepResult {
             .unwrap_or_default()
     }
 
-    /// Prints the historical stderr warning for dropped workloads.
-    pub fn warn_if_incomplete(&self) {
-        if !self.failures.is_empty() {
-            let names: Vec<String> = self
-                .failures
-                .iter()
-                .map(|f| format!("{} ({})", f.workload, f.mode.name()))
-                .collect();
-            eprintln!(
-                "warning: {} run(s) panicked and were dropped from the sweep: {}",
-                self.failures.len(),
-                names.join(", ")
-            );
+    /// The stderr warning [`Sweep::run`] prints for panicked runs, or
+    /// `None` when every run produced a report.
+    fn incomplete_warning(&self) -> Option<String> {
+        if self.failures.is_empty() {
+            return None;
         }
-        if !self.skipped.is_empty() {
-            eprintln!(
-                "warning: {} run(s) skipped by fail-fast cancellation",
-                self.skipped.len()
-            );
-        }
+        let names: Vec<String> = self
+            .failures
+            .iter()
+            .map(|f| format!("{} ({})", f.workload, f.mode.name()))
+            .collect();
+        Some(format!(
+            "warning: {} run(s) panicked and were dropped from the sweep: {}",
+            self.failures.len(),
+            names.join(", ")
+        ))
     }
 }
 
-/// Builder for a mode×workload campaign on the work-stealing executor.
+/// Builder for a mode×workload campaign on the shared executor.
 /// Defaults: all 19 Table-3 workloads, `NonSecure` only, sizing from
 /// [`ExperimentConfig::default`] (`CLEANUPSPEC_INSTS`, seed
 /// `0xC1EA_2019`, [`super::default_threads`]), checkpoints from
-/// `CLEANUPSPEC_CHECKPOINT_DIR`, keep-going panic policy.
+/// `CLEANUPSPEC_CHECKPOINT_DIR`.
 #[derive(Clone, Debug)]
 pub struct Sweep {
     modes: Vec<SecurityMode>,
@@ -184,7 +178,6 @@ pub struct Sweep {
     seed: u64,
     threads: usize,
     checkpoints: CheckpointPolicy,
-    on_panic: PanicPolicy,
 }
 
 impl Default for Sweep {
@@ -204,7 +197,6 @@ impl Sweep {
             seed: cfg.seed,
             threads: cfg.threads,
             checkpoints: CheckpointPolicy::FromEnv,
-            on_panic: PanicPolicy::KeepGoing,
         }
     }
 
@@ -237,7 +229,7 @@ impl Sweep {
         self
     }
 
-    /// Worker threads for the pool.
+    /// Worker threads for the executor.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -262,15 +254,11 @@ impl Sweep {
         self
     }
 
-    /// Panic policy for the pool ([`PanicPolicy::KeepGoing`] default).
-    pub fn on_panic(mut self, policy: PanicPolicy) -> Self {
-        self.on_panic = policy;
-        self
-    }
-
     /// Runs the campaign. The matrix is flattened into one task list
-    /// (task `i` = mode `i / W`, workload `i % W`) so the pool balances
-    /// across the whole sweep, then regrouped per mode in input order.
+    /// (task `i` = mode `i / W`, workload `i % W`) so the executor
+    /// balances across the whole sweep, then regrouped per mode in input
+    /// order. Panicked runs are dropped from their group, listed in
+    /// [`SweepResult::failures`] and named in a stderr warning.
     pub fn run(self) -> SweepResult {
         let t0 = Instant::now();
         let (nm, nw) = (self.modes.len(), self.workloads.len());
@@ -284,13 +272,8 @@ impl Sweep {
             CheckpointPolicy::Disabled => None,
             CheckpointPolicy::Dir(d) => Some(d),
         };
-        let exec_cfg = ExecConfig {
-            threads: self.threads,
-            on_panic: self.on_panic,
-            ..ExecConfig::default()
-        };
         let (modes, workloads) = (&self.modes, &self.workloads);
-        let outcome = run_indexed(nm * nw, &exec_cfg, |i| {
+        let outcome = run_indexed(nm * nw, self.threads, |i| {
             let (mode, w) = (modes[i / nw], &workloads[i % nw]);
             let start = Instant::now();
             let (report, from_checkpoint) =
@@ -326,19 +309,17 @@ impl Sweep {
                 message: f.message,
             })
             .collect();
-        let skipped = outcome
-            .cancelled
-            .into_iter()
-            .map(|i| (self.modes[i / nw], self.workloads[i % nw].name.to_string()))
-            .collect();
-        SweepResult {
+        let result = SweepResult {
             modes: mode_groups,
             failures,
-            skipped,
             stats: outcome.stats,
             wall_secs: t0.elapsed().as_secs_f64(),
             cache_hits,
+        };
+        if let Some(warning) = result.incomplete_warning() {
+            eprintln!("{warning}");
         }
+        result
     }
 }
 
@@ -467,6 +448,28 @@ mod tests {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicked_run_is_named_in_the_warning() {
+        let mut result = SweepResult {
+            modes: Vec::new(),
+            failures: Vec::new(),
+            stats: ExecStats::default(),
+            wall_secs: 0.0,
+            cache_hits: 0,
+        };
+        assert_eq!(result.incomplete_warning(), None);
+        result.failures.push(SweepFailure {
+            mode: SecurityMode::CleanupSpec,
+            workload: "gcc".to_string(),
+            message: "boom".to_string(),
+        });
+        assert!(!result.is_complete());
+        assert_eq!(
+            result.incomplete_warning().as_deref(),
+            Some("warning: 1 run(s) panicked and were dropped from the sweep: gcc (cleanupspec)")
+        );
     }
 
     #[test]

@@ -832,7 +832,8 @@ impl CampaignResult {
 }
 
 /// Fuzzes `count` seeds starting at `start`, across `threads` workers
-/// of the shared work-stealing pool ([`crate::exec::run_indexed`]).
+/// of the shared executor ([`crate::exec::run_indexed`]): seed
+/// `start + i` is task `i`, and its verdict lands in slot `i`.
 /// Deterministic: each seed's verdict is independent of threading, and
 /// verdicts aggregate in seed order whatever the schedule was.
 pub fn run_campaign(start: u64, count: u64, threads: usize) -> CampaignResult {
@@ -862,14 +863,10 @@ pub fn run_campaign_resumable(
     threads: usize,
     journal: Option<&crate::journal::Journal>,
 ) -> CampaignResult {
-    let cfg = crate::exec::ExecConfig {
-        threads,
-        ..crate::exec::ExecConfig::default()
-    };
     // `run_seed_isolated` already converts engine panics into
     // `"panic"`-oracle violations, so the pool's own isolation is a
     // second line of defense that normally never fires.
-    let outcome = crate::exec::run_indexed(count as usize, &cfg, |i| {
+    let outcome = crate::exec::run_indexed(count as usize, threads, |i| {
         let seed = start + i as u64;
         let task_id = format!("seed-{seed:#x}");
         if let Some(payload) = journal.and_then(|j| j.completed(&task_id)) {

@@ -31,8 +31,8 @@ pub use chaos::{
     FaultProbe, MatrixRow,
 };
 pub use exec::{
-    default_threads, run_indexed, run_static_chunked, ExecConfig, ExecOutcome, ExecStats,
-    ModeSweep, PanicPolicy, Sweep, SweepFailure, SweepResult, SweepRun, TaskFailure,
+    default_threads, run_indexed, ExecOutcome, ExecStats, ModeSweep, Sweep, SweepFailure,
+    SweepResult, SweepRun, TaskFailure,
 };
 pub use fuzz::{run_campaign, run_seed, shrink, CampaignResult, SeedVerdict, Violation};
 pub use journal::{

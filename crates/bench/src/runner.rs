@@ -37,16 +37,6 @@ impl Default for ExperimentConfig {
     }
 }
 
-impl ExperimentConfig {
-    /// A reduced configuration for Criterion benches and smoke tests.
-    pub fn quick() -> Self {
-        ExperimentConfig {
-            insts: 40_000,
-            ..ExperimentConfig::default()
-        }
-    }
-}
-
 /// Warmup sizing shared by every harness: a quarter of the measured
 /// region, floored at 10k so tiny runs still warm the predictor, capped
 /// at 100k so huge runs don't over-warm — but never MORE than a quarter
@@ -148,7 +138,7 @@ mod tests {
         // 10k insts even for a 4k-inst run, so small sweeps measured from
         // a cache state the headline sweep never reaches.
         assert_eq!(warmup_insts(4_000), 1_000);
-        assert_eq!(warmup_insts(ExperimentConfig::quick().insts), 10_000);
+        assert_eq!(warmup_insts(40_000), 10_000);
         assert_eq!(warmup_insts(ExperimentConfig::default().insts), 75_000);
         assert_eq!(warmup_insts(1_000_000), 100_000);
         for insts in [0, 1, 4_000, 39_999, 40_000, 400_000, 4_000_000] {

@@ -1,5 +1,5 @@
 //! The cs-bench suite as a library: run a workload×mode matrix on the
-//! `cs-exec` work-stealing pool and assemble the schema-versioned
+//! shared `cs-exec` executor and assemble the schema-versioned
 //! [`BenchReport`].
 //!
 //! Every matrix cell runs through the same single-run core as a
@@ -13,7 +13,7 @@
 //! thin CLI over [`run_suite`].
 
 use crate::bench_report::{BenchReport, ModeSection};
-use crate::exec::{run_indexed, run_spec_once, ExecConfig, ExecStats};
+use crate::exec::{run_indexed, run_spec_once, ExecStats};
 use crate::journal::{Journal, JournalHeader};
 use crate::runner::{warmup_insts, ExperimentConfig};
 use crate::store::{shared_dir_store, ArtifactStore};
@@ -124,7 +124,7 @@ pub struct SuiteOutcome {
     pub cache_hits: u64,
     /// Runs replayed from the campaign journal (resume).
     pub resumed: u64,
-    /// Work-stealing pool counters.
+    /// Executor counters.
     pub exec: ExecStats,
     /// Total events recorded / dropped across every ring.
     pub events: (u64, u64),
@@ -134,9 +134,9 @@ pub struct SuiteOutcome {
 
 /// Runs the whole matrix and assembles the [`BenchReport`].
 ///
-/// Modes×workloads are flattened into **one** task list on the
-/// work-stealing pool (task `i` = mode `i / W`, workload `i % W`), so a
-/// slow workload in one mode borrows idle workers from every other mode.
+/// Modes×workloads are flattened into **one** task list on the shared
+/// executor (task `i` = mode `i / W`, workload `i % W`), so a slow
+/// workload in one mode holds up no worker that another mode could use.
 /// Rows are regrouped to `[mode][workload]` in input order, so the
 /// emitted document is identical at any thread count.
 pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
@@ -165,12 +165,8 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
 
     let mut host = MetricsRegistry::new();
     let suite_start = Instant::now();
-    let exec_cfg = ExecConfig {
-        threads: cfg.threads,
-        ..ExecConfig::default()
-    };
 
-    // One task per matrix cell: stealing balances across the whole
+    // One task per matrix cell: the executor balances across the whole
     // modes×workloads matrix, not within one mode at a time. With a
     // journal, completed cells replay from it (skipping simulation
     // entirely) and fresh completions are recorded as they land, so a
@@ -178,7 +174,7 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
     // checkpoint) did no simulation, so it reports zero wall time.
     let nw = workloads.len();
     let journal = journal.as_ref();
-    let outcome = run_indexed(modes.len() * nw, &exec_cfg, |i| {
+    let outcome = run_indexed(modes.len() * nw, cfg.threads, |i| {
         let (mode, w) = (modes[i / nw], &workloads[i % nw]);
         let task_id = format!("{}/{}", mode.name(), w.name);
         if let Some(payload) = journal.and_then(|j| j.completed(&task_id)) {

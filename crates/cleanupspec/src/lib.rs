@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod json;
 pub mod modes;
 pub mod schemes;
 pub mod sefe;

@@ -12,10 +12,10 @@
 //!
 //! Design rules:
 //!
-//! - **Full fidelity.** Unlike the display-oriented `report_to_json`, this
-//!   serialization is lossless: every counter, all 65 histogram buckets,
-//!   the `u128` sample sums (as decimal strings), the CPI stack, and the
-//!   per-scheme counters round-trip exactly.
+//! - **Full fidelity.** The serialization is lossless: every counter,
+//!   all 65 histogram buckets, the `u128` sample sums (as decimal
+//!   strings), the CPI stack, and the per-scheme counters round-trip
+//!   exactly.
 //! - **Self-validating.** The file stores an FNV-1a digest of the
 //!   canonical report JSON. On load the parsed report is re-serialized
 //!   and re-digested; any mismatch (corruption, format drift, f64

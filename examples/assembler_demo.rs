@@ -6,7 +6,6 @@
 //! cargo run --release --example assembler_demo
 //! ```
 
-use cleanupspec::json::report_to_json;
 use cleanupspec::prelude::*;
 use cleanupspec_obs::{RingSink, Shared};
 use cleanupspec_suite::asm::{assemble, disassemble};
@@ -59,5 +58,5 @@ fn main() {
     );
 
     println!("\n== JSON report ==");
-    println!("{}", report_to_json(&sim.report()));
+    println!("{}", cleanupspec::snap::report_json(&sim.report()));
 }
