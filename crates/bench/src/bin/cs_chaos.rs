@@ -6,6 +6,7 @@
 //! cs-chaos --host-matrix                    # host-I/O fault recovery matrix
 //! cs-chaos --list-faults                    # print the fault taxonomy
 //! cs-chaos --fault drop-sefe-entry --seeds 32 --artifacts out/  # one-fault campaign
+//! cs-chaos --fault skip-victim-restore --seeds 256 # oracles must catch a missing restore
 //! cs-chaos --seeds 64 --panic-at 7 --artifacts out/  # crash-isolation self-test
 //! cs-chaos --replay 0x2a --fault double-undo # probe one seed verbosely
 //! ```
@@ -16,16 +17,22 @@
 //! same discipline on the harness itself: every host-I/O fault class
 //! (ENOSPC, torn write, bit rot, read EIO, rename/fsync failure, crash
 //! after write) is injected under the hardened artifact store and must be
-//! retried, quarantined, degraded, or recovered on restart. Exit status:
-//! 0 when the mode's expectation holds (matrix: all faults detected;
-//! host matrix: all fault classes handled; fault campaign: at least one
-//! seed flagged; clean campaign: no violations and — with `--panic-at` —
-//! the planted panic isolated), 1 otherwise, 2 usage.
+//! retried, quarantined, degraded, or recovered on restart. Seed
+//! campaigns run on the seed-campaign driver shared with `cs-smith`
+//! ([`run_campaign`]), one executor task per seed on the default worker
+//! count (`CLEANUPSPEC_THREADS`). Exit status: 0 when the mode's
+//! expectation holds (matrix: all faults detected; host matrix: all
+//! fault classes handled; fault campaign: at least one seed flagged;
+//! clean campaign: no violations and — with `--panic-at` — the planted
+//! panic isolated), 1 otherwise (or a resume directory that belongs to
+//! another campaign), 2 usage (including a seed range that overflows).
 
 use cleanupspec_bench::chaos::{
-    detection_matrix, probe_fault, render_matrix, run_chaos_campaign, ChaosOpts,
+    detection_matrix, probe_fault, render_matrix, run_campaign, CampaignOpts,
 };
-use cleanupspec_bench::cli::{parse_u64, CommonCli};
+use cleanupspec_bench::cli::{check_seed_range, parse_u64, CommonCli};
+use cleanupspec_bench::exec::default_threads;
+use cleanupspec_bench::journal::check_resume;
 use cleanupspec_bench::{host_fault_matrix, render_host_matrix};
 use cleanupspec_mem::fault::FaultKind;
 use std::path::PathBuf;
@@ -35,16 +42,13 @@ struct Args {
     matrix: bool,
     host_matrix: bool,
     list_faults: bool,
-    fault: Option<FaultKind>,
-    seeds: u64,
-    start: u64,
     max_seeds: u64,
     replay: Option<u64>,
-    artifacts: Option<PathBuf>,
-    shrink: bool,
-    panic_at: Option<u64>,
     seed: u64,
-    resume: Option<PathBuf>,
+    /// Seed range, fault, artifacts, shrink, panic-at and resume: the
+    /// campaign the binary runs when no other mode is selected (`--start`
+    /// also starts the matrix scan, `--fault` picks the `--replay` probe).
+    campaign: CampaignOpts,
 }
 
 fn common_cli() -> CommonCli {
@@ -74,16 +78,13 @@ fn parse_args() -> Result<Args, ExitCode> {
         matrix: false,
         host_matrix: false,
         list_faults: false,
-        fault: None,
-        seeds: 32,
-        start: 0,
         max_seeds: 256,
         replay: None,
-        artifacts: None,
-        shrink: false,
-        panic_at: None,
         seed: 0,
-        resume: None,
+        campaign: CampaignOpts {
+            threads: default_threads(),
+            ..CampaignOpts::default()
+        },
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
@@ -100,9 +101,9 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--matrix" => args.matrix = true,
             "--host-matrix" => args.host_matrix = true,
             "--list-faults" => args.list_faults = true,
-            "--shrink" => args.shrink = true,
+            "--shrink" => args.campaign.shrink = true,
             "--fault" => match it.next().and_then(|v| FaultKind::parse(v)) {
-                Some(k) => args.fault = Some(k),
+                Some(k) => args.campaign.fault = Some(k),
                 None => {
                     eprintln!("unknown fault; try --list-faults");
                     return Err(usage());
@@ -117,20 +118,28 @@ fn parse_args() -> Result<Args, ExitCode> {
                 None => return Err(usage()),
             },
             "--panic-at" => match it.next().and_then(|v| parse_u64(v)) {
-                Some(n) => args.panic_at = Some(n),
+                Some(n) => args.campaign.panic_at = Some(n),
                 None => return Err(usage()),
             },
             "--artifacts" => match it.next() {
-                Some(p) => args.artifacts = Some(PathBuf::from(p)),
+                Some(p) => args.campaign.artifact_dir = Some(PathBuf::from(p)),
                 None => return Err(usage()),
             },
             _ => return Err(usage()),
         }
     }
-    args.seeds = common.seeds_or(32);
-    args.start = common.start_or_default();
+    let range = common.seed_range(32).and_then(|(start, count)| {
+        if args.matrix {
+            check_seed_range(start, args.max_seeds)?;
+        }
+        Ok((start, count))
+    });
+    (args.campaign.start, args.campaign.count) = range.map_err(|e| {
+        eprintln!("cs-chaos: {e}");
+        usage()
+    })?;
     args.seed = common.seed_or_default();
-    args.resume = common.resume;
+    args.campaign.resume_dir = common.resume;
     Ok(args)
 }
 
@@ -143,7 +152,7 @@ fn list_faults() -> ExitCode {
 }
 
 fn matrix(args: &Args) -> ExitCode {
-    let rows = detection_matrix(args.start, args.max_seeds);
+    let rows = detection_matrix(args.campaign.start, args.max_seeds);
     print!("{}", render_matrix(&rows));
     if rows.iter().all(|r| r.detected()) {
         println!("every fault class is caught by at least one detector");
@@ -222,20 +231,11 @@ fn host_matrix(seed: u64) -> ExitCode {
     }
 }
 
-fn campaign(args: &Args) -> ExitCode {
-    let opts = ChaosOpts {
-        start: args.start,
-        count: args.seeds,
-        fault: args.fault,
-        artifact_dir: args.artifacts.clone(),
-        shrink: args.shrink,
-        panic_at: args.panic_at,
-        resume_dir: args.resume.clone(),
-    };
+fn campaign(opts: &CampaignOpts) -> ExitCode {
     // Resume preflight: surface a journal/campaign mismatch as a clear
     // error before any seed runs, not as a mid-run warning.
-    if let Some(dir) = &args.resume {
-        match cleanupspec_bench::journal::check_resume(dir, &opts.journal_header()) {
+    if let Some(dir) = &opts.resume_dir {
+        match check_resume(dir, &opts.journal_header()) {
             Ok(done) => eprintln!(
                 "cs-chaos: resuming from {} ({done} completed seed(s) journaled)",
                 dir.display()
@@ -246,7 +246,7 @@ fn campaign(args: &Args) -> ExitCode {
             }
         }
     }
-    let sum = run_chaos_campaign(&opts);
+    let sum = run_campaign(opts);
     // Resume accounting goes to stderr: stdout must stay byte-identical
     // to an uninterrupted campaign.
     if sum.resumed > 0 {
@@ -258,24 +258,24 @@ fn campaign(args: &Args) -> ExitCode {
     println!(
         "cs-chaos: {} seed(s), {} pass, {} fail, {} panic(s){}",
         sum.seeds,
-        sum.passes,
+        sum.passes(),
         sum.failures,
         sum.panics,
-        args.fault
+        opts.fault
             .map(|k| format!(" [fault: {}]", k.name()))
             .unwrap_or_default()
     );
-    for line in &sum.triage {
-        println!("  {line}");
+    for v in sum.triage() {
+        println!("  seed {:#x}: {v}", v.seed);
     }
     for a in &sum.artifacts {
         println!("  artifacts: {}", a.display());
     }
-    if let Some(seed) = args.panic_at {
+    if let Some(seed) = opts.panic_at {
         // Isolation self-test: the planted panic must be *recorded*, and
         // the campaign must have run every seed after it.
-        let isolated = sum.panics >= 1 && sum.seeds == args.seeds;
-        let artifact_ok = args.artifacts.is_none() || !sum.artifacts.is_empty();
+        let isolated = sum.panics >= 1 && sum.seeds == opts.count;
+        let artifact_ok = opts.artifact_dir.is_none() || !sum.artifacts.is_empty();
         if isolated && artifact_ok {
             println!("planted panic at seed {seed:#x} was isolated and recorded");
             return ExitCode::SUCCESS;
@@ -283,7 +283,7 @@ fn campaign(args: &Args) -> ExitCode {
         eprintln!("planted panic at seed {seed:#x} was NOT handled (isolation broken)");
         return ExitCode::FAILURE;
     }
-    match args.fault {
+    match opts.fault {
         // A fault campaign succeeds when the oracles caught the fault
         // somewhere (witness-only faults are a matrix concern).
         Some(_) => {
@@ -296,7 +296,7 @@ fn campaign(args: &Args) -> ExitCode {
         }
         // A clean campaign succeeds when nothing failed or crashed.
         None => {
-            if sum.failures == 0 && sum.panics == 0 {
+            if sum.clean() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
@@ -320,7 +320,7 @@ fn main() -> ExitCode {
         return host_matrix(args.seed);
     }
     if let Some(seed) = args.replay {
-        return replay(seed, args.fault);
+        return replay(seed, args.campaign.fault);
     }
-    campaign(&args)
+    campaign(&args.campaign)
 }

@@ -5,7 +5,7 @@
 //! cs-smith --seeds 200 --start 1000       # fuzz seeds 1000..1200
 //! cs-smith --replay 0x2a                  # re-run one seed, verbose verdict
 //! cs-smith --replay 42 --shrink           # minimize a failing seed to .s files
-//! cs-smith --sabotage --seeds 64 --shrink # prove the oracles catch a planted bug
+//! cs-smith --seeds 500 --resume campaign/ # journaled, resumable campaign
 //! ```
 //!
 //! Each seed generates a random micro-ISA program (biased toward
@@ -14,32 +14,26 @@
 //! NonSecure / CleanupSpec / InvisiSpec (both) / NaiveInvalidate, and
 //! checks the architectural-equivalence, cache-restoration, and
 //! episode-ledger oracles against the in-order reference interpreter.
-//! `--sabotage` swaps CleanupSpec for a deliberately broken undo
-//! (`SkipRestore`) — the run *must* find violations, or the oracles are
-//! toothless. Exit status: 0 clean (or sabotage caught), 1 violations
-//! (or sabotage missed), 2 usage.
+//! The campaign runs on the seed-campaign driver it shares with
+//! `cs-chaos` ([`run_campaign`]); the proof that the oracles have teeth
+//! is `cs-chaos --fault skip-victim-restore`, which plants a missing
+//! victim restore. Exit status: 0 when every seed passes (with
+//! `--replay`, the one seed), 1 on violations or a resume directory
+//! that belongs to another campaign, 2 usage (including a `--start` +
+//! `--seeds` range that overflows).
 
 use cleanupspec_asm::disassemble;
+use cleanupspec_bench::chaos::{run_campaign, CampaignOpts};
 use cleanupspec_bench::cli::{parse_u64, CommonCli};
-use cleanupspec_bench::fuzz::{
-    campaign_journal_header, run_campaign_resumable, run_plan, run_plan_sabotaged, shrink,
-    SeedVerdict,
-};
-use cleanupspec_bench::journal::Journal;
-use cleanupspec_bench::store::{shared_dir_store, ArtifactStore};
+use cleanupspec_bench::fuzz::{run_plan, shrink, SeedVerdict};
+use cleanupspec_bench::journal::check_resume;
 use cleanupspec_workloads::smith::{assemble_plan, plan, SmithPlan};
-use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 struct Args {
-    seeds: u64,
-    start: u64,
+    campaign: CampaignOpts,
     replay: Option<u64>,
     shrink: bool,
-    sabotage: bool,
-    threads: usize,
-    resume: Option<PathBuf>,
 }
 
 fn common_cli() -> CommonCli {
@@ -53,7 +47,7 @@ fn common_cli() -> CommonCli {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cs-smith [--seeds N] [--start N] [--replay SEED] \
-         [--shrink] [--sabotage] [--threads N] [--resume DIR]"
+         [--shrink] [--threads N] [--resume DIR]"
     );
     eprintln!("{}", common_cli().help());
     ExitCode::from(2)
@@ -63,7 +57,6 @@ fn parse_args() -> Result<Args, ExitCode> {
     let mut common = common_cli();
     let mut replay = None;
     let mut do_shrink = false;
-    let mut sabotage = false;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
     while let Some(a) = it.next() {
@@ -81,18 +74,23 @@ fn parse_args() -> Result<Args, ExitCode> {
                 None => return Err(usage()),
             },
             "--shrink" => do_shrink = true,
-            "--sabotage" => sabotage = true,
             _ => return Err(usage()),
         }
     }
+    let (start, count) = common.seed_range(500).map_err(|e| {
+        eprintln!("cs-smith: {e}");
+        usage()
+    })?;
     Ok(Args {
-        seeds: common.seeds_or(500),
-        start: common.start_or_default(),
+        campaign: CampaignOpts {
+            start,
+            count,
+            threads: common.threads_or_default(),
+            resume_dir: common.resume,
+            ..CampaignOpts::default()
+        },
         replay,
         shrink: do_shrink,
-        sabotage,
-        threads: common.threads_or_default(),
-        resume: common.resume,
     })
 }
 
@@ -115,16 +113,8 @@ fn export(p: &SmithPlan, tag: &str) {
     }
 }
 
-fn verdict_of(p: &SmithPlan, sabotage: bool) -> SeedVerdict {
-    if sabotage {
-        run_plan_sabotaged(p)
-    } else {
-        run_plan(p)
-    }
-}
-
 /// Replays one seed verbosely; shrinks and exports on failure.
-fn replay(seed: u64, sabotage: bool, do_shrink: bool) -> ExitCode {
+fn replay(seed: u64, do_shrink: bool) -> ExitCode {
     let p = plan(seed);
     let progs = assemble_plan(&p);
     println!(
@@ -135,7 +125,7 @@ fn replay(seed: u64, sabotage: bool, do_shrink: bool) -> ExitCode {
         p.cores,
         progs.iter().map(|p| p.len()).sum::<usize>()
     );
-    match verdict_of(&p, sabotage) {
+    match run_plan(&p) {
         SeedVerdict::Pass { squashes } => {
             println!("PASS ({squashes} squashes observed)");
             ExitCode::SUCCESS
@@ -145,7 +135,7 @@ fn replay(seed: u64, sabotage: bool, do_shrink: bool) -> ExitCode {
                 println!("FAIL {v}");
             }
             if do_shrink {
-                let min = shrink(&p, |cand| !verdict_of(cand, sabotage).passed());
+                let min = shrink(&p, |cand| !run_plan(cand).passed());
                 let insts: usize = assemble_plan(&min).iter().map(|p| p.len()).sum();
                 println!(
                     "shrunk to {} plan op(s), {} iter(s), {} core(s), {insts} instruction(s):",
@@ -156,8 +146,8 @@ fn replay(seed: u64, sabotage: bool, do_shrink: bool) -> ExitCode {
                 for op in &min.ops {
                     println!("  {op:?}");
                 }
-                export(&min, if sabotage { "sabotage" } else { "fail" });
-                if let SeedVerdict::Fail(vs) = verdict_of(&min, sabotage) {
+                export(&min, "fail");
+                if let SeedVerdict::Fail(vs) = run_plan(&min) {
                     println!("minimal repro still fails: {}", vs[0]);
                 }
             }
@@ -166,58 +156,22 @@ fn replay(seed: u64, sabotage: bool, do_shrink: bool) -> ExitCode {
     }
 }
 
-/// Fuzzes a seed range under the planted `SkipRestore` bug: success means
-/// the oracles caught it on at least one seed.
-fn sabotage_campaign(args: &Args) -> ExitCode {
-    for seed in args.start..args.start + args.seeds {
-        let p = plan(seed);
-        if let SeedVerdict::Fail(violations) = run_plan_sabotaged(&p) {
-            println!(
-                "sabotage caught at seed {:#x} after {} seed(s): {}",
-                seed,
-                seed - args.start + 1,
-                violations[0]
-            );
-            if args.shrink {
-                let min = shrink(&p, |cand| !run_plan_sabotaged(cand).passed());
-                let insts: usize = assemble_plan(&min).iter().map(|p| p.len()).sum();
-                println!(
-                    "shrunk to {} plan op(s), {} iter(s), {insts} instruction(s)",
-                    min.ops.len(),
-                    min.iters
-                );
-                export(&min, "sabotage");
-            }
-            return ExitCode::SUCCESS;
-        }
-    }
-    eprintln!(
-        "sabotaged undo survived {} seed(s) — oracles are toothless",
-        args.seeds
-    );
-    ExitCode::FAILURE
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(c) => return c,
     };
-    if args.resume.is_some() && (args.replay.is_some() || args.sabotage) {
-        eprintln!("cs-smith: --resume applies to plain seed campaigns only");
+    if args.campaign.resume_dir.is_some() && args.replay.is_some() {
+        eprintln!("cs-smith: --resume applies to seed campaigns only");
         return usage();
     }
     if let Some(seed) = args.replay {
-        return replay(seed, args.sabotage, args.shrink);
+        return replay(seed, args.shrink);
     }
-    if args.sabotage {
-        return sabotage_campaign(&args);
-    }
-    let header = campaign_journal_header(args.start, args.seeds);
     // Resume preflight: surface a journal/campaign mismatch as a clear
     // error before any fuzzing starts, not as a mid-run warning.
-    if let Some(dir) = &args.resume {
-        match cleanupspec_bench::journal::check_resume(dir, &header) {
+    if let Some(dir) = &args.campaign.resume_dir {
+        match check_resume(dir, &args.campaign.journal_header()) {
             Ok(done) => eprintln!(
                 "cs-smith: resuming from {} ({done} completed seed(s) journaled)",
                 dir.display()
@@ -228,17 +182,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    let journal = args.resume.as_deref().and_then(|dir| {
-        let store = shared_dir_store(dir) as Arc<dyn ArtifactStore>;
-        match Journal::open(store, &header) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                eprintln!("cs-smith: running without a journal: {e}");
-                None
-            }
-        }
-    });
-    let r = run_campaign_resumable(args.start, args.seeds, args.threads, journal.as_ref());
+    let r = run_campaign(&args.campaign);
     // Resume accounting goes to stderr: stdout must stay byte-identical
     // to an uninterrupted campaign.
     if r.resumed > 0 {

@@ -1,12 +1,12 @@
-//! `cs-chaos` — the systematic fault-injection campaign driver.
+//! `cs-chaos` fault injection and the seed-campaign driver shared with
+//! `cs-smith`.
 //!
-//! PR 2's planted `SkipRestore` bug proved the differential oracles have
-//! teeth against *one* hand-picked failure. This module generalizes that
-//! argument: every [`FaultKind`] the memory hierarchy and undo engine can
-//! inject is driven against seeded smith programs until it (a) actually
-//! fires and (b) is flagged by at least one detector, producing a
-//! **fault-detection matrix** — the machine-checked claim that no fault
-//! class escapes the safety net.
+//! Oracles that never fire prove nothing, so every [`FaultKind`] the
+//! memory hierarchy and undo engine can inject is driven against seeded
+//! smith programs until it (a) actually fires and (b) is flagged by at
+//! least one detector, producing a **fault-detection matrix** — the
+//! machine-checked claim that no fault class escapes the safety net. The
+//! missing victim restore (`skip-victim-restore`) is one such class.
 //!
 //! Detectors (matrix columns):
 //!
@@ -24,11 +24,17 @@
 //!   replacement policy has gone deterministic (`deterministic-l1-replacement`
 //!   is invisible to the state oracles — the cache contents stay legal).
 //!
-//! Campaigns are **crash-isolated**: each seed runs inside
-//! `catch_unwind`, a panicking engine is recorded as a `"panic"`-oracle
-//! failure with full repro artifacts (seed, fault plan, shrunk `.s`
-//! programs, ring-buffer event dump) instead of aborting the run, and the
-//! driver ends with a triage summary.
+//! [`run_campaign`] is the one seed-campaign driver: a plain
+//! differential campaign (`cs-smith`, or `cs-chaos` without `--fault`)
+//! and a one-fault campaign differ only in [`CampaignOpts::fault`]. Each
+//! seed is a task on the shared executor ([`crate::exec::run_indexed`]),
+//! so the result is the same at any thread count. Campaigns are
+//! **crash-isolated**: each seed's verdict runs inside `catch_unwind`, a
+//! panicking engine is recorded as a `"panic"`-oracle failure with full
+//! repro artifacts (seed, fault plan, shrunk `.s` programs, ring-buffer
+//! event dump) instead of aborting the run, and the result carries a
+//! triage summary. With a resume directory, verdicts are journaled as
+//! they complete and replayed on the next run.
 
 use crate::fuzz::{self, exec_env, judge, merged_image, ExecEnv, ModeRun, SeedVerdict, Violation};
 use crate::journal::{Journal, JournalHeader};
@@ -185,10 +191,7 @@ pub fn probe_plan(kind: FaultKind, p: &SmithPlan) -> FaultProbe {
                     repl_seed_salt: salt,
                     ..ExecEnv::default()
                 };
-                (
-                    exec_env(&progs, mode, p.seed, |_| mode.build_scheme(), &env),
-                    inj,
-                )
+                (exec_env(&progs, mode, p.seed, &env), inj)
             };
             let (a, inj) = one(0);
             let (b, _) = one(WITNESS_SALT);
@@ -207,7 +210,7 @@ pub fn probe_plan(kind: FaultKind, p: &SmithPlan) -> FaultProbe {
     }
 
     let (env, inj) = env_for(kind);
-    let run = exec_env(&progs, mode, p.seed, |_| mode.build_scheme(), &env);
+    let run = exec_env(&progs, mode, p.seed, &env);
     probe.opportunities = inj.counters(kind).opportunities;
     probe.fires = inj.fires(kind);
     if matches!(run.stop, StopReason::Livelock(_)) {
@@ -315,15 +318,18 @@ pub fn render_matrix(rows: &[MatrixRow]) -> String {
     out
 }
 
-/// Options for a crash-isolated chaos campaign.
+/// Options for one seed campaign ([`run_campaign`]).
 #[derive(Clone, Debug, Default)]
-pub struct ChaosOpts {
+pub struct CampaignOpts {
     /// First seed.
     pub start: u64,
-    /// Number of seeds.
+    /// Number of seeds; `start + count` must fit in a `u64` (the CLIs
+    /// reject ranges that overflow, see `CommonCli::seed_range`).
     pub count: u64,
+    /// Executor worker threads (execution-only: never changes a verdict).
+    pub threads: usize,
     /// Fault to inject on every seed (`None` = clean differential fuzzing
-    /// with crash isolation and artifacts on top).
+    /// under every scheme of [`fuzz::FUZZ_MODES`]).
     pub fault: Option<FaultKind>,
     /// Where to write per-failure repro artifact directories.
     pub artifact_dir: Option<PathBuf>,
@@ -338,13 +344,15 @@ pub struct ChaosOpts {
     pub resume_dir: Option<PathBuf>,
 }
 
-impl ChaosOpts {
-    /// The journal identity for this campaign. Only verdict-determining
-    /// knobs participate: the artifact directory and the resume directory
-    /// itself change where results land, never what they are.
+impl CampaignOpts {
+    /// The journal identity for this campaign. Only verdict- and
+    /// artifact-determining knobs participate: the thread count, the
+    /// artifact directory and the resume directory itself change how and
+    /// where results land, never what they are. `cs-smith` and `cs-chaos`
+    /// campaigns with the same knobs share one identity.
     pub fn journal_header(&self) -> JournalHeader {
         JournalHeader {
-            campaign: "cs-chaos".to_string(),
+            campaign: "seed-campaign".to_string(),
             config: format!(
                 "start={:#x} count={} fault={} shrink={} panic_at={}",
                 self.start,
@@ -358,27 +366,53 @@ impl ChaosOpts {
     }
 }
 
-/// End-of-campaign triage summary.
-#[derive(Clone, Debug, Default)]
-pub struct ChaosSummary {
+/// Aggregate result of a seed campaign, summed in seed order.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct CampaignResult {
     /// Seeds run.
     pub seeds: u64,
-    /// Seeds where every oracle held.
-    pub passes: u64,
-    /// Seeds with oracle violations.
+    /// Total squashes observed across passing seeds (sanity: > 0 or a
+    /// differential campaign never exercised the undo paths; fault
+    /// campaigns count none).
+    pub squashes: u64,
+    /// Seeds with oracle violations (panicking seeds not included).
     pub failures: u64,
-    /// Seeds whose engine run panicked (caught, recorded, not fatal).
+    /// Seeds whose run panicked (caught and recorded as `"panic"`-oracle
+    /// violations; the campaign itself keeps going).
     pub panics: u64,
     /// Seeds replayed from the campaign journal instead of re-run.
     pub resumed: u64,
-    /// Artifact directories written, one per recorded failure.
+    /// Every violation, in seed order.
+    pub violations: Vec<Violation>,
+    /// Artifact directories, one per failing or panicking seed, in seed
+    /// order (empty without [`CampaignOpts::artifact_dir`]).
     pub artifacts: Vec<PathBuf>,
-    /// One human-readable line per failure or panic.
-    pub triage: Vec<String>,
 }
 
-/// Verdict for one plan under the campaign's fault setting.
-fn chaos_plan_verdict(p: &SmithPlan, fault: Option<FaultKind>) -> SeedVerdict {
+impl CampaignResult {
+    /// Whether every seed passed.
+    pub fn clean(&self) -> bool {
+        self.violations.is_empty()
+    }
+
+    /// Seeds where every oracle held.
+    pub fn passes(&self) -> u64 {
+        self.seeds - self.failures - self.panics
+    }
+
+    /// The first violation of each failing or panicking seed, in seed
+    /// order — one triage line per seed.
+    pub fn triage(&self) -> impl Iterator<Item = &Violation> {
+        self.violations
+            .chunk_by(|a, b| a.seed == b.seed)
+            .map(|same_seed| &same_seed[0])
+    }
+}
+
+/// Verdict for one plan under a campaign's fault setting: the full
+/// differential [`fuzz::run_plan`] without a fault, else the faulted
+/// CleanupSpec probe, failing on any oracle violation.
+pub fn chaos_plan_verdict(p: &SmithPlan, fault: Option<FaultKind>) -> SeedVerdict {
     match fault {
         None => fuzz::run_plan(p),
         Some(kind) => {
@@ -414,7 +448,7 @@ fn capture_events(p: &SmithPlan, fault: Option<FaultKind>) -> String {
         Some(k) => env_for(k),
         None => (ExecEnv::default(), FaultInjector::disabled()),
     };
-    let mut sys = fuzz::build_system(&progs, mode, p.seed, |_| mode.build_scheme(), &env);
+    let mut sys = fuzz::build_system(&progs, mode, p.seed, &env);
     let limits = fuzz::exec_limits(&env);
 
     // Silent pre-pass: advance slice by slice, keeping the last
@@ -449,6 +483,17 @@ fn capture_events(p: &SmithPlan, fault: Option<FaultKind>) -> String {
     })
 }
 
+/// The artifact directory name of one failing seed, `seed-0x…-<tag>`,
+/// tagged `panic`, the fault name, or `clean`.
+fn artifact_name(seed: u64, fault: Option<FaultKind>, violations: &[Violation]) -> String {
+    let tag = if violations.iter().any(|v| v.oracle == "panic") {
+        "panic"
+    } else {
+        fault.map_or("clean", FaultKind::name)
+    };
+    format!("seed-{seed:#x}-{tag}")
+}
+
 /// Writes one failure's repro artifacts under `dir` and returns the
 /// artifact subdirectory: `repro.txt` (seed, fault plan, violations,
 /// replay hint), `core<i>.s` (shrunk if requested), and `events.log`
@@ -474,12 +519,7 @@ pub fn write_artifacts(
         }
     };
     let panicked = violations.iter().any(|v| v.oracle == "panic");
-    let tag = if panicked {
-        "panic"
-    } else {
-        fault.map_or("clean", FaultKind::name)
-    };
-    let rel = format!("seed-{seed:#x}-{tag}");
+    let rel = artifact_name(seed, fault, violations);
     let sub = dir.join(&rel);
     let p = plan(seed);
 
@@ -548,104 +588,118 @@ pub fn write_artifacts(
     sub
 }
 
-/// Runs a crash-isolated campaign: every seed in `catch_unwind`, panics
-/// recorded as `"panic"`-oracle failures with artifacts, triage at the
-/// end. With [`ChaosOpts::resume_dir`] set, journaled verdicts replay
-/// instead of re-running, so a campaign killed mid-flight resumes with
-/// an identical triage summary.
-pub fn run_chaos_campaign(opts: &ChaosOpts) -> ChaosSummary {
+/// The `"panic"`-oracle verdict of a seed whose run crashed.
+fn crashed(seed: u64, message: String) -> SeedVerdict {
+    SeedVerdict::Fail(vec![Violation {
+        seed,
+        scheme: "(crashed)",
+        oracle: "panic",
+        detail: message,
+    }])
+}
+
+/// One seed of [`run_campaign`]: its verdict, whether the journal served
+/// it, and its artifact directory.
+type SeedOutcome = (SeedVerdict, bool, Option<PathBuf>);
+
+/// Runs one campaign seed: replays a journaled verdict, or computes it
+/// under `catch_unwind`, writes its artifacts and then journals it (a
+/// seed killed mid-artifact therefore re-runs on resume).
+fn campaign_seed(opts: &CampaignOpts, journal: Option<&Journal>, seed: u64) -> SeedOutcome {
+    let task_id = format!("seed-{seed:#x}");
+    let replayed = journal
+        .and_then(|j| j.completed(&task_id))
+        .and_then(|payload| match fuzz::verdict_from_json(&payload) {
+            Ok(v) => Some(v),
+            Err(e) => {
+                eprintln!("warning: re-running {task_id}: journaled verdict unusable ({e})");
+                None
+            }
+        });
+    if let Some(v) = replayed {
+        // The original run already exported artifacts; point at them
+        // without re-running the failing engine.
+        let sub = match (&v, &opts.artifact_dir) {
+            (SeedVerdict::Fail(vs), Some(dir)) => {
+                Some(dir.join(artifact_name(seed, opts.fault, vs))).filter(|sub| sub.exists())
+            }
+            _ => None,
+        };
+        return (v, true, sub);
+    }
+    let fault = opts.fault;
+    let planted = opts.panic_at == Some(seed);
+    let verdict = std::panic::catch_unwind(move || {
+        if planted {
+            panic!("cs-chaos planted panic (isolation self-test) at seed {seed:#x}");
+        }
+        chaos_plan_verdict(&plan(seed), fault)
+    })
+    .unwrap_or_else(|payload| crashed(seed, fuzz::panic_message(&*payload)));
+    let sub = match (&verdict, &opts.artifact_dir) {
+        (SeedVerdict::Fail(vs), Some(dir)) => {
+            Some(write_artifacts(dir, seed, fault, vs, opts.shrink))
+        }
+        _ => None,
+    };
+    if let Some(j) = journal {
+        j.record(&task_id, &fuzz::verdict_to_json(&verdict));
+    }
+    (verdict, false, sub)
+}
+
+/// Runs a seed campaign over `opts.start..opts.start + opts.count` on
+/// the shared executor: seed `start + i` is task `i`, and results are
+/// summed in seed order, so the result (and every artifact byte) is the
+/// same at any thread count. With [`CampaignOpts::resume_dir`] set,
+/// journaled verdicts replay instead of re-running, so a campaign killed
+/// mid-flight resumes with an identical result (up to
+/// [`CampaignResult::resumed`]).
+pub fn run_campaign(opts: &CampaignOpts) -> CampaignResult {
+    debug_assert!(
+        opts.start.checked_add(opts.count).is_some(),
+        "seed range overflows u64"
+    );
     let journal = opts.resume_dir.as_deref().and_then(|dir| {
         let store = shared_dir_store(dir) as Arc<dyn ArtifactStore>;
         match Journal::open(store, &opts.journal_header()) {
             Ok(j) => Some(j),
             Err(e) => {
-                eprintln!("warning: cs-chaos running without a journal: {e}");
+                eprintln!("warning: campaign running without a journal: {e}");
                 None
             }
         }
     });
-    let mut sum = ChaosSummary::default();
-    for seed in opts.start..opts.start.saturating_add(opts.count) {
-        sum.seeds += 1;
-        let task_id = format!("seed-{seed:#x}");
-        let replayed = journal
-            .as_ref()
-            .and_then(|j| j.completed(&task_id))
-            .and_then(|payload| match fuzz::verdict_from_json(&payload) {
-                Ok(v) => Some(v),
-                Err(e) => {
-                    eprintln!("warning: re-running {task_id}: journaled verdict unusable ({e})");
-                    None
-                }
-            });
-        let resumed = replayed.is_some();
-        let verdict = replayed.unwrap_or_else(|| {
-            let fault = opts.fault;
-            let planted = opts.panic_at == Some(seed);
-            let v = match std::panic::catch_unwind(move || {
-                if planted {
-                    panic!("cs-chaos planted panic (isolation self-test) at seed {seed:#x}");
-                }
-                chaos_plan_verdict(&plan(seed), fault)
-            }) {
-                Ok(v) => v,
-                Err(payload) => SeedVerdict::Fail(vec![Violation {
-                    seed,
-                    scheme: "(crashed)",
-                    oracle: "panic",
-                    detail: fuzz::panic_message(&*payload),
-                }]),
-            };
-            if let Some(j) = &journal {
-                j.record(&task_id, &fuzz::verdict_to_json(&v));
-            }
-            v
+    let outcome = crate::exec::run_indexed(opts.count as usize, opts.threads, |i| {
+        campaign_seed(opts, journal.as_ref(), opts.start + i as u64)
+    });
+    let mut result = CampaignResult::default();
+    let mut failures = outcome.failures.into_iter().peekable();
+    for (i, slot) in outcome.slots.into_iter().enumerate() {
+        let seed = opts.start + i as u64;
+        // A task that panicked outside the verdict's own isolation (say,
+        // while shrinking for artifacts) still counts as a crashed seed.
+        let (verdict, resumed, artifacts) = slot.unwrap_or_else(|| {
+            let f = failures.next_if(|f| f.index == i).expect("empty slot");
+            (crashed(seed, f.message), false, None)
         });
-        sum.resumed += u64::from(resumed);
-        let violations = match verdict {
-            SeedVerdict::Pass { .. } => {
-                sum.passes += 1;
-                continue;
-            }
+        result.seeds += 1;
+        result.resumed += u64::from(resumed);
+        result.artifacts.extend(artifacts);
+        match verdict {
+            SeedVerdict::Pass { squashes } => result.squashes += squashes,
             SeedVerdict::Fail(vs) => {
-                // A `"panic"` oracle only ever comes from the isolation
-                // net, so this split preserves the pre-journal counters.
+                // A `"panic"` oracle only ever comes from the isolation net.
                 if vs.iter().any(|v| v.oracle == "panic") {
-                    sum.panics += 1;
+                    result.panics += 1;
                 } else {
-                    sum.failures += 1;
+                    result.failures += 1;
                 }
-                vs
-            }
-        };
-        sum.triage
-            .push(format!("seed {seed:#x}: {}", violations[0]));
-        if let Some(dir) = &opts.artifact_dir {
-            if resumed {
-                // The original run already exported artifacts; point at
-                // them without re-running the failing engine.
-                let panicked = violations.iter().any(|v| v.oracle == "panic");
-                let tag = if panicked {
-                    "panic"
-                } else {
-                    opts.fault.map_or("clean", FaultKind::name)
-                };
-                let sub = dir.join(format!("seed-{seed:#x}-{tag}"));
-                if sub.exists() {
-                    sum.artifacts.push(sub);
-                }
-            } else {
-                sum.artifacts.push(write_artifacts(
-                    dir,
-                    seed,
-                    opts.fault,
-                    &violations,
-                    opts.shrink,
-                ));
+                result.violations.extend(vs);
             }
         }
     }
-    sum
+    result
 }
 
 #[cfg(test)]
@@ -695,19 +749,84 @@ mod tests {
         }
     }
 
+    fn opts(start: u64, count: u64, threads: usize) -> CampaignOpts {
+        CampaignOpts {
+            start,
+            count,
+            threads,
+            ..CampaignOpts::default()
+        }
+    }
+
+    /// A fresh per-process scratch directory.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("cs-campaign-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Every file under `dir` as (relative path, bytes), sorted by path.
+    fn read_tree(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut out = Vec::new();
+        let mut todo = vec![dir.to_path_buf()];
+        while let Some(d) = todo.pop() {
+            for entry in std::fs::read_dir(&d).expect("readable artifact dir") {
+                let path = entry.expect("dir entry").path();
+                if path.is_dir() {
+                    todo.push(path);
+                } else {
+                    let bytes = std::fs::read(&path).expect("readable artifact");
+                    out.push((path.strip_prefix(dir).unwrap().to_path_buf(), bytes));
+                }
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// The clean differential campaign: the same result at every thread
+    /// count, and a rerun over its journal replays every seed — the
+    /// planted panic included, which is not re-triggered — into an
+    /// identical result.
+    #[test]
+    fn campaign_is_thread_count_invariant_and_resumes_from_its_journal() {
+        let panicking = |threads| CampaignOpts {
+            panic_at: Some(101),
+            ..opts(100, 6, threads)
+        };
+        let fresh = run_campaign(&panicking(1));
+        assert_eq!(fresh.seeds, 6);
+        assert_eq!((fresh.panics, fresh.failures, fresh.resumed), (1, 0, 0));
+        assert!(fresh.squashes > 0, "campaign exercised no squashes");
+        assert_eq!(run_campaign(&panicking(3)), fresh);
+
+        let dir = scratch_dir("resume");
+        let journaled = CampaignOpts {
+            resume_dir: Some(dir.clone()),
+            ..panicking(2)
+        };
+        assert_eq!(run_campaign(&journaled), fresh);
+        // Rerun as after a crash: every verdict replays, none re-runs.
+        let second = run_campaign(&journaled);
+        assert_eq!(second.resumed, 6);
+        assert_eq!(
+            CampaignResult {
+                resumed: 0,
+                ..second
+            },
+            fresh
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn planted_panic_is_isolated_and_leaves_artifacts() {
-        let dir = std::env::temp_dir().join(format!("cs-chaos-selftest-{}", std::process::id()));
-        let opts = ChaosOpts {
-            start: 0,
-            count: 3,
-            fault: None,
+        let dir = scratch_dir("selftest");
+        let sum = run_campaign(&CampaignOpts {
             artifact_dir: Some(dir.clone()),
-            shrink: false,
             panic_at: Some(1),
-            resume_dir: None,
-        };
-        let sum = run_chaos_campaign(&opts);
+            ..opts(0, 3, 2)
+        });
         assert_eq!(sum.seeds, 3, "campaign must survive the planted panic");
         assert_eq!(sum.panics, 1);
         assert_eq!(sum.artifacts.len(), 1);
@@ -719,31 +838,30 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A fault campaign with a planted panic and shrunk artifacts gives
+    /// the same result and the same artifact bytes at 1 and 4 threads.
     #[test]
-    fn journaled_campaign_resumes_with_identical_triage() {
-        let dir = std::env::temp_dir().join(format!("cs-chaos-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = ChaosOpts {
-            start: 0,
-            count: 3,
-            fault: None,
-            artifact_dir: None,
-            shrink: false,
-            panic_at: Some(1),
-            resume_dir: Some(dir.clone()),
+    fn fault_campaign_and_its_artifacts_are_thread_count_invariant() {
+        let run = |threads| {
+            let dir = scratch_dir(&format!("threads{threads}"));
+            let mut r = run_campaign(&CampaignOpts {
+                fault: Some(FaultKind::SkipVictimRestore),
+                artifact_dir: Some(dir.clone()),
+                shrink: true,
+                panic_at: Some(10),
+                ..opts(8, 4, threads)
+            });
+            for a in &mut r.artifacts {
+                *a = a.strip_prefix(&dir).unwrap().to_path_buf();
+            }
+            let files = read_tree(&dir);
+            let _ = std::fs::remove_dir_all(&dir);
+            (r, files)
         };
-        let first = run_chaos_campaign(&opts);
-        assert_eq!(first.resumed, 0);
-        assert_eq!(first.panics, 1);
-        // Second run over the same journal: every verdict replays, the
-        // planted panic is *not* re-triggered, and triage is identical.
-        let second = run_chaos_campaign(&opts);
-        assert_eq!(second.resumed, 3);
-        assert_eq!(second.seeds, first.seeds);
-        assert_eq!(second.passes, first.passes);
-        assert_eq!(second.failures, first.failures);
-        assert_eq!(second.panics, first.panics);
-        assert_eq!(second.triage, first.triage);
-        let _ = std::fs::remove_dir_all(&dir);
+        let (one, files) = run(1);
+        assert_eq!((one.failures, one.panics), (1, 1), "{one:?}");
+        assert_eq!(one.artifacts.len(), 2);
+        assert!(files.len() >= 6, "artifact files: {}", files.len());
+        assert_eq!(run(4), (one, files));
     }
 }

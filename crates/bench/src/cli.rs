@@ -33,6 +33,18 @@ pub fn parse_u64(s: &str) -> Option<u64> {
     }
 }
 
+/// Checks that the seed range `start..start + count` fits in a `u64`:
+/// a range whose end overflows would silently wrap to seed 0 (or run
+/// nothing), so the CLIs reject it as a usage error instead.
+pub fn check_seed_range(start: u64, count: u64) -> Result<(), String> {
+    match start.checked_add(count) {
+        Some(_) => Ok(()),
+        None => Err(format!(
+            "seed range {start:#x} + {count} seeds overflows the 64-bit seed space"
+        )),
+    }
+}
+
 /// Parses a `usize` in decimal or `0x`-prefixed hex.
 pub fn parse_usize(s: &str) -> Option<usize> {
     parse_u64(s).and_then(|n| usize::try_from(n).ok())
@@ -212,14 +224,13 @@ impl CommonCli {
         self.ring_capacity.unwrap_or(DEFAULT_RING_CAPACITY)
     }
 
-    /// `--seeds` or `default`.
-    pub fn seeds_or(&self, default: u64) -> u64 {
-        self.seeds.unwrap_or(default)
-    }
-
-    /// `--start` or 0.
-    pub fn start_or_default(&self) -> u64 {
-        self.start.unwrap_or(0)
+    /// The seed range as `(start, count)`: `--start` or 0, and `--seeds`
+    /// or `default_count`. `Err` when the range overflows
+    /// ([`check_seed_range`]).
+    pub fn seed_range(&self, default_count: u64) -> Result<(u64, u64), String> {
+        let start = self.start.unwrap_or(0);
+        let count = self.seeds.unwrap_or(default_count);
+        check_seed_range(start, count).map(|()| (start, count))
     }
 
     /// `--checkpoint-dir`, falling back to `CLEANUPSPEC_CHECKPOINT_DIR`.
@@ -288,7 +299,24 @@ mod tests {
         assert_eq!(cli.seed_or_default(), 0xC1EA_2019);
         assert_eq!(cli.ring_capacity_or_default(), 100_000);
         assert!(cli.threads_or_default() > 0);
-        assert_eq!(cli.seeds_or(500), 500);
-        assert_eq!(cli.start_or_default(), 0);
+        assert_eq!(cli.seed_range(500), Ok((0, 500)));
+    }
+
+    #[test]
+    fn seed_ranges_that_overflow_are_rejected() {
+        let mut cli = CommonCli::new().with_seeds().with_start();
+        let args = argv(&["--start", "0xffffffffffffffff", "--seeds", "2"]);
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            assert_eq!(cli.accept(a, &mut it), Ok(true));
+        }
+        assert!(cli.seed_range(32).is_err());
+        cli.seeds = Some(0);
+        assert_eq!(cli.seed_range(32), Ok((u64::MAX, 0)));
+        cli.start = Some(u64::MAX - 2);
+        cli.seeds = Some(2);
+        assert_eq!(cli.seed_range(32), Ok((u64::MAX - 2, 2)));
+        assert!(check_seed_range(1, u64::MAX).is_err());
+        assert!(check_seed_range(0, u64::MAX).is_ok());
     }
 }

@@ -28,26 +28,21 @@
 //! be exported as replayable `.s` files via `cleanupspec_asm`.
 //!
 //! The harness drives [`System`] directly (not [`cleanupspec::sim::Simulator`])
-//! so that fault-injection wrappers like [`SkipRestore`] — the deliberately
-//! broken undo used to prove the oracles have teeth — can be plugged in
-//! beside the real schemes.
+//! so that an [`ExecEnv`] can reshape the hierarchy and attach a fault
+//! injector: cs-chaos plants undo bugs (the missing victim restore among
+//! them) through that hook to prove the oracles have teeth. Seed
+//! campaigns over many seeds run through [`crate::chaos::run_campaign`].
 
 use cleanupspec::modes::SecurityMode;
-use cleanupspec::schemes::CleanupSpec;
 use cleanupspec_core::isa::{Program, Reg, NUM_REGS};
 use cleanupspec_core::pipeline::CoreConfig;
 use cleanupspec_core::reference::{interpret, RefRun};
-use cleanupspec_core::scheme::{
-    CommitAction, CommittedLoad, LoadIssue, LoadIssuePolicy, SpeculationScheme, SquashInfo,
-    SquashResponse, SquashedLoadState,
-};
 use cleanupspec_core::system::{RunLimits, StopReason, System};
 use cleanupspec_core::DataMem;
 use cleanupspec_mem::fault::FaultInjector;
-use cleanupspec_mem::hierarchy::{LoadOutcome, MemConfig, MemHierarchy};
+use cleanupspec_mem::hierarchy::{MemConfig, MemHierarchy};
 use cleanupspec_mem::rng::mix64;
 use cleanupspec_mem::types::{Addr, CoreId, Cycle, LineAddr};
-use cleanupspec_mem::SimError;
 use cleanupspec_obs::{CommitLogSink, EpisodeBuilder, EpisodeReport, LeakKind, Observer, Shared};
 use cleanupspec_workloads::smith::{assemble_plan, plan, SmithOp, SmithPlan};
 use std::collections::BTreeSet;
@@ -81,11 +76,11 @@ const DRAIN_CYCLES: Cycle = 4_000;
 pub const ORACLES: [&str; 4] = ["arch", "cache", "episode", "panic"];
 
 /// One oracle violation on one seed under one scheme.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Violation {
     /// Generating seed.
     pub seed: u64,
-    /// Scheme label (`SecurityMode::name` or a wrapper's name).
+    /// Scheme label (the scheme's `name`, or `"(crashed)"` for a panic).
     pub scheme: &'static str,
     /// Which oracle tripped: one of [`ORACLES`].
     pub oracle: &'static str,
@@ -196,28 +191,12 @@ pub struct ModeRun {
     pub episodes: EpisodeReport,
 }
 
-/// Runs `progs` under one scheme-per-core factory and collects oracle
-/// inputs. Factories allow injecting wrappers like [`SkipRestore`].
-fn exec_with(
-    progs: &[Arc<Program>],
-    mode: SecurityMode,
-    seed: u64,
-    scheme_for_core: impl Fn(usize) -> Box<dyn SpeculationScheme>,
-) -> ModeRun {
-    exec_env(progs, mode, seed, scheme_for_core, &ExecEnv::default())
-}
-
-/// [`exec_with`] with an explicit [`ExecEnv`] — the cs-chaos entry point:
-/// attaches the fault injector, applies the replacement-seed salt and MSHR
-/// override, and surfaces the stop reason and victim witnesses.
-pub fn exec_env(
-    progs: &[Arc<Program>],
-    mode: SecurityMode,
-    seed: u64,
-    scheme_for_core: impl Fn(usize) -> Box<dyn SpeculationScheme>,
-    env: &ExecEnv,
-) -> ModeRun {
-    let (mut sys, commits, episodes) = build_exec_system(progs, mode, seed, scheme_for_core, env);
+/// Runs `progs` under `mode` (one scheme per core) in the environment
+/// `env` — fault injector, replacement-seed salt, MSHR and L1 overrides —
+/// and collects oracle inputs, including the stop reason and victim
+/// witnesses.
+pub fn exec_env(progs: &[Arc<Program>], mode: SecurityMode, seed: u64, env: &ExecEnv) -> ModeRun {
+    let (mut sys, commits, episodes) = build_exec_system(progs, mode, seed, env);
     let stop = sys.run(exec_limits(env));
     extract_run(sys, stop, &commits, &episodes)
 }
@@ -243,11 +222,10 @@ pub fn exec_env_checkpoint_resume(
     progs: &[Arc<Program>],
     mode: SecurityMode,
     seed: u64,
-    scheme_for_core: impl Fn(usize) -> Box<dyn SpeculationScheme>,
     env: &ExecEnv,
     checkpoint: Cycle,
 ) -> (ModeRun, ModeRun) {
-    let (mut sys, commits, episodes) = build_exec_system(progs, mode, seed, scheme_for_core, env);
+    let (mut sys, commits, episodes) = build_exec_system(progs, mode, seed, env);
     let full = exec_limits(env);
     let mut leg = full;
     leg.max_cycles = checkpoint.min(full.max_cycles);
@@ -280,10 +258,9 @@ fn build_exec_system(
     progs: &[Arc<Program>],
     mode: SecurityMode,
     seed: u64,
-    scheme_for_core: impl Fn(usize) -> Box<dyn SpeculationScheme>,
     env: &ExecEnv,
 ) -> (System, Shared<CommitLogSink>, Shared<EpisodeBuilder>) {
-    let mut sys = build_system(progs, mode, seed, scheme_for_core, env);
+    let mut sys = build_system(progs, mode, seed, env);
     let commits = Shared::new(CommitLogSink::new());
     let episodes = Shared::new(EpisodeBuilder::new());
     sys.set_observer(Observer::new(vec![
@@ -300,7 +277,6 @@ pub(crate) fn build_system(
     progs: &[Arc<Program>],
     mode: SecurityMode,
     seed: u64,
-    scheme_for_core: impl Fn(usize) -> Box<dyn SpeculationScheme>,
     env: &ExecEnv,
 ) -> System {
     let mut cfg = mode.apply_mem_config(fuzz_mem_config(progs.len(), seed));
@@ -316,7 +292,7 @@ pub(crate) fn build_system(
     if env.faults.is_enabled() {
         mem.set_fault_injector(env.faults.clone());
     }
-    let schemes: Vec<_> = (0..progs.len()).map(&scheme_for_core).collect();
+    let schemes: Vec<_> = progs.iter().map(|_| mode.build_scheme()).collect();
     System::new(mem, CoreConfig::default(), schemes, progs.to_vec())
 }
 
@@ -556,7 +532,6 @@ pub fn run_plan(p: &SmithPlan) -> SeedVerdict {
                 &progs,
                 mode,
                 p.seed,
-                |_| mode.build_scheme(),
                 &ExecEnv::default(),
                 RESUME_CHECKPOINT,
             );
@@ -578,7 +553,7 @@ pub fn run_plan(p: &SmithPlan) -> SeedVerdict {
                 });
             }
         } else {
-            let run = exec_with(&progs, mode, p.seed, |_| mode.build_scheme());
+            let run = exec_env(&progs, mode, p.seed, &ExecEnv::default());
             squashes += run.episodes.squashes;
             violations.extend(judge(p.seed, mode, &refs, ref_mem_digest, &run));
         }
@@ -594,28 +569,6 @@ pub fn run_plan(p: &SmithPlan) -> SeedVerdict {
 /// Fuzzes one seed (generate plan, then [`run_plan`]).
 pub fn run_seed(seed: u64) -> SeedVerdict {
     run_plan(&plan(seed))
-}
-
-/// Runs the plan under [`SkipRestore`] (CleanupSpec with its first owed
-/// victim restore dropped per squash) and judges it with the CleanupSpec
-/// oracles. A correct harness must eventually fail seeds under this
-/// scheme — it is the planted bug that proves the oracles have teeth.
-pub fn run_plan_sabotaged(p: &SmithPlan) -> SeedVerdict {
-    let progs: Vec<Arc<Program>> = assemble_plan(p).into_iter().map(Arc::new).collect();
-    let refs: Vec<RefRun> = progs.iter().map(|p| interpret(p, REF_STEP_CAP)).collect();
-    if refs.iter().any(|r| !r.halted) {
-        return SeedVerdict::Pass { squashes: 0 };
-    }
-    let ref_mem_digest = merged_image(&refs).image_digest();
-    let mode = SecurityMode::CleanupSpec;
-    let run = exec_with(&progs, mode, p.seed, |_| Box::new(SkipRestore::new()));
-    let squashes = run.episodes.squashes;
-    let violations = judge(p.seed, mode, &refs, ref_mem_digest, &run);
-    if violations.is_empty() {
-        SeedVerdict::Pass { squashes }
-    } else {
-        SeedVerdict::Fail(violations)
-    }
 }
 
 /// Greedily minimizes a failing plan while `fails` keeps returning true.
@@ -690,23 +643,6 @@ pub fn shrink(p: &SmithPlan, mut fails: impl FnMut(&SmithPlan) -> bool) -> Smith
     }
 }
 
-/// Aggregate result of a seed campaign.
-#[derive(Clone, Debug, Default)]
-pub struct CampaignResult {
-    /// Seeds fuzzed.
-    pub seeds: u64,
-    /// Total squashes observed across passing seeds (sanity: > 0 or the
-    /// campaign never exercised the undo paths).
-    pub squashes: u64,
-    /// Seeds whose run panicked (caught and recorded as `"panic"`-oracle
-    /// violations; the campaign itself keeps going).
-    pub panics: u64,
-    /// Seeds replayed from the campaign journal instead of re-fuzzed.
-    pub resumed: u64,
-    /// Violations from failing seeds.
-    pub violations: Vec<Violation>,
-}
-
 /// Serializes a verdict as the single-line JSON payload journaled per
 /// seed (see [`crate::journal`]). Verdicts are deterministic facts about
 /// a seed, so failures and panics are journaled too — a resumed campaign
@@ -747,10 +683,8 @@ fn intern_scheme(name: &str) -> &'static str {
             return s;
         }
     }
-    for s in ["(crashed)", "cleanupspec-skip-restore"] {
-        if s == name {
-            return s;
-        }
+    if name == "(crashed)" {
+        return "(crashed)";
     }
     "(unknown-scheme)"
 }
@@ -803,192 +737,10 @@ pub fn verdict_from_json(text: &str) -> Result<SeedVerdict, String> {
     Ok(SeedVerdict::Fail(violations))
 }
 
-/// Runs one seed with the panic isolated: an engine crash becomes a
-/// `"panic"`-oracle violation carrying the panic message instead of
-/// aborting the whole campaign.
-pub fn run_seed_isolated(seed: u64) -> SeedVerdict {
-    match std::panic::catch_unwind(|| run_seed(seed)) {
-        Ok(v) => v,
-        Err(payload) => SeedVerdict::Fail(vec![Violation {
-            seed,
-            scheme: "(crashed)",
-            oracle: "panic",
-            detail: panic_message(&payload),
-        }]),
-    }
-}
-
 /// Best-effort extraction of a panic payload's message (shared with the
 /// `cs-exec` pool's per-task isolation).
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     crate::exec::panic_message(payload)
-}
-
-impl CampaignResult {
-    /// Whether every seed passed.
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Fuzzes `count` seeds starting at `start`, across `threads` workers
-/// of the shared executor ([`crate::exec::run_indexed`]): seed
-/// `start + i` is task `i`, and its verdict lands in slot `i`.
-/// Deterministic: each seed's verdict is independent of threading, and
-/// verdicts aggregate in seed order whatever the schedule was.
-pub fn run_campaign(start: u64, count: u64, threads: usize) -> CampaignResult {
-    run_campaign_resumable(start, count, threads, None)
-}
-
-/// The journal identity for a plain fuzz campaign over
-/// `start..start + count`. The worker-thread count is execution-only and
-/// deliberately excluded: a campaign may resume with a different
-/// parallelism and still produce the identical summary.
-pub fn campaign_journal_header(start: u64, count: u64) -> crate::journal::JournalHeader {
-    crate::journal::JournalHeader {
-        campaign: "cs-smith".to_string(),
-        config: format!("start={start:#x} seeds={count}"),
-    }
-}
-
-/// [`run_campaign`] with an optional crash-safe campaign journal: seeds
-/// whose verdicts are already journaled are replayed instead of
-/// re-fuzzed (counted in [`CampaignResult::resumed`]), and every freshly
-/// computed verdict is journaled before the campaign moves on. A
-/// campaign killed mid-flight and re-run with the same journal produces
-/// the identical summary.
-pub fn run_campaign_resumable(
-    start: u64,
-    count: u64,
-    threads: usize,
-    journal: Option<&crate::journal::Journal>,
-) -> CampaignResult {
-    // `run_seed_isolated` already converts engine panics into
-    // `"panic"`-oracle violations, so the pool's own isolation is a
-    // second line of defense that normally never fires.
-    let outcome = crate::exec::run_indexed(count as usize, threads, |i| {
-        let seed = start + i as u64;
-        let task_id = format!("seed-{seed:#x}");
-        if let Some(payload) = journal.and_then(|j| j.completed(&task_id)) {
-            match verdict_from_json(&payload) {
-                Ok(v) => return (v, true),
-                Err(e) => {
-                    eprintln!("warning: re-fuzzing {task_id}: journaled verdict unusable ({e})");
-                }
-            }
-        }
-        let v = run_seed_isolated(seed);
-        if let Some(j) = journal {
-            j.record(&task_id, &verdict_to_json(&v));
-        }
-        (v, false)
-    });
-    let mut result = CampaignResult::default();
-    for (verdict, resumed) in outcome.slots.into_iter().flatten() {
-        result.seeds += 1;
-        result.resumed += u64::from(resumed);
-        match verdict {
-            SeedVerdict::Pass { squashes } => result.squashes += squashes,
-            SeedVerdict::Fail(v) => {
-                if v.iter().any(|x| x.oracle == "panic") {
-                    result.panics += 1;
-                }
-                result.violations.extend(v);
-            }
-        }
-    }
-    result.violations.sort_by_key(|v| v.seed);
-    result
-}
-
-/// CleanupSpec with a planted undo bug: on every squash, the first
-/// executed load owing a victim restore has its `l1_evict` record wiped,
-/// so the cleanup engine invalidates the wrong-path install but never
-/// restores what it displaced — precisely the eviction-channel leak
-/// CleanupSpec exists to close. Exists to prove the oracles catch it.
-#[derive(Clone, Debug, Default)]
-pub struct SkipRestore {
-    inner: CleanupSpec,
-}
-
-impl SkipRestore {
-    /// A sabotaged CleanupSpec.
-    pub fn new() -> Self {
-        SkipRestore {
-            inner: CleanupSpec::new(),
-        }
-    }
-}
-
-impl SpeculationScheme for SkipRestore {
-    fn name(&self) -> &'static str {
-        "cleanupspec-skip-restore"
-    }
-    fn boxed_clone(&self) -> Box<dyn SpeculationScheme> {
-        Box::new(self.clone())
-    }
-    fn issue_policy(&self) -> LoadIssuePolicy {
-        self.inner.issue_policy()
-    }
-    fn issue_load(
-        &mut self,
-        mem: &mut MemHierarchy,
-        req: LoadIssue,
-    ) -> Result<LoadOutcome, SimError> {
-        self.inner.issue_load(mem, req)
-    }
-    fn on_load_visible(
-        &mut self,
-        mem: &mut MemHierarchy,
-        core: CoreId,
-        load: CommittedLoad,
-        now: Cycle,
-    ) -> Option<Cycle> {
-        self.inner.on_load_visible(mem, core, load, now)
-    }
-    fn commit_load(
-        &mut self,
-        mem: &mut MemHierarchy,
-        core: CoreId,
-        load: CommittedLoad,
-        now: Cycle,
-    ) -> CommitAction {
-        self.inner.commit_load(mem, core, load, now)
-    }
-    fn waits_for_older_inflight(&self) -> bool {
-        self.inner.waits_for_older_inflight()
-    }
-    fn stalls_issue_during_cleanup(&self) -> bool {
-        self.inner.stalls_issue_during_cleanup()
-    }
-    fn uses_window_protection(&self) -> bool {
-        self.inner.uses_window_protection()
-    }
-    fn on_squash(&mut self, mem: &mut MemHierarchy, info: SquashInfo<'_>) -> SquashResponse {
-        let mut loads = info.loads.to_vec();
-        if let Some(l) = loads.iter_mut().find(|l| {
-            matches!(&l.state, SquashedLoadState::Executed { sefe, .. } if sefe.l1_evict.is_some())
-        }) {
-            if let SquashedLoadState::Executed { sefe, .. } = &mut l.state {
-                sefe.l1_evict = None;
-            }
-        }
-        self.inner.on_squash(
-            mem,
-            SquashInfo {
-                core: info.core,
-                mispredict_at: info.mispredict_at,
-                now: info.now,
-                loads: &loads,
-            },
-        )
-    }
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-    }
-    fn stat_counters(&self) -> Vec<(&'static str, u64)> {
-        self.inner.stat_counters()
-    }
 }
 
 #[cfg(test)]
@@ -1007,15 +759,6 @@ mod tests {
             }
         }
         assert!(squashes > 0, "no squashes in 8 seeds — generator too tame");
-    }
-
-    #[test]
-    fn campaign_is_thread_count_invariant() {
-        let a = run_campaign(100, 6, 1);
-        let b = run_campaign(100, 6, 3);
-        assert_eq!(a.seeds, b.seeds);
-        assert_eq!(a.squashes, b.squashes);
-        assert_eq!(a.violations.len(), b.violations.len());
     }
 
     #[test]
@@ -1052,32 +795,5 @@ mod tests {
             SeedVerdict::Pass { .. } => panic!("fail verdict came back as pass"),
         }
         assert!(verdict_from_json("{\"pass\": 0}").is_err());
-    }
-
-    #[test]
-    fn resumed_campaign_replays_the_journal_and_matches_fresh_run() {
-        use crate::journal::{Journal, JournalHeader};
-        use crate::store::MemStore;
-        use std::sync::Arc;
-        let header = JournalHeader {
-            campaign: "fuzz-test".to_string(),
-            config: "start=100 count=6".to_string(),
-        };
-        let store: Arc<dyn crate::store::ArtifactStore> = Arc::new(MemStore::new());
-        let fresh = run_campaign(100, 6, 2);
-        let j = Journal::open(Arc::clone(&store), &header).unwrap();
-        let first = run_campaign_resumable(100, 6, 2, Some(&j));
-        assert_eq!(first.resumed, 0);
-        // Re-open as after a crash: every verdict replays, none re-run.
-        let j2 = Journal::open(store, &header).unwrap();
-        assert_eq!(j2.replayed(), 6);
-        let second = run_campaign_resumable(100, 6, 2, Some(&j2));
-        assert_eq!(second.resumed, 6);
-        for r in [&first, &second] {
-            assert_eq!(r.seeds, fresh.seeds);
-            assert_eq!(r.squashes, fresh.squashes);
-            assert_eq!(r.panics, fresh.panics);
-            assert_eq!(r.violations.len(), fresh.violations.len());
-        }
     }
 }

@@ -27,14 +27,14 @@ pub use bench_report::{
     Regression, SCHEMA,
 };
 pub use chaos::{
-    detection_matrix, probe_fault, render_matrix, run_chaos_campaign, ChaosOpts, ChaosSummary,
+    detection_matrix, probe_fault, render_matrix, run_campaign, CampaignOpts, CampaignResult,
     FaultProbe, MatrixRow,
 };
 pub use exec::{
     default_threads, run_indexed, ExecOutcome, ExecStats, ModeSweep, Sweep, SweepFailure,
     SweepResult, SweepRun, TaskFailure,
 };
-pub use fuzz::{run_campaign, run_seed, shrink, CampaignResult, SeedVerdict, Violation};
+pub use fuzz::{run_seed, shrink, SeedVerdict, Violation};
 pub use journal::{
     check_resume, host_fault_matrix, render_host_matrix, HostMatrixRow, Journal, JournalHeader,
 };

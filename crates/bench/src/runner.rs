@@ -9,6 +9,9 @@ use cleanupspec::snap::{read_checkpoint, write_checkpoint, CheckpointKey};
 use cleanupspec_workloads::spec::SpecWorkload;
 use std::path::{Path, PathBuf};
 
+/// Committed instructions per workload when `CLEANUPSPEC_INSTS` is unset.
+pub const DEFAULT_INSTS: u64 = 300_000;
+
 /// Experiment sizing knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ExperimentConfig {
@@ -28,7 +31,7 @@ impl Default for ExperimentConfig {
             insts: std::env::var("CLEANUPSPEC_INSTS")
                 .ok()
                 .and_then(|v| v.parse().ok())
-                .unwrap_or(300_000),
+                .unwrap_or(DEFAULT_INSTS),
             seed: 0xC1EA_2019,
             // One shared default across every harness: CLEANUPSPEC_THREADS
             // env override, else available parallelism, else 4.
@@ -139,7 +142,7 @@ mod tests {
         // a cache state the headline sweep never reaches.
         assert_eq!(warmup_insts(4_000), 1_000);
         assert_eq!(warmup_insts(40_000), 10_000);
-        assert_eq!(warmup_insts(ExperimentConfig::default().insts), 75_000);
+        assert_eq!(warmup_insts(DEFAULT_INSTS), 75_000);
         assert_eq!(warmup_insts(1_000_000), 100_000);
         for insts in [0, 1, 4_000, 39_999, 40_000, 400_000, 4_000_000] {
             assert!(warmup_insts(insts) <= insts / 4, "insts={insts}");

@@ -1,15 +1,23 @@
 //! cs-smith integration tests: a bounded deterministic campaign must be
-//! clean, and a deliberately sabotaged undo (skip one victim restore) must
-//! be caught by the oracles and shrink to a tiny repro. The CI workflow
-//! runs the full 500-seed campaign via the `cs-smith` binary; these tests
-//! keep `cargo test` fast with a smaller smoke slice.
+//! clean, and a planted undo bug (the `skip-victim-restore` fault, which
+//! skips a victim restore) must be caught by the oracles and shrink to a
+//! tiny repro. The CI workflow runs the full 500-seed campaign via the
+//! `cs-smith` binary and the 256-seed fault campaign via `cs-chaos`;
+//! these tests keep `cargo test` fast with a smaller smoke slice.
 
-use cleanupspec_bench::fuzz::{run_campaign, run_plan_sabotaged, shrink, SeedVerdict};
-use cleanupspec_workloads::smith::{assemble_plan, plan};
+use cleanupspec_bench::chaos::{chaos_plan_verdict, run_campaign, CampaignOpts};
+use cleanupspec_bench::fuzz::{shrink, SeedVerdict};
+use cleanupspec_mem::fault::FaultKind;
+use cleanupspec_workloads::smith::{assemble_plan, plan, SmithPlan};
 
 #[test]
 fn bounded_campaign_is_clean_and_exercises_squashes() {
-    let r = run_campaign(0, 32, 4);
+    let r = run_campaign(&CampaignOpts {
+        start: 0,
+        count: 32,
+        threads: 4,
+        ..CampaignOpts::default()
+    });
     assert!(
         r.clean(),
         "differential campaign found violations: {:?}",
@@ -21,24 +29,29 @@ fn bounded_campaign_is_clean_and_exercises_squashes() {
     );
 }
 
+/// The fault campaign's verdict for one plan with victim restores skipped.
+fn skip_restore_verdict(p: &SmithPlan) -> SeedVerdict {
+    chaos_plan_verdict(p, Some(FaultKind::SkipVictimRestore))
+}
+
 /// Regression for the planted-bug acceptance criterion: with CleanupSpec's
-/// undo sabotaged to skip one victim restore, the oracles must flag a seed
-/// within a small scan, and the greedy shrinker must minimize it to a
-/// replay of at most 20 instructions that still fails.
+/// undo made to skip victim restores, the oracles must flag a seed within
+/// a small scan, and the greedy shrinker must minimize it to a replay of
+/// at most 20 instructions that still fails.
 #[test]
 fn sabotaged_restore_is_caught_and_shrinks_small() {
     let seed = (0..64)
-        .find(|&s| !run_plan_sabotaged(&plan(s)).passed())
-        .expect("sabotaged undo survived 64 seeds — oracles are toothless");
+        .find(|&s| !skip_restore_verdict(&plan(s)).passed())
+        .expect("skip-victim-restore survived 64 seeds — oracles are toothless");
 
-    let min = shrink(&plan(seed), |cand| !run_plan_sabotaged(cand).passed());
+    let min = shrink(&plan(seed), |cand| !skip_restore_verdict(cand).passed());
     let insts: usize = assemble_plan(&min).iter().map(|p| p.len()).sum();
     assert!(
         insts <= 20,
         "shrunk repro has {insts} instructions (want <= 20): {:?}",
         min.ops
     );
-    match run_plan_sabotaged(&min) {
+    match skip_restore_verdict(&min) {
         SeedVerdict::Fail(vs) => {
             assert!(
                 vs.iter().any(|v| v.oracle.contains("episode")
@@ -50,10 +63,10 @@ fn sabotaged_restore_is_caught_and_shrinks_small() {
         SeedVerdict::Pass { .. } => panic!("shrunk repro no longer fails"),
     }
 
-    // The same minimized plan must pass with the real (unsabotaged)
+    // The same minimized plan must pass with the real (fault-free)
     // CleanupSpec undo: the repro isolates the planted bug, nothing else.
     assert!(
         cleanupspec_bench::fuzz::run_plan(&min).passed(),
-        "minimized repro fails even without the sabotage"
+        "minimized repro fails even without the fault"
     );
 }

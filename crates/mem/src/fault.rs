@@ -1,8 +1,8 @@
 //! Deterministic fault injection for mutation-testing the security model.
 //!
 //! CleanupSpec's security argument rests on every undo path firing exactly
-//! once. This module generalizes the one-off `--sabotage` hook from the
-//! fuzzer into a first-class subsystem: a [`FaultPlan`] names which undo
+//! once. This module is the one way the harness plants undo bugs to prove
+//! its oracles would notice a broken one: a [`FaultPlan`] names which undo
 //! bugs to plant, and a [`FaultInjector`] handle — cheap to clone, disabled
 //! by default, like `Observer` — is threaded through the hierarchy, caches,
 //! and schemes. Each hook site asks [`FaultInjector::should_fire`] at the
@@ -13,7 +13,9 @@
 //! every one after it (up to `max_fires`), so a failing campaign seed
 //! replays bit-for-bit. The `cs-chaos` CLI uses this to build the
 //! fault-detection matrix proving every fault class is caught by at least
-//! one fuzzer oracle.
+//! one fuzzer oracle, and to run one-fault seed campaigns
+//! (`cs-chaos --fault skip-victim-restore --seeds 256` is CI's proof that
+//! a missing victim restore is caught).
 
 use std::sync::{Arc, Mutex};
 
