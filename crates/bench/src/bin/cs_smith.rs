@@ -25,7 +25,7 @@
 use cleanupspec_asm::disassemble;
 use cleanupspec_bench::chaos::{run_campaign, CampaignOpts};
 use cleanupspec_bench::cli::{parse_u64, CommonCli};
-use cleanupspec_bench::fuzz::{run_plan, shrink, SeedVerdict};
+use cleanupspec_bench::fuzz::{run_plan, shrink, SeedVerdict, Violation};
 use cleanupspec_bench::journal::check_resume;
 use cleanupspec_workloads::smith::{assemble_plan, plan, SmithPlan};
 use std::process::ExitCode;
@@ -206,10 +206,62 @@ fn main() -> ExitCode {
         println!("all oracles held");
         ExitCode::SUCCESS
     } else {
-        for v in r.violations.iter().take(20) {
-            println!("FAIL {v}");
+        for line in violation_lines(&r.violations) {
+            println!("{line}");
         }
         println!("replay with: cs-smith --replay <seed> --shrink");
         ExitCode::FAILURE
+    }
+}
+
+/// Violations a campaign prints in full; the rest are only counted.
+const SHOWN_VIOLATIONS: usize = 20;
+
+/// The campaign's violation listing: one `FAIL` line for each of the first
+/// [`SHOWN_VIOLATIONS`], then one line counting the rest, if any.
+fn violation_lines(violations: &[Violation]) -> Vec<String> {
+    let mut lines: Vec<String> = violations
+        .iter()
+        .take(SHOWN_VIOLATIONS)
+        .map(|v| format!("FAIL {v}"))
+        .collect();
+    if violations.len() > SHOWN_VIOLATIONS {
+        let more = violations.len() - SHOWN_VIOLATIONS;
+        lines.push(format!("… and {more} more violation(s) not shown"));
+    }
+    lines
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn violations(n: u64) -> Vec<Violation> {
+        (0..n)
+            .map(|seed| Violation {
+                seed,
+                scheme: "cleanupspec",
+                oracle: "episode",
+                detail: format!("detail {seed}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn twenty_violations_are_all_listed() {
+        let lines = violation_lines(&violations(20));
+        assert_eq!(lines.len(), 20);
+        assert_eq!(
+            lines[19],
+            "FAIL seed 0x13 [cleanupspec] episode oracle: detail 19"
+        );
+    }
+
+    #[test]
+    fn a_twenty_first_violation_is_counted_not_listed() {
+        let lines = violation_lines(&violations(21));
+        assert_eq!(lines[..20], violation_lines(&violations(20))[..]);
+        assert_eq!(lines[20], "… and 1 more violation(s) not shown");
+        assert_eq!(lines.len(), 21);
     }
 }

@@ -4,8 +4,9 @@
 //! micro-ISA `.s` file (assembled on the fly) or a named workload — a
 //! Table-3 SPEC-like workload (`gcc`, `astar`, ...), `spectre_v1`,
 //! `meltdown`, `mispredict_storm`, or `smith:<seed>` (the fuzzer's
-//! squash-heavy multi-core plan for that seed). This module owns the
-//! lookup so both binaries accept exactly the same spellings.
+//! squash-heavy multi-core plan for that seed, decimal or `0x` hex as
+//! cs-smith prints it). This module owns the lookup so both binaries
+//! accept exactly the same spellings.
 
 use cleanupspec_asm::assemble;
 use cleanupspec_core::isa::Program;
@@ -33,9 +34,8 @@ pub fn resolve_programs(target: &str, seed: u64) -> Result<Vec<Program>, String>
             .map_err(|e| format!("{target}:{e}"));
     }
     if let Some(s) = target.strip_prefix("smith:") {
-        let seed: u64 = s
-            .parse()
-            .map_err(|_| format!("smith:<seed> needs a number, got {s:?}"))?;
+        let seed = crate::cli::parse_u64(s)
+            .ok_or_else(|| format!("smith:<seed> needs a number, got {s:?}"))?;
         return Ok(assemble_plan(&plan(seed)));
     }
     if let Some(w) = spec_workload(target) {
@@ -68,6 +68,13 @@ mod tests {
         // same plan, regardless of harness defaults.
         assert_eq!(progs.len(), resolve_programs("smith:7", 99).unwrap().len());
         assert!(resolve_programs("smith:x", 1).is_err());
+        // cs-smith prints seeds in hex (`--replay 0x42e`); both spellings
+        // name the same plan.
+        let dec = resolve_programs("smith:42", 1).unwrap();
+        let hex = resolve_programs("smith:0x2a", 1).unwrap();
+        assert_eq!(format!("{dec:?}"), format!("{hex:?}"));
+        assert_ne!(format!("{dec:?}"), format!("{progs:?}"));
+        assert!(resolve_programs("smith:0xzz", 1).is_err());
     }
 
     #[test]

@@ -240,21 +240,33 @@ struct Worklists {
     /// slot is re-checked, so a reused seq is completed exactly once, at
     /// its own `done_at`.
     completions: BinaryHeap<Reverse<(Cycle, u64)>>,
-    /// Seqs drained from `completions` this tick (reused scratch buffer).
+    /// Seqs of the entries issued last tick with `done_at == lane_at`,
+    /// the next cycle (one-cycle ALU ops, one-cycle L1 hits and branches,
+    /// stores, jumps, nops): most completions, kept out of the heap.
+    /// `issue` walks oldest-first, so the lane is in seq order; `complete`
+    /// drains it in the tick it falls due, before the next `issue` refills
+    /// it.
+    lane: Vec<u64>,
+    /// The cycle every seq in `lane` is due.
+    lane_at: Cycle,
+    /// Seqs drained from `completions` and `lane` this tick (reused
+    /// scratch buffer).
     due: Vec<u64>,
     /// `Waiting` entries the issue stage examines: all but the parked
     /// ones, which wait for an operand that is not yet computed.
     waiting: SeqList,
-    /// Parked consumers of each producer, indexed by the producer's seq
+    /// Parked consumers of each producer (parked at dispatch, or when the
+    /// issue stage finds an operand missing), indexed by the producer's seq
     /// modulo the ROB size rounded up to a power of two (unique among live
     /// entries). A list is drained when its producer completes and dropped
     /// when it is squashed; consumer seqs squashed meanwhile are skipped
     /// by `parked_on`.
     wakeups: Vec<Vec<u64>>,
-    /// LQ slots that may hold a completed load whose visibility hook has
-    /// not run yet, ascending. Slots are added when a load completes and
-    /// dropped once the hook ran or the slot no longer holds such a load.
-    visibility_pending: Vec<usize>,
+    /// `(LQ slot, load seq)` of every slot that may hold a completed load
+    /// whose visibility hook has not run yet, ascending by slot. A pair is
+    /// added (or its seq updated) when a load completes and dropped once
+    /// the hook ran or the slot no longer holds such a load.
+    visibility_pending: Vec<(usize, u64)>,
     /// Entries that can still squash everything younger: control not yet
     /// done, and loads not yet issued or faulting.
     squash_sources: SeqList,
@@ -271,6 +283,8 @@ impl Worklists {
     fn new(rob_entries: usize) -> Self {
         Worklists {
             completions: BinaryHeap::new(),
+            lane: Vec::new(),
+            lane_at: 0,
             due: Vec::new(),
             waiting: SeqList::default(),
             wakeups: vec![Vec::new(); rob_entries.next_power_of_two()],
@@ -645,9 +659,9 @@ impl Pipeline {
     /// The earliest cycle after `now` at which this core, having just
     /// ticked quietly at `now`, can change state or its stall cause:
     /// until then every tick repeats the quiet one. The bound is the
-    /// soonest of the next completion, the next held LQ slot to expire,
-    /// the head's commit gate, and the end of the fetch and cleanup
-    /// stalls. `Cycle::MAX` for a halted core.
+    /// soonest of the next completion (heap top or one-cycle lane), the
+    /// next held LQ slot to expire, the head's commit gate, and the end of
+    /// the fetch and cleanup stalls. `Cycle::MAX` for a halted core.
     pub fn quiet_until(&self, now: Cycle) -> Cycle {
         if self.halted {
             return Cycle::MAX;
@@ -656,6 +670,9 @@ impl Pipeline {
         let mut wake = ahead(self.fetch_stall_until).min(ahead(self.cleanup_stall_until));
         if let Some(&Reverse((done_at, _))) = self.sched.completions.peek() {
             wake = wake.min(done_at);
+        }
+        if !self.sched.lane.is_empty() {
+            wake = wake.min(self.sched.lane_at);
         }
         if let Some(&held) = self.lq_held.iter().min() {
             wake = wake.min(held);
@@ -767,6 +784,9 @@ impl Pipeline {
     /// have always followed. Returns whether any item was due.
     fn complete(&mut self, mem: &mut MemHierarchy, now: Cycle) -> bool {
         let mut due = std::mem::take(&mut self.sched.due);
+        if self.sched.lane_at <= now {
+            due.append(&mut self.sched.lane);
+        }
         while let Some(&Reverse((done_at, seq))) = self.sched.completions.peek() {
             if done_at > now {
                 break;
@@ -818,8 +838,9 @@ impl Pipeline {
                                 },
                             });
                             let pending = &mut self.sched.visibility_pending;
-                            if let Err(k) = pending.binary_search(&li) {
-                                pending.insert(k, li);
+                            match pending.binary_search_by_key(&li, |&(slot, _)| slot) {
+                                Ok(k) => pending[k].1 = seq,
+                                Err(k) => pending.insert(k, (li, seq)),
                             }
                         }
                     }
@@ -881,15 +902,28 @@ impl Pipeline {
     /// Fires [`SpeculationScheme::on_load_visible`] for completed loads
     /// that have become unsquashable (InvisiSpec's visibility point), in
     /// LQ-slot order. Returns whether any slot left the pending list.
+    ///
+    /// While a squash source older than every pending load is in flight,
+    /// every hook is blocked and the scan returns at once; slots of
+    /// squashed loads then stay listed until a later scan drops them.
     fn visibility_scan(
         &mut self,
         scheme: &mut dyn SpeculationScheme,
         mem: &mut MemHierarchy,
         now: Cycle,
     ) -> bool {
+        let sources = &self.sched.squash_sources;
+        if self
+            .sched
+            .visibility_pending
+            .iter()
+            .all(|&(_, seq)| sources.has_older(seq))
+        {
+            return false;
+        }
         let mut pending = std::mem::take(&mut self.sched.visibility_pending);
         let before = pending.len();
-        pending.retain(|&li| {
+        pending.retain(|&(li, _)| {
             let Some(lqe) = self.lq[li] else {
                 return false;
             };
@@ -1483,6 +1517,8 @@ impl Pipeline {
         let Some(head) = self.rob.front().map(|e| e.seq) else {
             return false;
         };
+        debug_assert!(self.sched.lane.is_empty(), "lane drained by complete");
+        self.sched.lane_at = now + 1;
         let mut parked = false;
         let mut waiting = std::mem::take(&mut self.sched.waiting);
         let mut budget = self.cfg.issue_width;
@@ -1507,8 +1543,10 @@ impl Pipeline {
                 continue;
             }
             waiting.0.remove(k);
-            if let Status::Issued { done_at } = e.status {
-                self.sched.completions.push(Reverse((done_at, seq)));
+            match e.status {
+                Status::Issued { done_at } if done_at == now + 1 => self.sched.lane.push(seq),
+                Status::Issued { done_at } => self.sched.completions.push(Reverse((done_at, seq))),
+                _ => {}
             }
             // A load stops being a squash source once issued, unless it
             // faults; control stays one until it is done.
@@ -1904,7 +1942,15 @@ impl Pipeline {
                 faulting: false,
                 parked_on: None,
             });
-            self.sched.waiting.push(seq);
+            // A dependent whose producer is not done could only be parked
+            // by the issue stage's first look at it: park it now.
+            match self.unready_producer(self.rob.len() - 1) {
+                Some(p) => {
+                    self.rob.back_mut().expect("just pushed").parked_on = Some(p);
+                    self.sched.wakeup_slot(p).push(seq);
+                }
+                None => self.sched.waiting.push(seq),
+            }
             if inst.is_control() || inst.is_load() {
                 self.sched.squash_sources.push(seq);
             }
@@ -1982,6 +2028,11 @@ impl Pipeline {
         for e in &self.rob {
             let Some(p) = e.parked_on else { continue };
             assert_eq!(e.status, Status::Waiting, "parked seq {}", e.seq);
+            assert!(
+                w.waiting.0.binary_search(&e.seq).is_err(),
+                "parked seq {} is waiting",
+                e.seq
+            );
             let pi = self
                 .rob_index(p)
                 .expect("producer of a parked entry is live");
@@ -2011,12 +2062,29 @@ impl Pipeline {
             .collect();
         addrless.sort_unstable();
         assert_eq!(list(&w.addrless_stores), addrless);
+        // The lane holds only entries issued this tick, none of them
+        // squashed since: each is live and due exactly at `lane_at`.
+        assert!(w.lane.windows(2).all(|p| p[0] < p[1]), "lane in seq order");
+        for &seq in &w.lane {
+            let i = self.rob_index(seq).expect("lane seq is live");
+            assert_eq!(
+                self.rob[i].status,
+                Status::Issued { done_at: w.lane_at },
+                "lane seq {seq}"
+            );
+        }
+        // Every issued entry has its completion item, in the lane or in
+        // the heap. (The heap may also hold an item of a squashed entry
+        // whose seq was reused, even one with the same `done_at`; it is
+        // skipped when drained, once the live one completed.)
         let mut items: Vec<(Cycle, u64)> = w.completions.iter().map(|r| r.0).collect();
         items.sort_unstable();
         for e in &self.rob {
             if let Status::Issued { done_at } = e.status {
+                let in_lane = done_at == w.lane_at && w.lane.binary_search(&e.seq).is_ok();
+                let in_heap = items.binary_search(&(done_at, e.seq)).is_ok();
                 assert!(
-                    items.binary_search(&(done_at, e.seq)).is_ok(),
+                    in_lane || in_heap,
                     "issued seq {} has no completion item at {done_at}",
                     e.seq
                 );
@@ -2028,31 +2096,33 @@ impl Pipeline {
             .find(|e| e.mispredict_pending && e.status == Status::Done)
             .map(|e| e.seq);
         assert_eq!(w.mispredict, pending, "pending mispredict");
-        assert!(w.visibility_pending.windows(2).all(|p| p[0] < p[1]));
+        let pending = &w.visibility_pending;
+        assert!(pending.windows(2).all(|p| p[0].0 < p[1].0));
         for (li, lqe) in self.lq.iter().enumerate() {
             if let Some(LqEntry {
+                seq,
                 state:
                     LqState::Done {
                         line: Some(_),
                         visible_done: false,
                         ..
                     },
-                ..
-            }) = lqe
+            }) = *lqe
             {
-                assert!(
-                    w.visibility_pending.contains(&li),
-                    "LQ slot {li} not pending"
-                );
+                let k = pending.binary_search_by_key(&li, |&(slot, _)| slot);
+                let k = k.unwrap_or_else(|_| panic!("LQ slot {li} not pending"));
+                assert_eq!(pending[k].1, seq, "pending seq of LQ slot {li}");
             }
         }
     }
 
     /// Debug-build check of [`Self::quiet_until`], run after every tick:
     /// re-derives the earliest cycle a quiet core can act by a full ROB
-    /// scan and asserts the worklist bound is not later. After a quiet
-    /// tick the bound must also lie ahead of `now`, or the tick would not
-    /// have been quiet.
+    /// scan and asserts the worklist bound is not later. The scan's
+    /// `Issued` entries cover both completion worklists, the heap and the
+    /// one-cycle lane. After a quiet tick the bound must also lie ahead of
+    /// `now`, or the tick would not have been quiet, and the lane must be
+    /// empty: only a charged issue slot fills it.
     #[cfg(debug_assertions)]
     fn check_quiet_bound(&self, now: Cycle) {
         if self.halted {
@@ -2085,6 +2155,10 @@ impl Pipeline {
         );
         if self.last_tick.is_quiet() {
             assert!(bound > now, "quiet tick at {now} with wake bound {bound}");
+            assert!(
+                self.sched.lane.is_empty(),
+                "quiet tick at {now} filled the lane"
+            );
         }
     }
 }
@@ -2143,11 +2217,13 @@ mod tests {
     }
 
     /// `Plain`, additionally recording every load issued to the cache
-    /// (`(line, is_spec)`) and every visibility-point call.
+    /// (`(line, is_spec)`) and every visibility-point call (its line, and
+    /// the cycle in `visible_at`).
     #[derive(Clone, Debug, Default)]
     struct Recorder {
         issued: Vec<(LineAddr, bool)>,
         visible: Vec<LineAddr>,
+        visible_at: Vec<Cycle>,
     }
 
     impl SpeculationScheme for Recorder {
@@ -2170,9 +2246,10 @@ mod tests {
             _mem: &mut MemHierarchy,
             _core: CoreId,
             load: CommittedLoad,
-            _now: Cycle,
+            now: Cycle,
         ) -> Option<Cycle> {
             self.visible.push(load.line);
+            self.visible_at.push(now);
             None
         }
         fn commit_load(
@@ -2494,5 +2571,91 @@ mod tests {
             vec![probe, secret_line],
             "probe load never visible"
         );
+    }
+
+    #[test]
+    fn visibility_hooks_wait_for_the_older_branch_then_fire_in_slot_order() {
+        // Warm-up loads bring lines A and B into L1; the fence holds every
+        // later load until they committed and freed their LQ slots. Then: w0 misses to DRAM (LQ slot 0); a two-load pointer chase
+        // (slots 1 and 2) feeds a branch, correctly predicted not-taken, that
+        // resolves only after the second DRAM round trip. Under it, load A
+        // hits L1 at once (slot 3). Nops fill the ROB, so load B dispatches
+        // only when w0 commits, and takes the slot w0 freed (slot 0): B is
+        // younger than A but sits in a lower slot.
+        let (a, bb) = (0x5000u64, 0x6040u64);
+        let mut b = ProgramBuilder::new("visibility-gate");
+        b.movi(Reg(2), a);
+        b.movi(Reg(3), bb);
+        b.movi(Reg(1), 0x20000);
+        b.movi(Reg(11), 0x7000);
+        b.load(Reg(8), Reg(2), 0);
+        b.load(Reg(9), Reg(3), 0);
+        b.fence();
+        b.load(Reg(7), Reg(11), 0);
+        b.load(Reg(4), Reg(1), 0);
+        b.load(Reg(10), Reg(4), 0);
+        let br = b.branch(Reg(10), BranchCond::NotZero, 0);
+        b.load(Reg(5), Reg(2), 0);
+        for _ in 0..CoreConfig::default().rob_entries - 5 {
+            b.emit(Inst::Nop);
+        }
+        b.load(Reg(6), Reg(3), 0);
+        let end = b.halt();
+        b.patch_branch(br, end);
+        b.init_mem(Addr::new(0x20000), 0x30000);
+        b.init_mem(Addr::new(0x30000), 0);
+        b.init_mem(Addr::new(a), 1);
+        b.init_mem(Addr::new(bb), 2);
+        let ring = Shared::new(RingSink::new(4096));
+        let obs = Observer::single(Box::new(ring.clone()));
+        let mut rec = Recorder::default();
+        let (pipe, _) = run_with(b.build(), &mut rec, obs, 5000);
+        assert!(pipe.halted());
+        assert_eq!(pipe.stats().mispredicts, 0);
+        assert_eq!((pipe.reg(Reg(5)), pipe.reg(Reg(6))), (1, 2));
+        // The cycle the branch resolved (it commits in the same tick) and
+        // the cycles loads A and B (the last two issued) completed.
+        let (resolved, loads) = ring.with(|r| {
+            let resolved = r
+                .events()
+                .find_map(|rec| match rec.event {
+                    SimEvent::Commit { pc, .. } if pc == br as u64 => Some(rec.cycle),
+                    _ => None,
+                })
+                .expect("branch committed");
+            let loads: Vec<Cycle> = r
+                .events()
+                .filter_map(|rec| match rec.event {
+                    SimEvent::LoadIssue { latency, .. } => Some(rec.cycle + latency),
+                    _ => None,
+                })
+                .collect();
+            (resolved, loads)
+        });
+        let [.., done_a, done_b] = loads[..] else {
+            panic!("loads A and B issued: {loads:?}");
+        };
+        assert!(
+            done_a.max(done_b) < resolved,
+            "A and B completed under the branch"
+        );
+        let (line_a, line_b) = (Addr::new(a).line(), Addr::new(bb).line());
+        // Warm-up A and B, w0, the chase: all before the branch resolved.
+        let (early, late) = rec.visible.split_at(5);
+        assert_eq!(
+            early,
+            [
+                line_a,
+                line_b,
+                Addr::new(0x7000).line(),
+                Addr::new(0x20000).line(),
+                Addr::new(0x30000).line()
+            ]
+        );
+        assert!(rec.visible_at[..5].iter().all(|&c| c < resolved));
+        // Then each of A and B exactly once, in LQ-slot order, in the tick
+        // the branch resolved.
+        assert_eq!(late, [line_b, line_a]);
+        assert_eq!(rec.visible_at[5..], [resolved, resolved]);
     }
 }
