@@ -2,7 +2,8 @@
 # Runs perfbench briefly on every workload and seed pinned in
 # ci/perfbench_fingerprints.txt and fails unless each run reports
 # "correct": true and the pinned fingerprint; then runs one traced pass
-# set on spec-1core, whose fingerprint must match as well (traced-run
+# set on spec-1core and one on sharing-4core (whose traced mirror ticks
+# four pipelines), whose fingerprints must match as well (traced-run
 # fidelity).
 #
 #   ci/check_perfbench_fingerprints.sh [path/to/cleanupspec-perfbench]
@@ -36,6 +37,8 @@ while read -r workload seed want; do
     check "$workload" "$seed" "$want" 2 0
 done <ci/perfbench_fingerprints.txt
 
-spec=$(awk '$1 == "spec-1core" { print $2, $3; exit }' ci/perfbench_fingerprints.txt)
-check spec-1core ${spec% *} ${spec#* } 3 1
+for workload in spec-1core sharing-4core; do
+    pin=$(awk -v w="$workload" '$1 == w { print $2, $3; exit }' ci/perfbench_fingerprints.txt)
+    check "$workload" ${pin% *} ${pin#* } 3 1
+done
 exit $status

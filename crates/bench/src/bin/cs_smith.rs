@@ -25,7 +25,7 @@
 use cleanupspec_asm::disassemble;
 use cleanupspec_bench::chaos::{run_campaign, CampaignOpts};
 use cleanupspec_bench::cli::{parse_u64, CommonCli};
-use cleanupspec_bench::fuzz::{run_plan, shrink, SeedVerdict, Violation};
+use cleanupspec_bench::fuzz::{reproduces, run_plan, shrink, SeedVerdict, Violation};
 use cleanupspec_bench::journal::check_resume;
 use cleanupspec_workloads::smith::{assemble_plan, plan, SmithPlan};
 use std::process::ExitCode;
@@ -135,7 +135,10 @@ fn replay(seed: u64, do_shrink: bool) -> ExitCode {
                 println!("FAIL {v}");
             }
             if do_shrink {
-                let min = shrink(&p, |cand| !run_plan(cand).passed());
+                // Shrink towards the failure found first, not any failure:
+                // another scheme or leak class would be another finding.
+                let first = &violations[0];
+                let min = shrink(&p, |cand| reproduces(first, &run_plan(cand)));
                 let insts: usize = assemble_plan(&min).iter().map(|p| p.len()).sum();
                 println!(
                     "shrunk to {} plan op(s), {} iter(s), {} core(s), {insts} instruction(s):",
@@ -148,7 +151,9 @@ fn replay(seed: u64, do_shrink: bool) -> ExitCode {
                 }
                 export(&min, "fail");
                 if let SeedVerdict::Fail(vs) = run_plan(&min) {
-                    println!("minimal repro still fails: {}", vs[0]);
+                    if let Some(v) = vs.iter().find(|v| first.same_failure(v)) {
+                        println!("minimal repro still fails: {v}");
+                    }
                 }
             }
             ExitCode::FAILURE

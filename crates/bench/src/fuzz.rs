@@ -118,6 +118,30 @@ impl SeedVerdict {
     }
 }
 
+impl Violation {
+    /// Whether `other` is the same failure: the same scheme and oracle and,
+    /// for the episode oracle, the same leak class (the [`LeakKind`] label
+    /// that ends the detail). Seed, line and episode may differ.
+    pub fn same_failure(&self, other: &Violation) -> bool {
+        fn leak_class(detail: &str) -> Option<&str> {
+            detail.rsplit_once(": ").map(|(_, k)| k)
+        }
+        self.scheme == other.scheme
+            && self.oracle == other.oracle
+            && (self.oracle != "episode" || leak_class(&self.detail) == leak_class(&other.detail))
+    }
+}
+
+/// Whether `verdict` still shows the failure `first` (see
+/// [`Violation::same_failure`]). A shrinker that keeps only such candidates
+/// cannot drift from the failure it started from to another one.
+pub fn reproduces(first: &Violation, verdict: &SeedVerdict) -> bool {
+    match verdict {
+        SeedVerdict::Pass { .. } => false,
+        SeedVerdict::Fail(vs) => vs.iter().any(|v| first.same_failure(v)),
+    }
+}
+
 /// The fuzzing memory geometry: a deliberately tiny L1 (one set of 2
 /// ways — a smith program touches many more distinct lines than that) so
 /// speculative installs routinely evict architectural victims and the
@@ -746,6 +770,60 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reproduces_keeps_scheme_oracle_and_leak_class() {
+        let episode = |scheme, detail: &str| Violation {
+            seed: 0x119d,
+            scheme,
+            oracle: "episode",
+            detail: detail.to_string(),
+        };
+        let first = episode(
+            "cleanupspec",
+            "1 ledger imbalance(s); first: core0 episode16 line=0x1415: transient-install-l1",
+        );
+        let fail = |v: Violation| SeedVerdict::Fail(vec![v]);
+        // Another episode and line, same class: still the same failure.
+        let same = episode(
+            "cleanupspec",
+            "2 ledger imbalance(s); first: core0 episode3 line=0x20: transient-install-l1",
+        );
+        assert!(reproduces(&first, &fail(same.clone())));
+        let other_scheme = episode(
+            "naive-invalidate",
+            "surviving install: core0 episode16 line=0x1415: transient-install-l1",
+        );
+        assert!(!reproduces(&first, &fail(other_scheme.clone())));
+        let other_class = episode(
+            "cleanupspec",
+            "1 ledger imbalance(s); first: core0 episode16 line=0x1415: double-undo",
+        );
+        assert!(!reproduces(&first, &fail(other_class)));
+        let other_oracle = Violation {
+            oracle: "cache",
+            ..same.clone()
+        };
+        assert!(!reproduces(&first, &fail(other_oracle)));
+        assert!(!reproduces(&first, &SeedVerdict::Pass { squashes: 3 }));
+        // Any matching violation among several is enough.
+        assert!(reproduces(
+            &first,
+            &SeedVerdict::Fail(vec![other_scheme, same])
+        ));
+        // Outside the episode oracle the detail does not matter.
+        let cache = |detail: &str| Violation {
+            oracle: "cache",
+            detail: detail.to_string(),
+            ..first.clone()
+        };
+        assert!(reproduces(
+            &cache("L2 holds line 0x1 never architecturally touched"),
+            &fail(cache(
+                "core 0 L1 holds line 0x2 never architecturally touched"
+            ))
+        ));
+    }
 
     #[test]
     fn a_handful_of_seeds_pass_all_oracles() {

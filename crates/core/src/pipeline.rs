@@ -186,9 +186,9 @@ enum SquashPhase {
 /// Sequence numbers of the ROB entries in one scheduling state, oldest
 /// first.
 ///
-/// Entries join at dispatch, so pushes arrive in ascending order (only a
-/// parked entry waking up is inserted in the middle). They leave on the
-/// state change the list tracks, or when a squash truncates the young end.
+/// Entries join at dispatch, so pushes arrive in ascending order. They
+/// leave on the state change the list tracks, or when a squash truncates
+/// the young end.
 #[derive(Clone, Debug, Default)]
 struct SeqList(VecDeque<u64>);
 
@@ -206,15 +206,6 @@ impl SeqList {
         }
     }
 
-    /// Inserts `seq` in order (a parked entry waking up).
-    fn insert(&mut self, seq: u64) {
-        let found = self.0.binary_search(&seq);
-        debug_assert!(found.is_err(), "seq {seq} already listed");
-        if let Err(k) = found {
-            self.0.insert(k, seq);
-        }
-    }
-
     /// Whether the list holds an entry older than `seq`.
     fn has_older(&self, seq: u64) -> bool {
         self.0.front().is_some_and(|&f| f < seq)
@@ -225,6 +216,80 @@ impl SeqList {
         while self.0.back().is_some_and(|&b| b > seq) {
             self.0.pop_back();
         }
+    }
+}
+
+/// A set of the positions `0..size`, one bit each.
+///
+/// Positions may also be read as a ring: [`Self::next_circular`] scans
+/// from any position onwards and wraps from `size - 1` to 0.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct BitSet {
+    words: Vec<u64>,
+    size: usize,
+}
+
+impl BitSet {
+    /// The empty set.
+    fn new(size: usize) -> Self {
+        BitSet {
+            words: vec![0; size.div_ceil(64)],
+            size,
+        }
+    }
+
+    /// The set of every position.
+    fn full(size: usize) -> Self {
+        let mut s = BitSet::new(size);
+        for pos in 0..size {
+            s.insert(pos);
+        }
+        s
+    }
+
+    fn insert(&mut self, pos: usize) {
+        debug_assert!(pos < self.size);
+        self.words[pos / 64] |= 1 << (pos % 64);
+    }
+
+    fn remove(&mut self, pos: usize) {
+        self.words[pos / 64] &= !(1 << (pos % 64));
+    }
+
+    /// Number of members.
+    fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The lowest member.
+    fn first(&self) -> Option<usize> {
+        let k = self.words.iter().position(|&w| w != 0)?;
+        Some(k * 64 + self.words[k].trailing_zeros() as usize)
+    }
+
+    /// The least `d < n` for which position `(from + d) % size` is a
+    /// member: the first member met walking the ring from `from` for `n`
+    /// positions (`n <= size`).
+    fn next_circular(&self, from: usize, n: usize) -> Option<usize> {
+        debug_assert!(from < self.size && n <= self.size);
+        let (mut pos, mut d) = (from, 0);
+        while d < n {
+            let bits = self.words[pos / 64] >> (pos % 64);
+            if bits != 0 {
+                // No member lies at or past `size`, so `bits` does not
+                // run past the wrap.
+                let hit = d + bits.trailing_zeros() as usize;
+                return (hit < n).then_some(hit);
+            }
+            let step = (64 - pos % 64).min(self.size - pos);
+            d += step;
+            pos = if pos + step == self.size {
+                0
+            } else {
+                pos + step
+            };
+        }
+        None
     }
 }
 
@@ -253,14 +318,15 @@ struct Worklists {
     /// scratch buffer).
     due: Vec<u64>,
     /// `Waiting` entries the issue stage examines: all but the parked
-    /// ones, which wait for an operand that is not yet computed.
-    waiting: SeqList,
+    /// ones, which wait for an operand that is not yet computed. A bit
+    /// per ring position (`ring_pos`); the issue stage reads it in seq
+    /// order from the ROB head.
+    waiting: BitSet,
     /// Parked consumers of each producer (parked at dispatch, or when the
-    /// issue stage finds an operand missing), indexed by the producer's seq
-    /// modulo the ROB size rounded up to a power of two (unique among live
-    /// entries). A list is drained when its producer completes and dropped
-    /// when it is squashed; consumer seqs squashed meanwhile are skipped
-    /// by `parked_on`.
+    /// issue stage finds an operand missing), indexed by the producer's
+    /// ring position. A list is drained when its producer completes and
+    /// dropped when it is squashed; consumer seqs squashed meanwhile are
+    /// skipped by `parked_on`.
     wakeups: Vec<Vec<u64>>,
     /// `(LQ slot, load seq)` of every slot that may hold a completed load
     /// whose visibility hook has not run yet, ascending by slot. A pair is
@@ -286,7 +352,7 @@ impl Worklists {
             lane: Vec::new(),
             lane_at: 0,
             due: Vec::new(),
-            waiting: SeqList::default(),
+            waiting: BitSet::new(rob_entries.next_power_of_two()),
             wakeups: vec![Vec::new(); rob_entries.next_power_of_two()],
             visibility_pending: Vec::new(),
             squash_sources: SeqList::default(),
@@ -296,13 +362,18 @@ impl Worklists {
         }
     }
 
+    /// The ring position of `seq`: the seq modulo the ROB size rounded up
+    /// to a power of two, unique among live entries.
+    fn ring_pos(&self, seq: u64) -> usize {
+        (seq & (self.wakeups.len() as u64 - 1)) as usize
+    }
+
     fn wakeup_slot(&mut self, producer: u64) -> &mut Vec<u64> {
-        let mask = self.wakeups.len() as u64 - 1;
-        &mut self.wakeups[(producer & mask) as usize]
+        let pos = self.ring_pos(producer);
+        &mut self.wakeups[pos]
     }
 
     fn truncate_after(&mut self, seq: u64) {
-        self.waiting.truncate_after(seq);
         self.squash_sources.truncate_after(seq);
         self.fences.truncate_after(seq);
         self.addrless_stores.truncate_after(seq);
@@ -394,6 +465,9 @@ pub struct Pipeline {
     lq: Vec<Option<LqEntry>>,
     sq: Vec<Option<SqEntry>>,
     lq_held: Vec<Cycle>,
+    /// The free slots of `lq` and `sq` (a held LQ slot counts as free).
+    lq_free: BitSet,
+    sq_free: BitSet,
     next_seq: u64,
     fetch_pc: Pc,
     fetch_halted: bool,
@@ -436,6 +510,8 @@ impl Pipeline {
             lq: (0..cfg.lq_entries).map(|_| None).collect(),
             sq: (0..cfg.sq_entries).map(|_| None).collect(),
             lq_held: Vec::new(),
+            lq_free: BitSet::full(cfg.lq_entries),
+            sq_free: BitSet::full(cfg.sq_entries),
             next_seq: 1,
             fetch_pc: program.entry,
             fetch_halted: false,
@@ -892,7 +968,8 @@ impl Pipeline {
             };
             if self.rob[ci].parked_on == Some(producer) {
                 self.rob[ci].parked_on = None;
-                self.sched.waiting.insert(c);
+                let pos = self.sched.ring_pos(c);
+                self.sched.waiting.insert(pos);
             }
         }
         woken.clear();
@@ -923,6 +1000,10 @@ impl Pipeline {
         }
         let mut pending = std::mem::take(&mut self.sched.visibility_pending);
         let before = pending.len();
+        // The oldest LQ seq not yet `Done`, found at the first hook that
+        // fires. A hook changes only its own entry, which stays `Done`, so
+        // the value holds for the rest of the pass.
+        let mut oldest_undone: Option<Option<u64>> = None;
         pending.retain(|&(li, _)| {
             let Some(lqe) = self.lq[li] else {
                 return false;
@@ -941,11 +1022,15 @@ impl Pipeline {
                 return true;
             }
             // TSO validation condition: an older load is still pending.
-            let needs_validation = self
-                .lq
-                .iter()
-                .flatten()
-                .any(|e| e.seq < lqe.seq && !matches!(e.state, LqState::Done { .. }));
+            let oldest = *oldest_undone.get_or_insert_with(|| {
+                self.lq
+                    .iter()
+                    .flatten()
+                    .filter(|e| !matches!(e.state, LqState::Done { .. }))
+                    .map(|e| e.seq)
+                    .min()
+            });
+            let needs_validation = oldest.is_some_and(|o| o < lqe.seq);
             let exposed = scheme.on_load_visible(
                 mem,
                 self.core,
@@ -1142,19 +1227,21 @@ impl Pipeline {
             let e = self.rob.pop_back().expect("checked non-empty");
             self.stats.squashed_insts += 1;
             self.sched.wakeup_slot(e.seq).clear();
+            let pos = self.sched.ring_pos(e.seq);
+            self.sched.waiting.remove(pos);
             if let Some(li) = e.lq {
                 if let Some(lqe) = self.lq[li] {
                     if lqe.seq == e.seq {
                         let rec = self.squash_record(&lqe);
                         loads.push(rec);
-                        self.lq[li] = None;
+                        self.free_lq(li);
                     }
                 }
             }
             if let Some(si) = e.sq {
                 if let Some(sqe) = self.sq[si] {
                     if sqe.seq == e.seq {
-                        self.sq[si] = None;
+                        self.free_sq(si);
                     }
                 }
             }
@@ -1362,7 +1449,7 @@ impl Pipeline {
                                 }
                                 CommitAction::HoldLqUntil(c) => {
                                     if let Some(li) = entry.lq {
-                                        self.lq[li] = None;
+                                        self.free_lq(li);
                                         self.lq_held.push(c);
                                         entry.lq = None;
                                         self.rob.front_mut().expect("head").lq = None;
@@ -1410,12 +1497,12 @@ impl Pipeline {
             // Free queues.
             if let Some(li) = entry.lq {
                 if self.lq[li].is_some_and(|l| l.seq == entry.seq) {
-                    self.lq[li] = None;
+                    self.free_lq(li);
                 }
             }
             if let Some(si) = entry.sq {
                 if self.sq[si].is_some_and(|s| s.seq == entry.seq) {
-                    self.sq[si] = None;
+                    self.free_sq(si);
                 }
             }
             self.obs.emit_with(now, || SimEvent::Commit {
@@ -1520,12 +1607,17 @@ impl Pipeline {
         debug_assert!(self.sched.lane.is_empty(), "lane drained by complete");
         self.sched.lane_at = now + 1;
         let mut parked = false;
-        let mut waiting = std::mem::take(&mut self.sched.waiting);
         let mut budget = self.cfg.issue_width;
-        let mut k = 0;
-        while k < waiting.0.len() && budget > 0 {
-            let seq = waiting.0[k];
-            let i = (seq - head) as usize;
+        // `i` is the ROB index (and `head + i` the seq) the walk resumes at.
+        let mut i = 0;
+        while budget > 0 {
+            let from = self.sched.ring_pos(head + i as u64);
+            let Some(d) = self.sched.waiting.next_circular(from, self.rob.len() - i) else {
+                break;
+            };
+            i += d;
+            let seq = head + i as u64;
+            let pos = self.sched.ring_pos(seq);
             self.issue_one(i, &mut budget, scheme, mem, dmem, now);
             let e = &self.rob[i];
             if e.status == Status::Waiting {
@@ -1535,14 +1627,14 @@ impl Pipeline {
                 if let Some(p) = self.unready_producer(i) {
                     self.rob[i].parked_on = Some(p);
                     self.sched.wakeup_slot(p).push(seq);
-                    waiting.0.remove(k);
+                    self.sched.waiting.remove(pos);
                     parked = true;
-                } else {
-                    k += 1;
                 }
+                i += 1;
                 continue;
             }
-            waiting.0.remove(k);
+            self.sched.waiting.remove(pos);
+            i += 1;
             match e.status {
                 Status::Issued { done_at } if done_at == now + 1 => self.sched.lane.push(seq),
                 Status::Issued { done_at } => self.sched.completions.push(Reverse((done_at, seq))),
@@ -1556,7 +1648,6 @@ impl Pipeline {
                 self.sched.addrless_stores.remove(seq);
             }
         }
-        self.sched.waiting = waiting;
         parked || budget < self.cfg.issue_width
     }
 
@@ -1909,6 +2000,7 @@ impl Pipeline {
                     seq,
                     state: LqState::NotIssued,
                 });
+                self.lq_free.remove(li);
             }
             if let Some(si) = sq {
                 self.sq[si] = Some(SqEntry {
@@ -1916,6 +2008,7 @@ impl Pipeline {
                     addr: None,
                     value: None,
                 });
+                self.sq_free.remove(si);
             }
             self.obs.emit_with(now, || SimEvent::Dispatch {
                 core: self.core.index(),
@@ -1949,7 +2042,10 @@ impl Pipeline {
                     self.rob.back_mut().expect("just pushed").parked_on = Some(p);
                     self.sched.wakeup_slot(p).push(seq);
                 }
-                None => self.sched.waiting.push(seq),
+                None => {
+                    let pos = self.sched.ring_pos(seq);
+                    self.sched.waiting.insert(pos);
+                }
             }
             if inst.is_control() || inst.is_load() {
                 self.sched.squash_sources.push(seq);
@@ -1995,14 +2091,22 @@ impl Pipeline {
     /// The first free LQ slot, if more slots are free than InvisiSpec
     /// update loads hold (a held slot is free in `lq` but still taken).
     fn free_lq_slot(&self) -> Option<usize> {
-        let held = self.lq_held.len();
-        let mut free = (0..self.lq.len()).filter(|&li| self.lq[li].is_none());
-        let first = free.next()?;
-        (free.take(held).count() == held).then_some(first)
+        let first = self.lq_free.first()?;
+        (self.lq_free.count() > self.lq_held.len()).then_some(first)
     }
 
     fn free_slot_sq(&self) -> Option<usize> {
-        self.sq.iter().position(|s| s.is_none())
+        self.sq_free.first()
+    }
+
+    fn free_lq(&mut self, li: usize) {
+        self.lq[li] = None;
+        self.lq_free.insert(li);
+    }
+
+    fn free_sq(&mut self, si: usize) {
+        self.sq[si] = None;
+        self.sq_free.insert(si);
     }
 
     /// Debug-build invariant check, run after every tick: recomputes each
@@ -2021,18 +2125,25 @@ impl Pipeline {
         };
         let list = |l: &SeqList| l.0.iter().copied().collect::<Vec<u64>>();
         let w = &self.sched;
-        assert_eq!(
-            list(&w.waiting),
-            scan(|e| e.status == Status::Waiting && e.parked_on.is_none())
-        );
+        // Ring positions are unique among live seqs, so set equality also
+        // rules out a stray bit of a squashed or parked seq.
+        let mut waiting = BitSet::new(w.waiting.size);
+        for seq in scan(|e| e.status == Status::Waiting && e.parked_on.is_none()) {
+            waiting.insert(w.ring_pos(seq));
+        }
+        assert_eq!(w.waiting, waiting, "waiting ring");
+        fn free_slots<T>(q: &[Option<T>]) -> BitSet {
+            let mut free = BitSet::new(q.len());
+            for (i, _) in q.iter().enumerate().filter(|(_, x)| x.is_none()) {
+                free.insert(i);
+            }
+            free
+        }
+        assert_eq!(self.lq_free, free_slots(&self.lq), "free LQ slots");
+        assert_eq!(self.sq_free, free_slots(&self.sq), "free SQ slots");
         for e in &self.rob {
             let Some(p) = e.parked_on else { continue };
             assert_eq!(e.status, Status::Waiting, "parked seq {}", e.seq);
-            assert!(
-                w.waiting.0.binary_search(&e.seq).is_err(),
-                "parked seq {} is waiting",
-                e.seq
-            );
             let pi = self
                 .rob_index(p)
                 .expect("producer of a parked entry is live");
@@ -2282,23 +2393,37 @@ mod tests {
         obs: Observer,
         max_cycles: Cycle,
     ) -> (Pipeline, MemHierarchy) {
-        let mut mem = MemHierarchy::new(MemConfig::default());
-        let mut dmem = DataMem::new();
-        for (a, v) in &p.init_mem {
-            dmem.write(*a, *v);
-        }
         let mut pipe = Pipeline::new(CoreId(0), CoreConfig::default(), Arc::new(p));
         pipe.set_observer(obs);
-        let mut now = 0;
-        while !pipe.halted() && now < max_cycles {
-            now += 1;
-            mem.advance(now);
-            pipe.tick(scheme, &mut mem, &mut dmem, now);
-        }
+        let (mut mem, _, now) = run_watched(&mut pipe, scheme, max_cycles, |_, _| {});
         // Drain outstanding fills (e.g. orphaned wrong-path misses).
         mem.advance(now + 1_000);
         pipe.stats_mut().cycles = now;
         (pipe, mem)
+    }
+
+    /// Ticks `p` until it halts or `max_cycles` pass, calling `watch`
+    /// after every tick; returns the memory system, the data memory and
+    /// the last cycle.
+    fn run_watched(
+        p: &mut Pipeline,
+        scheme: &mut dyn SpeculationScheme,
+        max_cycles: Cycle,
+        mut watch: impl FnMut(&Pipeline, Cycle),
+    ) -> (MemHierarchy, DataMem, Cycle) {
+        let mut mem = MemHierarchy::new(MemConfig::default());
+        let mut dmem = DataMem::new();
+        for (a, v) in &p.program.init_mem {
+            dmem.write(*a, *v);
+        }
+        let mut now = 0;
+        while !p.halted() && now < max_cycles {
+            now += 1;
+            mem.advance(now);
+            p.tick(scheme, &mut mem, &mut dmem, now);
+            watch(p, now);
+        }
+        (mem, dmem, now)
     }
 
     #[test]
@@ -2657,5 +2782,235 @@ mod tests {
         // the branch resolved.
         assert_eq!(late, [line_b, line_a]);
         assert_eq!(rec.visible_at[5..], [resolved, resolved]);
+    }
+
+    /// The seqs in `from..end` whose ring positions are members of `set`,
+    /// found by the issue stage's walk.
+    fn ring_walk(set: &BitSet, from: u64, end: u64) -> Vec<u64> {
+        let mut seqs = Vec::new();
+        let mut seq = from;
+        while let Some(d) =
+            set.next_circular((seq % set.size as u64) as usize, (end - seq) as usize)
+        {
+            seq += d as u64;
+            seqs.push(seq);
+            seq += 1;
+        }
+        seqs
+    }
+
+    #[test]
+    fn bit_set_walks_a_ring_in_seq_order() {
+        let mut ring = BitSet::new(256);
+        let pos = |seq: u64| (seq % 256) as usize;
+        // Members straddling the wrap: positions 254, 255, 0, 1, 2.
+        for seq in 254..=258 {
+            ring.insert(pos(seq));
+        }
+        assert_eq!(ring_walk(&ring, 200, 300), [254, 255, 256, 257, 258]);
+        assert_eq!(ring_walk(&ring, 256, 300), [256, 257, 258]);
+        // The walk stops at its end bound, also across the wrap.
+        assert_eq!(ring_walk(&ring, 200, 256), [254, 255]);
+        assert_eq!(ring.next_circular(250, 4), None);
+        assert_eq!(ring.next_circular(250, 5), Some(4));
+        assert_eq!(ring.next_circular(3, 251), None);
+        assert_eq!(ring.next_circular(3, 252), Some(251));
+        // A squash removes the seqs it pops; their positions are reused.
+        for seq in 256..=258 {
+            ring.remove(pos(seq));
+        }
+        assert_eq!(ring_walk(&ring, 200, 300), [254, 255]);
+        ring.insert(pos(257));
+        assert_eq!(ring_walk(&ring, 200, 300), [254, 255, 257]);
+        assert_eq!(ring.count(), 3);
+    }
+
+    #[test]
+    fn bit_set_crosses_word_boundaries() {
+        let mut set = BitSet::new(128);
+        set.insert(63);
+        set.insert(64);
+        assert_eq!(set.first(), Some(63));
+        assert_eq!(set.next_circular(0, 128), Some(63));
+        assert_eq!(set.next_circular(0, 63), None);
+        assert_eq!(set.next_circular(64, 64), Some(0));
+        assert_eq!(ring_walk(&set, 60, 70), [63, 64]);
+        set.remove(63);
+        assert_eq!(set.first(), Some(64));
+        assert_eq!(set.next_circular(65, 128), Some(127), "wraps to 64");
+        // A size that is not a multiple of 64 (a 96-entry queue).
+        let mut q = BitSet::full(96);
+        assert_eq!((q.count(), q.first()), (96, Some(0)));
+        for slot in (0..64).chain([95]) {
+            q.remove(slot);
+        }
+        assert_eq!((q.count(), q.first()), (31, Some(64)));
+        assert_eq!(
+            q.next_circular(95, 96),
+            Some(65),
+            "95 and 0..64 are not members"
+        );
+        // A ring smaller than a word wraps at its own size.
+        let mut small = BitSet::new(16);
+        small.insert(1);
+        small.insert(14);
+        assert_eq!(small.next_circular(15, 16), Some(2));
+        assert_eq!(ring_walk(&small, 12, 20), [14, 17]);
+    }
+
+    /// `Plain`, except that every committed load holds its LQ slot for
+    /// `hold` cycles (InvisiSpec's update load).
+    #[derive(Clone, Debug)]
+    struct Holder {
+        hold: Cycle,
+    }
+
+    impl SpeculationScheme for Holder {
+        fn name(&self) -> &'static str {
+            "holder"
+        }
+        fn boxed_clone(&self) -> Box<dyn SpeculationScheme> {
+            Box::new(self.clone())
+        }
+        fn issue_load(
+            &mut self,
+            mem: &mut MemHierarchy,
+            req: LoadIssue,
+        ) -> Result<cleanupspec_mem::hierarchy::LoadOutcome, SimError> {
+            Plain.issue_load(mem, req)
+        }
+        fn commit_load(
+            &mut self,
+            _mem: &mut MemHierarchy,
+            _core: CoreId,
+            _load: CommittedLoad,
+            now: Cycle,
+        ) -> CommitAction {
+            CommitAction::HoldLqUntil(now + self.hold)
+        }
+        fn on_squash(
+            &mut self,
+            mem: &mut MemHierarchy,
+            info: SquashInfo<'_>,
+        ) -> crate::scheme::SquashResponse {
+            Plain.on_squash(mem, info)
+        }
+    }
+
+    #[test]
+    fn held_lq_slots_are_refused_until_they_expire() {
+        // Four loads fill a four-entry LQ; each commit frees its slot but
+        // holds it. The fifth load may dispatch only once a hold expires,
+        // and then takes the lowest slot.
+        let mut b = ProgramBuilder::new("held-slots");
+        b.movi(Reg(1), 0x4000);
+        for k in 0..4 {
+            b.load(Reg(2 + k as u8), Reg(1), 64 * k);
+        }
+        let fifth = b.load(Reg(6), Reg(1), 256);
+        b.halt();
+        b.init_mem(Addr::new(0x4100), 5);
+        let cfg = CoreConfig {
+            lq_entries: 4,
+            ..CoreConfig::default()
+        };
+        let mut pipe = Pipeline::new(CoreId(0), cfg, Arc::new(b.build()));
+        let mut refused = 0;
+        let mut first_expiry = None;
+        let mut dispatched = None;
+        run_watched(&mut pipe, &mut Holder { hold: 50 }, 5000, |p, now| {
+            let free = p.lq.iter().filter(|l| l.is_none()).count();
+            let held = p.lq_held.len();
+            if free > held {
+                let lowest = p.lq.iter().position(|l| l.is_none());
+                assert_eq!(p.free_lq_slot(), lowest, "cycle {now}");
+            } else {
+                assert_eq!(
+                    p.free_lq_slot(),
+                    None,
+                    "cycle {now}: {free} free, {held} held"
+                );
+                refused += usize::from(held > 0);
+            }
+            if let Some(&c) = p.lq_held.iter().min() {
+                first_expiry.get_or_insert(c);
+            }
+            if let Some(e) = p.rob.iter().find(|e| e.pc == fifth) {
+                dispatched.get_or_insert((now, e.lq));
+            }
+        });
+        assert!(pipe.halted());
+        assert_eq!(pipe.reg(Reg(6)), 5);
+        assert!(refused > 0, "no cycle had every free slot held");
+        let expiry = first_expiry.expect("loads held their slots");
+        let (at, slot) = dispatched.expect("the fifth load dispatched");
+        assert!(
+            at >= expiry,
+            "dispatched at {at}, before the hold expired at {expiry}"
+        );
+        assert_eq!(slot, Some(0), "the lowest free slot");
+    }
+
+    #[test]
+    fn large_queues_and_a_512_position_ring_match_the_reference() {
+        // A pointer chase through lines 4 KiB apart misses on every hop,
+        // so the ROB fills behind it with independent loads and stores
+        // from later iterations: more than 64 of each in flight, and seqs
+        // wrapping the 512-position ring. Debug builds check every
+        // worklist after every tick.
+        let mut b = ProgramBuilder::new("big-core");
+        let iters = 40u64;
+        b.movi(Reg(1), iters);
+        b.movi(Reg(20), 0x10_0000);
+        b.movi(Reg(2), 0x5000);
+        let top = b.here();
+        b.load(Reg(20), Reg(20), 0);
+        for k in 0..4i64 {
+            b.load(Reg(3 + k as u8), Reg(2), 8 * k);
+            b.alu(
+                Reg(3 + k as u8),
+                AluOp::Add,
+                Operand::Reg(Reg(3 + k as u8)),
+                Operand::Reg(Reg(1)),
+            );
+            b.store(Reg(3 + k as u8), Reg(2), 0x200 + 8 * k);
+        }
+        b.alu(Reg(1), AluOp::Sub, Operand::Reg(Reg(1)), Operand::Imm(1));
+        b.branch(Reg(1), BranchCond::NotZero, top);
+        b.halt();
+        for i in 0..iters {
+            b.init_mem(
+                Addr::new(0x10_0000 + i * 0x1000),
+                0x10_0000 + (i + 1) * 0x1000,
+            );
+        }
+        for k in 0..4 {
+            b.init_mem(Addr::new(0x5000 + 8 * k), 100 * k);
+        }
+        let prog = b.build();
+        let reference = crate::reference::interpret(&prog, 100_000);
+        assert!(reference.halted);
+        let cfg = CoreConfig {
+            rob_entries: 300,
+            lq_entries: 96,
+            sq_entries: 96,
+            ..CoreConfig::default()
+        };
+        let mut pipe = Pipeline::new(CoreId(0), cfg, Arc::new(prog));
+        assert_eq!(pipe.sched.waiting.size, 512);
+        let (mut rob, mut loads, mut stores) = (0, 0, 0);
+        let (_, dmem, _) = run_watched(&mut pipe, &mut Plain, 200_000, |p, _| {
+            rob = rob.max(p.rob.len());
+            loads = loads.max(p.lq.iter().flatten().count());
+            stores = stores.max(p.sq.iter().flatten().count());
+        });
+        assert!(pipe.halted());
+        assert!(
+            rob > 256 && loads > 64 && stores > 64,
+            "{rob} {loads} {stores}"
+        );
+        assert!(pipe.next_seq > 512, "seqs wrapped the ring");
+        assert_eq!(pipe.regs, reference.regs);
+        assert_eq!(dmem.image_digest(), reference.mem.image_digest());
     }
 }
