@@ -23,7 +23,7 @@ use cleanupspec::modes::SecurityMode;
 use cleanupspec_bench::bench_report::{check_document, compare_documents, SCHEMA};
 use cleanupspec_bench::cli::CommonCli;
 use cleanupspec_bench::fmt::table;
-use cleanupspec_bench::runner::ExperimentConfig;
+use cleanupspec_bench::runner::{resume_dir_from_env, ExperimentConfig};
 use cleanupspec_bench::suite::{run_suite, smoke_workloads, SuiteOptions};
 use cleanupspec_obs::JsonValue;
 use cleanupspec_workloads::spec::{SpecWorkload, SPEC_WORKLOADS};
@@ -46,7 +46,6 @@ fn common_cli() -> CommonCli {
         .with_seed()
         .with_threads()
         .with_ring_capacity()
-        .with_checkpoint_dir()
         .with_resume()
 }
 
@@ -54,7 +53,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: cs-bench [--insts N] [--seed N] [--threads N] [--modes a,b] \
          [--workloads a,b] [--out FILE] [--smoke] [--ring-capacity N] \
-         [--checkpoint-dir DIR] [--resume DIR]\n\
+         [--resume DIR]\n\
          \x20      cs-bench --check FILE\n\
          \x20      cs-bench --compare OLD NEW [--threshold FRAC]"
     );
@@ -184,24 +183,9 @@ fn run(args: &Args) -> ExitCode {
         modes: args.modes.clone(),
         workloads,
         ring_capacity: args.common.ring_capacity_or_default(),
-        // `--checkpoint-dir` wins over the environment.
-        checkpoint_dir: args.common.checkpoint_dir_or_env(),
-        resume_dir: args.common.resume.clone(),
+        // `--resume` wins over the environment.
+        resume_dir: args.common.resume.clone().or_else(resume_dir_from_env),
     };
-    if let Some(dir) = &args.common.resume {
-        // Preflight: refuse to mix results with a journal from a
-        // different campaign before any simulation starts.
-        match cleanupspec_bench::journal::check_resume(dir, &opts.journal_header()) {
-            Ok(done) => eprintln!(
-                "cs-bench: resuming from {} ({done} completed run(s) journaled)",
-                dir.display()
-            ),
-            Err(e) => {
-                eprintln!("cs-bench: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     println!(
         "== cs-bench: {} workloads x {} modes, {} insts each ==",
         opts.workloads.len(),
@@ -210,22 +194,11 @@ fn run(args: &Args) -> ExitCode {
     );
     let outcome = run_suite(&opts);
 
-    if outcome.cache_hits > 0 {
-        if let Some(dir) = &opts.checkpoint_dir {
-            println!(
-                "checkpoint cache: {} of {} runs served from {}",
-                outcome.cache_hits,
-                outcome.modes.len() * opts.workloads.len(),
-                dir.display()
-            );
-        }
-    }
-    if outcome.resumed > 0 {
-        // stderr, like the resume preflight: stdout stays byte-comparable
-        // with an uninterrupted run.
+    if outcome.served > 0 {
+        // stderr: stdout stays byte-comparable with a fresh run.
         eprintln!(
-            "cs-bench: {} of {} runs replayed from the campaign journal",
-            outcome.resumed,
+            "cs-bench: {} of {} runs served from the result journal",
+            outcome.served,
             outcome.modes.len() * opts.workloads.len()
         );
     }

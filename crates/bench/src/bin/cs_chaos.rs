@@ -24,15 +24,14 @@
 //! expectation holds (matrix: all faults detected; host matrix: all
 //! fault classes handled; fault campaign: at least one seed flagged;
 //! clean campaign: no violations and — with `--panic-at` — the planted
-//! panic isolated), 1 otherwise (or a resume directory that belongs to
-//! another campaign), 2 usage (including a seed range that overflows).
+//! panic isolated), 1 otherwise, 2 usage (including a seed range that
+//! overflows).
 
 use cleanupspec_bench::chaos::{
     detection_matrix, probe_fault, render_matrix, run_campaign, CampaignOpts,
 };
 use cleanupspec_bench::cli::{check_seed_range, parse_u64, CommonCli};
 use cleanupspec_bench::exec::default_threads;
-use cleanupspec_bench::journal::check_resume;
 use cleanupspec_bench::{host_fault_matrix, render_host_matrix};
 use cleanupspec_mem::fault::FaultKind;
 use std::path::PathBuf;
@@ -232,26 +231,12 @@ fn host_matrix(seed: u64) -> ExitCode {
 }
 
 fn campaign(opts: &CampaignOpts) -> ExitCode {
-    // Resume preflight: surface a journal/campaign mismatch as a clear
-    // error before any seed runs, not as a mid-run warning.
-    if let Some(dir) = &opts.resume_dir {
-        match check_resume(dir, &opts.journal_header()) {
-            Ok(done) => eprintln!(
-                "cs-chaos: resuming from {} ({done} completed seed(s) journaled)",
-                dir.display()
-            ),
-            Err(e) => {
-                eprintln!("cs-chaos: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     let sum = run_campaign(opts);
-    // Resume accounting goes to stderr: stdout must stay byte-identical
-    // to an uninterrupted campaign.
+    // Served-seed accounting goes to stderr: stdout must stay
+    // byte-identical to a fresh campaign.
     if sum.resumed > 0 {
         eprintln!(
-            "cs-chaos: {} of {} seed(s) replayed from the campaign journal",
+            "cs-chaos: {} of {} seed(s) served from the result journal",
             sum.resumed, sum.seeds
         );
     }

@@ -18,15 +18,13 @@
 //! `cs-chaos` ([`run_campaign`]); the proof that the oracles have teeth
 //! is `cs-chaos --fault skip-victim-restore`, which plants a missing
 //! victim restore. Exit status: 0 when every seed passes (with
-//! `--replay`, the one seed), 1 on violations or a resume directory
-//! that belongs to another campaign, 2 usage (including a `--start` +
-//! `--seeds` range that overflows).
+//! `--replay`, the one seed), 1 on violations, 2 usage (including a
+//! `--start` + `--seeds` range that overflows).
 
 use cleanupspec_asm::disassemble;
 use cleanupspec_bench::chaos::{run_campaign, CampaignOpts};
 use cleanupspec_bench::cli::{parse_u64, CommonCli};
 use cleanupspec_bench::fuzz::{reproduces, run_plan, shrink, SeedVerdict, Violation};
-use cleanupspec_bench::journal::check_resume;
 use cleanupspec_workloads::smith::{assemble_plan, plan, SmithPlan};
 use std::process::ExitCode;
 
@@ -173,26 +171,12 @@ fn main() -> ExitCode {
     if let Some(seed) = args.replay {
         return replay(seed, args.shrink);
     }
-    // Resume preflight: surface a journal/campaign mismatch as a clear
-    // error before any fuzzing starts, not as a mid-run warning.
-    if let Some(dir) = &args.campaign.resume_dir {
-        match check_resume(dir, &args.campaign.journal_header()) {
-            Ok(done) => eprintln!(
-                "cs-smith: resuming from {} ({done} completed seed(s) journaled)",
-                dir.display()
-            ),
-            Err(e) => {
-                eprintln!("cs-smith: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     let r = run_campaign(&args.campaign);
-    // Resume accounting goes to stderr: stdout must stay byte-identical
-    // to an uninterrupted campaign.
+    // Served-seed accounting goes to stderr: stdout must stay
+    // byte-identical to a fresh campaign.
     if r.resumed > 0 {
         eprintln!(
-            "cs-smith: {} of {} seed(s) replayed from the campaign journal",
+            "cs-smith: {} of {} seed(s) served from the result journal",
             r.resumed, r.seeds
         );
     }

@@ -5,11 +5,11 @@
 //! Control sizing with `CLEANUPSPEC_INSTS` (instructions per workload) and
 //! `CLEANUPSPEC_ATTACK_ITERS`.
 //!
-//! `--checkpoint-dir DIR` (or `CLEANUPSPEC_CHECKPOINT_DIR`) turns on the
-//! cs-snap result cache: the figure binaries share many (workload, mode,
-//! insts, seed) configurations, and each completed run is written as a
-//! self-validating checkpoint so later experiments — and later whole
-//! invocations — load the report instead of re-simulating it.
+//! `--resume DIR` (or `CLEANUPSPEC_RESUME_DIR`) turns on the result
+//! journal in `DIR`: the figure binaries share many (workload, mode,
+//! insts, seed) runs, and each completed run is recorded once under its
+//! full result key, so later experiments — and later whole invocations —
+//! are served the report instead of re-simulating it.
 
 use std::process::Command;
 
@@ -29,26 +29,17 @@ const EXPERIMENTS: [&str; 12] = [
 ];
 
 fn main() {
-    let mut checkpoint_dir: Option<String> = None;
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--checkpoint-dir" => match it.next() {
-                Some(d) => checkpoint_dir = Some(d.clone()),
-                None => {
-                    eprintln!("usage: repro_all [--checkpoint-dir DIR]");
-                    std::process::exit(2);
-                }
-            },
-            _ => {
-                eprintln!("usage: repro_all [--checkpoint-dir DIR]");
-                std::process::exit(2);
-            }
+    let resume_dir = match argv.as_slice() {
+        [] => None,
+        [flag, dir] if flag == "--resume" => Some(dir.clone()),
+        _ => {
+            eprintln!("usage: repro_all [--resume DIR]");
+            std::process::exit(2);
         }
-    }
-    if let Some(dir) = &checkpoint_dir {
-        println!("cs-snap checkpoint cache: {dir}");
+    };
+    if let Some(dir) = &resume_dir {
+        println!("result journal: {dir}");
     }
 
     let exe = std::env::current_exe().expect("own path");
@@ -57,10 +48,10 @@ fn main() {
         println!("\n{}", "=".repeat(72));
         let path = dir.join(name);
         let mut cmd = Command::new(&path);
-        // Children read the cache via CLEANUPSPEC_CHECKPOINT_DIR
-        // (runner::checkpoint_dir_from_env); the flag just sets it for them.
-        if let Some(ckpt) = &checkpoint_dir {
-            cmd.env("CLEANUPSPEC_CHECKPOINT_DIR", ckpt);
+        // Children read the directory via CLEANUPSPEC_RESUME_DIR
+        // (runner::resume_dir_from_env); the flag just sets it for them.
+        if let Some(dir) = &resume_dir {
+            cmd.env("CLEANUPSPEC_RESUME_DIR", dir);
         }
         let status = cmd
             .status()

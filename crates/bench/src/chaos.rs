@@ -33,11 +33,12 @@
 //! panicking engine is recorded as a `"panic"`-oracle failure with full
 //! repro artifacts (seed, fault plan, shrunk `.s` programs, ring-buffer
 //! event dump) instead of aborting the run, and the result carries a
-//! triage summary. With a resume directory, verdicts are journaled as
-//! they complete and replayed on the next run.
+//! triage summary. With a `--resume` directory, verdicts are journaled
+//! as they complete, keyed by `CampaignOpts::seed_key`, and served to
+//! any later campaign that asks for the same seed under the same knobs.
 
 use crate::fuzz::{self, exec_env, judge, merged_image, ExecEnv, ModeRun, SeedVerdict, Violation};
-use crate::journal::{Journal, JournalHeader};
+use crate::journal::Journal;
 use crate::store::{shared_dir_store, ArtifactStore};
 use cleanupspec::modes::SecurityMode;
 use cleanupspec_asm::disassemble;
@@ -338,31 +339,26 @@ pub struct CampaignOpts {
     /// Plant a deliberate panic at this seed — the isolation self-test:
     /// the campaign must record it and keep going.
     pub panic_at: Option<u64>,
-    /// Campaign directory holding a crash-safe journal: seeds whose
-    /// verdicts are already journaled are replayed instead of re-run, and
+    /// `--resume` directory holding the result journal: seeds whose
+    /// verdicts are already journaled are served instead of re-run, and
     /// fresh verdicts are journaled as they complete.
     pub resume_dir: Option<PathBuf>,
 }
 
 impl CampaignOpts {
-    /// The journal identity for this campaign. Only verdict- and
-    /// artifact-determining knobs participate: the thread count, the
-    /// artifact directory and the resume directory itself change how and
-    /// where results land, never what they are. `cs-smith` and `cs-chaos`
-    /// campaigns with the same knobs share one identity.
-    pub fn journal_header(&self) -> JournalHeader {
-        JournalHeader {
-            campaign: "seed-campaign".to_string(),
-            config: format!(
-                "start={:#x} count={} fault={} shrink={} panic_at={}",
-                self.start,
-                self.count,
-                self.fault.map_or("none", FaultKind::name),
-                self.shrink,
-                self.panic_at
-                    .map_or("none".to_string(), |s| format!("{s:#x}")),
-            ),
-        }
+    /// The journal id of one seed's verdict: the seed plus the knobs that
+    /// determine its verdict and artifacts (the fault, shrinking, and
+    /// whether the planted panic hits this seed). The seed range, thread
+    /// count and directories change which seeds run and where results
+    /// land, never what one seed's result is, so `cs-smith` and `cs-chaos`
+    /// campaigns of any range share the verdicts they have in common.
+    pub(crate) fn seed_key(&self, seed: u64) -> String {
+        format!(
+            "seed-campaign/{seed:#x}/fault={}/shrink={}/panic={}",
+            self.fault.map_or("none", FaultKind::name),
+            self.shrink,
+            self.panic_at == Some(seed)
+        )
     }
 }
 
@@ -380,7 +376,7 @@ pub struct CampaignResult {
     /// Seeds whose run panicked (caught and recorded as `"panic"`-oracle
     /// violations; the campaign itself keeps going).
     pub panics: u64,
-    /// Seeds replayed from the campaign journal instead of re-run.
+    /// Seeds served from the result journal instead of re-run.
     pub resumed: u64,
     /// Every violation, in seed order.
     pub violations: Vec<Violation>,
@@ -602,20 +598,20 @@ fn crashed(seed: u64, message: String) -> SeedVerdict {
 /// it, and its artifact directory.
 type SeedOutcome = (SeedVerdict, bool, Option<PathBuf>);
 
-/// Runs one campaign seed: replays a journaled verdict, or computes it
+/// Runs one campaign seed: serves a journaled verdict, or computes it
 /// under `catch_unwind`, writes its artifacts and then journals it (a
 /// seed killed mid-artifact therefore re-runs on resume).
 fn campaign_seed(opts: &CampaignOpts, journal: Option<&Journal>, seed: u64) -> SeedOutcome {
-    let task_id = format!("seed-{seed:#x}");
-    let replayed = journal
-        .and_then(|j| j.completed(&task_id))
-        .and_then(|payload| match fuzz::verdict_from_json(&payload) {
+    let key = opts.seed_key(seed);
+    let replayed = journal.and_then(|j| j.completed(&key)).and_then(|payload| {
+        match fuzz::verdict_from_json(&payload) {
             Ok(v) => Some(v),
             Err(e) => {
-                eprintln!("warning: re-running {task_id}: journaled verdict unusable ({e})");
+                eprintln!("warning: re-running {key}: journaled verdict unusable ({e})");
                 None
             }
-        });
+        }
+    });
     if let Some(v) = replayed {
         // The original run already exported artifacts; point at them
         // without re-running the failing engine.
@@ -643,7 +639,7 @@ fn campaign_seed(opts: &CampaignOpts, journal: Option<&Journal>, seed: u64) -> S
         _ => None,
     };
     if let Some(j) = journal {
-        j.record(&task_id, &fuzz::verdict_to_json(&verdict));
+        j.record(&key, &fuzz::verdict_to_json(&verdict));
     }
     (verdict, false, sub)
 }
@@ -652,24 +648,16 @@ fn campaign_seed(opts: &CampaignOpts, journal: Option<&Journal>, seed: u64) -> S
 /// the shared executor: seed `start + i` is task `i`, and results are
 /// summed in seed order, so the result (and every artifact byte) is the
 /// same at any thread count. With [`CampaignOpts::resume_dir`] set,
-/// journaled verdicts replay instead of re-running, so a campaign killed
-/// mid-flight resumes with an identical result (up to
-/// [`CampaignResult::resumed`]).
+/// journaled verdicts are served instead of re-running, so a campaign
+/// killed mid-flight resumes with an identical result (up to
+/// [`CampaignResult::resumed`]), and a wider range re-runs only the seeds
+/// no earlier campaign in the directory ran.
 pub fn run_campaign(opts: &CampaignOpts) -> CampaignResult {
     debug_assert!(
         opts.start.checked_add(opts.count).is_some(),
         "seed range overflows u64"
     );
-    let journal = opts.resume_dir.as_deref().and_then(|dir| {
-        let store = shared_dir_store(dir) as Arc<dyn ArtifactStore>;
-        match Journal::open(store, &opts.journal_header()) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                eprintln!("warning: campaign running without a journal: {e}");
-                None
-            }
-        }
-    });
+    let journal = opts.resume_dir.as_deref().map(Journal::in_dir);
     let outcome = crate::exec::run_indexed(opts.count as usize, opts.threads, |i| {
         campaign_seed(opts, journal.as_ref(), opts.start + i as u64)
     });
@@ -817,6 +805,74 @@ mod tests {
             fresh
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Verdicts are keyed by what determines them, not by the campaign's
+    /// range: a wider campaign over the same directory is served the
+    /// seeds an earlier one ran and sums to the fresh result.
+    #[test]
+    fn a_wider_campaign_is_served_the_seeds_an_earlier_one_ran() {
+        let dir = scratch_dir("widen");
+        let journaled = |count| CampaignOpts {
+            resume_dir: Some(dir.clone()),
+            ..opts(0, count, 2)
+        };
+        assert_eq!(run_campaign(&journaled(8)).resumed, 0);
+        let wide = run_campaign(&journaled(16));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(wide.resumed, 8);
+        assert_eq!(
+            CampaignResult { resumed: 0, ..wide },
+            run_campaign(&opts(0, 16, 2))
+        );
+    }
+
+    /// A verdict is only served to a seed run under the same fault, the
+    /// same shrink setting and the same planted-panic placement.
+    #[test]
+    fn changing_a_verdict_knob_serves_nothing() {
+        let dir = scratch_dir("knobs");
+        let base = CampaignOpts {
+            resume_dir: Some(dir.clone()),
+            ..opts(0, 4, 2)
+        };
+        assert_eq!(run_campaign(&base).resumed, 0);
+        for other in [
+            CampaignOpts {
+                fault: Some(FaultKind::SkipVictimRestore),
+                ..base.clone()
+            },
+            CampaignOpts {
+                shrink: true,
+                ..base.clone()
+            },
+        ] {
+            assert_eq!(run_campaign(&other).resumed, 0, "{other:?}");
+        }
+        // The planted panic moves the key of its own seed only.
+        let planted = run_campaign(&CampaignOpts {
+            panic_at: Some(2),
+            ..base.clone()
+        });
+        assert_eq!((planted.resumed, planted.panics), (3, 1));
+        let again = run_campaign(&base);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!((again.resumed, again.panics), (4, 0));
+    }
+
+    /// A log in the older layout keys a verdict by `seed-0x…` alone; no
+    /// full seed key equals that, so nothing in it is served.
+    #[test]
+    fn an_older_journal_serves_nothing() {
+        let dir = scratch_dir("older");
+        let passed = fuzz::verdict_to_json(&SeedVerdict::Pass { squashes: 0 });
+        Journal::in_dir(&dir).record("seed-0x3", &passed);
+        let r = run_campaign(&CampaignOpts {
+            resume_dir: Some(dir.clone()),
+            ..opts(3, 1, 1)
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(r.resumed, 0);
     }
 
     #[test]

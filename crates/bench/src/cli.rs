@@ -8,14 +8,12 @@
 //!
 //! * [`parse_u64`]/[`parse_usize`] accept decimal or `0x` hex everywhere;
 //! * [`CommonCli`] parses the flags a binary opts into (`--insts`,
-//!   `--seed`, `--threads`, `--ring-capacity`, `--checkpoint-dir`,
-//!   `--seeds`, `--start`) with one spelling and one help-text format;
+//!   `--seed`, `--threads`, `--ring-capacity`, `--seeds`, `--start`,
+//!   `--resume`) with one spelling and one help-text format;
 //! * resolved defaults come from one place: threads from
-//!   [`crate::exec::default_threads`] (honoring `CLEANUPSPEC_THREADS`),
-//!   the checkpoint directory from `CLEANUPSPEC_CHECKPOINT_DIR`.
+//!   [`crate::exec::default_threads`] (honoring `CLEANUPSPEC_THREADS`).
 
 use crate::exec::default_threads;
-use crate::runner::checkpoint_dir_from_env;
 use std::path::PathBuf;
 
 /// Default base seed shared by every harness.
@@ -57,7 +55,6 @@ enum Flag {
     Seed,
     Threads,
     RingCapacity,
-    CheckpointDir,
     Seeds,
     Start,
     Resume,
@@ -70,7 +67,6 @@ impl Flag {
             Flag::Seed => "--seed",
             Flag::Threads => "--threads",
             Flag::RingCapacity => "--ring-capacity",
-            Flag::CheckpointDir => "--checkpoint-dir",
             Flag::Seeds => "--seeds",
             Flag::Start => "--start",
             Flag::Resume => "--resume",
@@ -83,10 +79,9 @@ impl Flag {
             Flag::Seed => "base seed, mixed per workload (default 0xC1EA2019)",
             Flag::Threads => "worker threads (default: CLEANUPSPEC_THREADS, else host parallelism)",
             Flag::RingCapacity => "event ring capacity (default 100000)",
-            Flag::CheckpointDir => "cs-snap result cache (default: CLEANUPSPEC_CHECKPOINT_DIR)",
             Flag::Seeds => "number of seeds to run",
             Flag::Start => "first seed of the range",
-            Flag::Resume => "campaign dir with a crash-safe journal; completed tasks are skipped",
+            Flag::Resume => "result journal dir; tasks it already holds are served, not re-run",
         }
     }
 }
@@ -106,8 +101,6 @@ pub struct CommonCli {
     pub threads: Option<usize>,
     /// `--ring-capacity`, if given.
     pub ring_capacity: Option<usize>,
-    /// `--checkpoint-dir`, if given.
-    pub checkpoint_dir: Option<PathBuf>,
     /// `--seeds`, if given.
     pub seeds: Option<u64>,
     /// `--start`, if given.
@@ -145,11 +138,6 @@ impl CommonCli {
     /// Enables `--ring-capacity`.
     pub fn with_ring_capacity(self) -> Self {
         self.enable(Flag::RingCapacity)
-    }
-
-    /// Enables `--checkpoint-dir`.
-    pub fn with_checkpoint_dir(self) -> Self {
-        self.enable(Flag::CheckpointDir)
     }
 
     /// Enables `--seeds`.
@@ -191,7 +179,6 @@ impl CommonCli {
                 self.threads = Some(n);
             }
             Flag::RingCapacity => self.ring_capacity = Some(parse_usize(value).ok_or_else(bad)?),
-            Flag::CheckpointDir => self.checkpoint_dir = Some(PathBuf::from(value)),
             Flag::Seeds => self.seeds = Some(parse_u64(value).ok_or_else(bad)?),
             Flag::Start => self.start = Some(parse_u64(value).ok_or_else(bad)?),
             Flag::Resume => self.resume = Some(PathBuf::from(value)),
@@ -231,11 +218,6 @@ impl CommonCli {
         let start = self.start.unwrap_or(0);
         let count = self.seeds.unwrap_or(default_count);
         check_seed_range(start, count).map(|()| (start, count))
-    }
-
-    /// `--checkpoint-dir`, falling back to `CLEANUPSPEC_CHECKPOINT_DIR`.
-    pub fn checkpoint_dir_or_env(&self) -> Option<PathBuf> {
-        self.checkpoint_dir.clone().or_else(checkpoint_dir_from_env)
     }
 }
 
@@ -286,10 +268,10 @@ mod tests {
 
     #[test]
     fn help_lists_exactly_the_enabled_flags() {
-        let cli = CommonCli::new().with_insts().with_checkpoint_dir();
+        let cli = CommonCli::new().with_insts().with_resume();
         let help = cli.help();
         assert!(help.contains("--insts"));
-        assert!(help.contains("--checkpoint-dir"));
+        assert!(help.contains("--resume"));
         assert!(!help.contains("--ring-capacity"));
     }
 

@@ -25,12 +25,15 @@
 //! so a slow workload in one mode holds up no other mode's fast
 //! workloads. Results come back grouped by mode, workloads in input
 //! order, independent of scheduling. A run that panics is dropped from
-//! its group and named in a stderr warning.
+//! its group and named in a stderr warning. With a `--resume` directory
+//! ([`Sweep::resume`], by default `CLEANUPSPEC_RESUME_DIR`), each run's
+//! report is served from the result journal when an earlier campaign
+//! recorded it, and recorded there otherwise.
 
 use super::pool::{run_indexed, ExecStats};
+use crate::journal::Journal;
 use crate::runner::{
-    checkpoint_dir_from_env, checkpoint_key, load_checkpoint, store_checkpoint, warmup_insts,
-    ExperimentConfig,
+    journal_payload, replay_report, resume_dir_from_env, spec_key, warmup_insts, ExperimentConfig,
 };
 use cleanupspec::modes::SecurityMode;
 use cleanupspec::sim::{SimBuilder, SimReport};
@@ -38,18 +41,6 @@ use cleanupspec_obs::EventSink;
 use cleanupspec_workloads::spec::{SpecWorkload, SPEC_WORKLOADS};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-/// Where a [`Sweep`] looks for the cs-snap result cache.
-#[derive(Clone, Debug, Default)]
-enum CheckpointPolicy {
-    /// Honor `CLEANUPSPEC_CHECKPOINT_DIR` if set (the default).
-    #[default]
-    FromEnv,
-    /// Never read or write checkpoints, whatever the environment says.
-    Disabled,
-    /// Use this directory explicitly.
-    Dir(PathBuf),
-}
 
 /// One completed simulation inside a sweep.
 #[derive(Clone, Debug)]
@@ -60,10 +51,11 @@ pub struct SweepRun {
     pub mode: SecurityMode,
     /// The simulation report.
     pub report: SimReport,
-    /// Host wall-clock for this run (≈0 when served from the cache).
+    /// Host wall-clock for this run (≈0 when served from the journal).
     pub wall_secs: f64,
-    /// Whether the report came from the cs-snap cache (no simulation).
-    pub from_checkpoint: bool,
+    /// Whether the report was served from the result journal (no
+    /// simulation).
+    pub served: bool,
 }
 
 /// One panicked run inside a sweep, identified by mode and workload.
@@ -117,8 +109,8 @@ pub struct SweepResult {
     pub stats: ExecStats,
     /// End-to-end wall-clock of the sweep.
     pub wall_secs: f64,
-    /// Runs served from the cs-snap cache instead of simulating.
-    pub cache_hits: u64,
+    /// Runs served from the result journal instead of simulating.
+    pub served: u64,
 }
 
 impl SweepResult {
@@ -168,8 +160,8 @@ impl SweepResult {
 /// Builder for a mode×workload campaign on the shared executor.
 /// Defaults: all 19 Table-3 workloads, `NonSecure` only, sizing from
 /// [`ExperimentConfig::default`] (`CLEANUPSPEC_INSTS`, seed
-/// `0xC1EA_2019`, [`super::default_threads`]), checkpoints from
-/// `CLEANUPSPEC_CHECKPOINT_DIR`.
+/// `0xC1EA_2019`, [`super::default_threads`]), the `--resume` directory
+/// from `CLEANUPSPEC_RESUME_DIR`.
 #[derive(Clone, Debug)]
 pub struct Sweep {
     modes: Vec<SecurityMode>,
@@ -177,7 +169,7 @@ pub struct Sweep {
     insts: u64,
     seed: u64,
     threads: usize,
-    checkpoints: CheckpointPolicy,
+    resume: Option<PathBuf>,
 }
 
 impl Default for Sweep {
@@ -196,7 +188,7 @@ impl Sweep {
             insts: cfg.insts,
             seed: cfg.seed,
             threads: cfg.threads,
-            checkpoints: CheckpointPolicy::FromEnv,
+            resume: resume_dir_from_env(),
         }
     }
 
@@ -243,14 +235,11 @@ impl Sweep {
         self
     }
 
-    /// Explicit cs-snap cache directory (`None` disables caching even
-    /// when `CLEANUPSPEC_CHECKPOINT_DIR` is set). Not calling this at
-    /// all keeps the default env-driven behavior.
-    pub fn checkpoints(mut self, dir: Option<&Path>) -> Self {
-        self.checkpoints = match dir {
-            Some(d) => CheckpointPolicy::Dir(d.to_path_buf()),
-            None => CheckpointPolicy::Disabled,
-        };
+    /// The `--resume` directory whose result journal serves and records
+    /// this sweep's runs; `None` runs without one, whatever
+    /// `CLEANUPSPEC_RESUME_DIR` says.
+    pub fn resume(mut self, dir: Option<&Path>) -> Self {
+        self.resume = dir.map(Path::to_path_buf);
         self
     }
 
@@ -267,28 +256,23 @@ impl Sweep {
             seed: self.seed,
             threads: self.threads,
         };
-        let dir: Option<PathBuf> = match self.checkpoints {
-            CheckpointPolicy::FromEnv => checkpoint_dir_from_env(),
-            CheckpointPolicy::Disabled => None,
-            CheckpointPolicy::Dir(d) => Some(d),
-        };
+        let journal = self.resume.as_deref().map(Journal::in_dir);
         let (modes, workloads) = (&self.modes, &self.workloads);
         let outcome = run_indexed(nm * nw, self.threads, |i| {
             let (mode, w) = (modes[i / nw], &workloads[i % nw]);
             let start = Instant::now();
-            let (report, from_checkpoint) =
-                run_spec_once(w, mode, &cfg, dir.as_deref(), Vec::new());
+            let (report, served) = run_spec_once(w, mode, &cfg, journal.as_ref(), Vec::new());
             SweepRun {
                 workload: *w,
                 mode,
                 report,
                 wall_secs: start.elapsed().as_secs_f64(),
-                from_checkpoint,
+                served,
             }
         });
 
         let mut slots = outcome.slots.into_iter();
-        let mut cache_hits = 0u64;
+        let mut served = 0u64;
         let mode_groups: Vec<ModeSweep> = self
             .modes
             .iter()
@@ -296,7 +280,7 @@ impl Sweep {
                 mode,
                 runs: (0..nw)
                     .filter_map(|_| slots.next().flatten())
-                    .inspect(|r| cache_hits += u64::from(r.from_checkpoint))
+                    .inspect(|r| served += u64::from(r.served))
                     .collect(),
             })
             .collect();
@@ -314,7 +298,7 @@ impl Sweep {
             failures,
             stats: outcome.stats,
             wall_secs: t0.elapsed().as_secs_f64(),
-            cache_hits,
+            served,
         };
         if let Some(warning) = result.incomplete_warning() {
             eprintln!("{warning}");
@@ -324,21 +308,22 @@ impl Sweep {
 }
 
 /// The single-run core of every campaign — each [`Sweep`] task and each
-/// cs-bench suite cell: cs-snap cache lookup, seed mixing, warmup +
-/// measure with `sinks` attached, truncation warning, cache store.
-/// Returns the report and whether it was served from the cache (no
-/// simulation, so the sinks saw no events).
+/// cs-bench suite cell: journal lookup by [`spec_key`], seed mixing,
+/// warmup + measure with `sinks` attached, truncation warning, journal
+/// record of a successful run. Returns the report and whether the journal
+/// served it (no simulation, so the sinks saw no events).
 pub(crate) fn run_spec_once(
     w: &SpecWorkload,
     mode: SecurityMode,
     cfg: &ExperimentConfig,
-    checkpoint_dir: Option<&Path>,
+    journal: Option<&Journal>,
     sinks: Vec<Box<dyn EventSink>>,
 ) -> (SimReport, bool) {
-    let key = checkpoint_key(w, mode, cfg);
-    if let Some(dir) = checkpoint_dir {
-        if let Some(report) = load_checkpoint(dir, &key) {
-            return (report, true);
+    let key = spec_key(w, mode, cfg);
+    if let Some(payload) = journal.and_then(|j| j.completed(&key)) {
+        match replay_report(&payload, mode) {
+            Ok(report) => return (report, true),
+            Err(e) => eprintln!("warning: re-running {key}: journaled result unusable ({e})"),
         }
     }
     // Mix the FULL workload name into the seed: hashing only the first
@@ -365,8 +350,8 @@ pub(crate) fn run_spec_once(
             mode.name()
         );
     }
-    if let Some(dir) = checkpoint_dir {
-        store_checkpoint(dir, &key, &report);
+    if let (Some(j), Some(payload)) = (journal, journal_payload(&report)) {
+        j.record(&key, &payload);
     }
     (report, false)
 }
@@ -381,7 +366,7 @@ mod tests {
             .insts(2_000)
             .seed(5)
             .threads(3)
-            .checkpoints(None)
+            .resume(None)
     }
 
     #[test]
@@ -397,7 +382,7 @@ mod tests {
             assert_eq!(names, want);
         }
         assert_eq!(r.stats.tasks_run, 6);
-        assert_eq!(r.cache_hits, 0);
+        assert_eq!(r.served, 0);
     }
 
     #[test]
@@ -422,7 +407,7 @@ mod tests {
     }
 
     #[test]
-    fn explicit_checkpoint_dir_caches_the_second_run() {
+    fn explicit_resume_dir_serves_the_second_run() {
         let dir = std::env::temp_dir().join(format!(
             "cs-exec-sweep-test-{}-{:?}",
             std::process::id(),
@@ -436,12 +421,12 @@ mod tests {
                 .insts(2_000)
                 .seed(7)
                 .threads(2)
-                .checkpoints(Some(&dir))
+                .resume(Some(&dir))
         };
         let first = sweep().run();
-        assert_eq!(first.cache_hits, 0, "cold cache must simulate");
+        assert_eq!(first.served, 0, "an empty journal must simulate");
         let second = sweep().run();
-        assert_eq!(second.cache_hits, 4, "warm cache must serve every run");
+        assert_eq!(second.served, 4, "the journal must serve every run");
         for (a, b) in first.modes.iter().zip(&second.modes) {
             for (ra, rb) in a.runs.iter().zip(&b.runs) {
                 assert_eq!(ra.report.cycles, rb.report.cycles);
@@ -457,7 +442,7 @@ mod tests {
             failures: Vec::new(),
             stats: ExecStats::default(),
             wall_secs: 0.0,
-            cache_hits: 0,
+            served: 0,
         };
         assert_eq!(result.incomplete_warning(), None);
         result.failures.push(SweepFailure {

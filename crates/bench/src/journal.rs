@@ -1,13 +1,18 @@
-//! Crash-safe campaign journal and host-I/O fault matrix.
+//! Crash-safe result journal and host-I/O fault matrix.
 //!
-//! A campaign (a `cs-bench` suite, a `cs-smith` fuzz sweep, a `cs-chaos`
-//! fault sweep) is a set of independent tasks. The journal makes the set
-//! *resumable*: as each task completes, one self-describing record is
+//! A campaign (a `cs-bench` suite, a [`crate::Sweep`], a `cs-smith` or
+//! `cs-chaos` seed campaign) is a set of independent tasks. The journal
+//! is the one place a task's result is served from instead of being
+//! recomputed: as each task completes, one self-describing record is
 //! appended — through the hardened [`ArtifactStore`] — to an append-only
-//! `cs-journal-v1` stream, so a campaign killed mid-flight can be
-//! restarted with `--resume <dir>`, replay the journal, skip every
-//! completed task, re-enqueue the in-flight ones into the sweep executor,
-//! and produce a final report byte-identical to an uninterrupted run.
+//! log in the `--resume <dir>` directory. Each record's id is the task's
+//! full result key (everything that determines its result, built by
+//! `runner::spec_key` or `CampaignOpts::seed_key`), so the same log
+//! serves a campaign killed mid-flight (completed tasks replay, in-flight
+//! ones re-run, and the final report is byte-identical to an
+//! uninterrupted run) and any later campaign that asks for some of the
+//! same tasks. Any number of campaigns can share one directory: a record
+//! is only ever served to the task with exactly its key.
 //! This is the paper's own thesis applied to the host runtime: track the
 //! side effects of speculative (interruptible) work so the system can
 //! recover to a consistent committed state (CleanupSpec, MICRO'19).
@@ -18,26 +23,23 @@
 //! the CRC is FNV-1a-64 over the exact body bytes. A torn tail line (the
 //! usual SIGKILL artifact) or a bit-flipped line fails its CRC and is
 //! dropped — i.e. treated as in-flight work to redo — rather than
-//! corrupting the replay. The first record is a campaign *header* binding
-//! the journal to a digest of the campaign configuration; resuming with a
-//! different configuration is refused instead of silently mixing results.
-//! Task records carry the task id, a digest of the payload, and the
-//! payload itself (a canonical JSON document the campaign knows how to
-//! replay, e.g. a `cs-snap-v1` report or a fuzz verdict).
+//! corrupting the replay. A body carries the task id, a digest of the
+//! payload (`vd`), and the payload itself (a canonical JSON document the
+//! campaign knows how to replay, e.g. a `cs-snap` report or a fuzz
+//! verdict). Any other line is dropped at replay.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use cleanupspec::snap::fnv1a64;
 use cleanupspec_obs::{JsonValue, JsonWriter};
 
-use crate::store::{ArtifactStore, DirStore, FaultFs, HostFaultKind, HostFaultPlan, StoreError};
+use crate::store::{
+    shared_dir_store, ArtifactStore, DirStore, FaultFs, HostFaultKind, HostFaultPlan, StoreError,
+};
 
-/// Journal format identifier, stored in every header record.
-pub const FORMAT: &str = "cs-journal-v1";
-
-/// File name of the journal inside a campaign directory.
+/// File name of the journal inside a `--resume` directory.
 pub const FILE: &str = "journal.csj";
 
 /// Frames a record body with its CRC line prefix.
@@ -60,47 +62,33 @@ fn unframe(line: &str) -> Option<&str> {
     (fnv1a64(body.as_bytes()) == crc).then_some(body)
 }
 
-/// Identity of a campaign: what it is plus a canonical rendering of the
-/// knobs that change its *results*. Execution-only knobs (thread count,
-/// ring capacity) are deliberately excluded so a resume may use a
-/// different parallelism than the interrupted run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalHeader {
-    /// Campaign family, e.g. `cs-bench-suite` or `cs-smith`.
-    pub campaign: String,
-    /// Canonical result-determining configuration string.
-    pub config: String,
-}
-
-impl JournalHeader {
-    /// Digest binding a journal to this campaign identity.
-    pub fn digest(&self) -> String {
-        format!(
-            "{:016x}",
-            fnv1a64(format!("{}\n{}", self.campaign, self.config).as_bytes())
-        )
+/// Reads one journal line: the `(id, payload)` of an intact task record,
+/// or `None` for anything else (a torn or bit-flipped line, a payload
+/// that fails its `vd` digest, a line of another kind).
+///
+/// Only the record's head is parsed. The payload is sliced out of the
+/// body text verbatim — everything after `, "payload": ` minus the
+/// record's single closing brace — and checked against its digest, so
+/// opening a long log parses none of the payloads it may never serve.
+fn read_line(line: &str) -> Option<(String, &str)> {
+    let (head, rest) = unframe(line)?.split_once(", \"payload\": ")?;
+    let payload = rest.strip_suffix('}')?;
+    let v = JsonValue::parse(&format!("{head}}}")).ok()?;
+    if v.get("kind").and_then(JsonValue::as_str) != Some("task") {
+        return None;
     }
-
-    fn body(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.open_object(None)
-            .string("format", FORMAT)
-            .string("kind", "header")
-            .string("campaign", &self.campaign)
-            .string("config", &self.config)
-            .string("digest", &self.digest())
-            .close_object();
-        w.finish()
-    }
+    let id = v.get("id").and_then(JsonValue::as_str)?;
+    let vd = v.get("vd").and_then(JsonValue::as_str)?;
+    (format!("{:016x}", fnv1a64(payload.as_bytes())) == vd).then(|| (id.to_string(), payload))
 }
 
 struct JournalState {
-    completed: BTreeMap<String, String>,
+    completed: HashMap<String, String>,
     replayed: u64,
     dropped: u64,
 }
 
-/// An open campaign journal (see module docs). Thread-safe: sweep workers
+/// An open result journal (see module docs). Thread-safe: sweep workers
 /// record completions concurrently through one shared instance.
 pub struct Journal {
     store: Arc<dyn ArtifactStore>,
@@ -108,113 +96,46 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens (or creates) the journal in `store` for the campaign
-    /// identified by `header`.
-    ///
-    /// - No journal yet → a fresh one is started (header appended).
-    /// - Existing journal with a matching header digest → completed task
-    ///   records are replayed; corrupt/torn lines are dropped and their
-    ///   tasks treated as in-flight.
-    /// - Existing journal for a *different* campaign → `Err` (refusing to
-    ///   mix results is the caller's cue to pick another directory).
-    /// - Unreadable journal → one-line warning, treated as fresh.
-    pub fn open(store: Arc<dyn ArtifactStore>, header: &JournalHeader) -> Result<Journal, String> {
+    /// Opens (or starts) the journal in `store` and replays its intact
+    /// task records. Every other line is dropped, so the task of a torn
+    /// or corrupt record is treated as in-flight. When a log holds two
+    /// records for one id, the later one wins (it was recorded after the
+    /// earlier one was refused at replay). An unreadable journal gives a
+    /// one-line warning and replays nothing.
+    pub fn open(store: Arc<dyn ArtifactStore>) -> Journal {
         let mut state = JournalState {
-            completed: BTreeMap::new(),
+            completed: HashMap::new(),
             replayed: 0,
             dropped: 0,
         };
-        let mut need_header = true;
         match store.get(FILE) {
             Err(StoreError::NotFound(_)) => {}
-            Err(e) => {
-                eprintln!("warning: cannot read campaign journal ({e}); starting fresh");
-            }
+            Err(e) => eprintln!("warning: cannot read result journal ({e}); starting fresh"),
             Ok(bytes) => {
-                let text = String::from_utf8_lossy(&bytes);
-                let mut seen_header = false;
-                for line in text.lines() {
+                for line in String::from_utf8_lossy(&bytes).lines() {
                     if line.is_empty() {
                         continue;
                     }
-                    let Some(body) = unframe(line) else {
-                        state.dropped += 1;
-                        continue;
-                    };
-                    let Ok(v) = JsonValue::parse(body) else {
-                        state.dropped += 1;
-                        continue;
-                    };
-                    match v.get("kind").and_then(JsonValue::as_str) {
-                        Some("header") => {
-                            let digest = v.get("digest").and_then(JsonValue::as_str);
-                            if digest != Some(header.digest().as_str()) {
-                                return Err(format!(
-                                    "journal in {} belongs to a different campaign \
-                                     (digest {:?}, expected {}); refusing to resume",
-                                    store.label(),
-                                    digest.unwrap_or("<missing>"),
-                                    header.digest()
-                                ));
-                            }
-                            seen_header = true;
+                    match read_line(line) {
+                        Some((id, payload)) => {
+                            state.completed.insert(id, payload.to_string());
                         }
-                        Some("task") => {
-                            let (Some(id), Some(vd)) = (
-                                v.get("id").and_then(JsonValue::as_str),
-                                v.get("vd").and_then(JsonValue::as_str),
-                            ) else {
-                                state.dropped += 1;
-                                continue;
-                            };
-                            // Recover the payload losslessly by slicing
-                            // it out of the body text: everything after
-                            // `"payload": ` minus the record's single
-                            // closing brace. The digest check below
-                            // catches any mis-slice.
-                            let Some(payload) = body
-                                .split_once("\"payload\": ")
-                                .and_then(|(_, p)| p.strip_suffix('}'))
-                            else {
-                                state.dropped += 1;
-                                continue;
-                            };
-                            if format!("{:016x}", fnv1a64(payload.as_bytes())) != vd {
-                                state.dropped += 1;
-                                continue;
-                            }
-                            state
-                                .completed
-                                .entry(id.to_string())
-                                .or_insert_with(|| payload.to_string());
-                        }
-                        _ => state.dropped += 1,
+                        None => state.dropped += 1,
                     }
                 }
-                if seen_header {
-                    need_header = false;
-                    state.replayed = state.completed.len() as u64;
-                } else if state.dropped > 0 {
-                    eprintln!(
-                        "warning: campaign journal in {} has no intact header \
-                         ({} corrupt line(s) dropped); starting fresh",
-                        store.label(),
-                        state.dropped
-                    );
-                    state.completed.clear();
-                    state.dropped = 0;
-                }
+                state.replayed = state.completed.len() as u64;
             }
         }
-        if need_header {
-            if let Err(e) = store.append_line(FILE, &frame(&header.body())) {
-                eprintln!("warning: cannot start campaign journal: {e}");
-            }
-        }
-        Ok(Journal {
+        Journal {
             store,
             state: Mutex::new(state),
-        })
+        }
+    }
+
+    /// Opens the journal of a `--resume` directory through the
+    /// process-wide store for `dir` ([`shared_dir_store`]).
+    pub fn in_dir(dir: &Path) -> Journal {
+        Journal::open(shared_dir_store(dir))
     }
 
     /// The replayed payload for a completed task, if any.
@@ -228,13 +149,15 @@ impl Journal {
     }
 
     /// Records a completed task. `payload` must be a single-line JSON
-    /// document. Duplicate records for an id are ignored (first wins), so
-    /// replayed tasks can be re-recorded harmlessly.
+    /// document. Re-recording an id with the payload it already holds
+    /// is a no-op, so served tasks can be re-recorded harmlessly; a
+    /// different payload (the fresh result of a task whose journaled one
+    /// was refused) is appended and wins from then on.
     pub fn record(&self, id: &str, payload: &str) {
         debug_assert!(!payload.contains('\n'), "journal payloads are single-line");
         {
             let mut st = self.state.lock().expect("journal lock");
-            if st.completed.contains_key(id) {
+            if st.completed.get(id).map(String::as_str) == Some(payload) {
                 return;
             }
             st.completed.insert(id.to_string(), payload.to_string());
@@ -249,7 +172,7 @@ impl Journal {
         let head = head.strip_suffix('}').expect("object body");
         let body = format!("{head}, \"payload\": {payload}}}");
         if let Err(e) = self.store.append_line(FILE, &frame(&body)) {
-            eprintln!("warning: cannot append to campaign journal: {e}");
+            eprintln!("warning: cannot append to result journal: {e}");
         }
     }
 
@@ -258,53 +181,10 @@ impl Journal {
         self.state.lock().expect("journal lock").replayed
     }
 
-    /// Number of corrupt/torn lines dropped during replay.
+    /// Number of lines dropped during replay (torn, corrupt, or not a
+    /// task record).
     pub fn dropped(&self) -> u64 {
         self.state.lock().expect("journal lock").dropped
-    }
-}
-
-/// Read-only CLI preflight for `--resume <dir>`: validates that the
-/// directory's journal (if any) belongs to the campaign described by
-/// `header` and returns how many completed tasks it holds. CLIs exit
-/// with a clear diagnostic on `Err` instead of clobbering foreign data.
-pub fn check_resume(dir: &Path, header: &JournalHeader) -> Result<usize, String> {
-    let path = dir.join(FILE);
-    let text = match std::fs::read_to_string(&path) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-        Ok(t) => t,
-    };
-    let mut seen_header = false;
-    let mut completed = std::collections::BTreeSet::new();
-    for line in text.lines() {
-        let Some(body) = unframe(line) else { continue };
-        let Ok(v) = JsonValue::parse(body) else {
-            continue;
-        };
-        match v.get("kind").and_then(JsonValue::as_str) {
-            Some("header") => {
-                if v.get("digest").and_then(JsonValue::as_str) != Some(header.digest().as_str()) {
-                    return Err(format!(
-                        "{} belongs to a different campaign (config changed?); \
-                         use a fresh directory or rerun with the original flags",
-                        path.display()
-                    ));
-                }
-                seen_header = true;
-            }
-            Some("task") => {
-                if let Some(id) = v.get("id").and_then(JsonValue::as_str) {
-                    completed.insert(id.to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    if seen_header {
-        Ok(completed.len())
-    } else {
-        Ok(0)
     }
 }
 
@@ -344,13 +224,6 @@ pub fn host_fault_matrix(seed: u64) -> Vec<HostMatrixRow> {
         .collect()
 }
 
-fn scenario_header() -> JournalHeader {
-    JournalHeader {
-        campaign: "host-fault-matrix".to_string(),
-        config: "scenario-v1".to_string(),
-    }
-}
-
 const PRIOR_PAYLOAD: &[u8] = b"{\"prior\": 1}";
 const T0_PAYLOAD: &str = "{\"verdict\": \"pass\"}";
 const T1_PAYLOAD: &str = "{\"verdict\": \"fail\"}";
@@ -364,14 +237,13 @@ fn run_host_fault_scenario(kind: HostFaultKind, seed: u64) -> HostMatrixRow {
         fnv1a64(&seed.to_le_bytes())
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let header = scenario_header();
 
     // Phase 1 — healthy history: one durable artifact and one journaled
     // completed task, written before any fault exists.
     {
         let healthy: Arc<DirStore> = Arc::new(DirStore::new(&dir));
         healthy.put("prior.json", PRIOR_PAYLOAD).expect("prior put");
-        let j = Journal::open(healthy, &header).expect("fresh journal");
+        let j = Journal::open(healthy);
         j.record("t0", T0_PAYLOAD);
     }
 
@@ -389,9 +261,7 @@ fn run_host_fault_scenario(kind: HostFaultKind, seed: u64) -> HostMatrixRow {
     let put_ok = faulty.put("task1.json", TASK1_PAYLOAD).is_ok();
     let task1_back = faulty.get("task1.json");
     let prior_back = faulty.get("prior.json");
-    if let Ok(j) = Journal::open(Arc::clone(&faulty) as Arc<dyn ArtifactStore>, &header) {
-        j.record("t1", T1_PAYLOAD);
-    }
+    Journal::open(Arc::clone(&faulty) as Arc<dyn ArtifactStore>).record("t1", T1_PAYLOAD);
     let fires = faulty.fires();
     let stats = faulty.stats();
     let degraded = faulty.is_degraded();
@@ -399,9 +269,10 @@ fn run_host_fault_scenario(kind: HostFaultKind, seed: u64) -> HostMatrixRow {
     // Phase 3 — restart against the same directory with a healthy store:
     // nothing from the pre-fault history may be lost or corrupted.
     let fresh: Arc<DirStore> = Arc::new(DirStore::new(&dir));
-    let t0_survives = Journal::open(Arc::clone(&fresh) as Arc<dyn ArtifactStore>, &header)
-        .map(|j| j.completed("t0").as_deref() == Some(T0_PAYLOAD))
-        .unwrap_or(false);
+    let t0_survives = Journal::open(Arc::clone(&fresh) as Arc<dyn ArtifactStore>)
+        .completed("t0")
+        .as_deref()
+        == Some(T0_PAYLOAD);
     let prior_survives = fresh.get("prior.json").ok().as_deref() == Some(PRIOR_PAYLOAD);
     let history_intact = t0_survives && prior_survives;
 
@@ -481,13 +352,6 @@ mod tests {
     use super::*;
     use crate::store::MemStore;
 
-    fn header() -> JournalHeader {
-        JournalHeader {
-            campaign: "test".to_string(),
-            config: "a=1 b=2".to_string(),
-        }
-    }
-
     #[test]
     fn frame_roundtrip_and_corruption_detection() {
         let body = "{\"kind\": \"task\", \"id\": \"x\"}";
@@ -504,13 +368,15 @@ mod tests {
     #[test]
     fn fresh_journal_records_and_replays() {
         let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
-        let j = Journal::open(Arc::clone(&store), &header()).unwrap();
+        let j = Journal::open(Arc::clone(&store));
         assert_eq!(j.replayed(), 0);
         j.record("t1", "{\"v\": 1}");
         j.record("t2", "{\"v\": 2}");
-        j.record("t1", "{\"v\": 999}"); // duplicate: first wins
+        j.record("t1", "{\"v\": 1}"); // same payload again: no new line
         drop(j);
-        let j2 = Journal::open(store, &header()).unwrap();
+        let lines = String::from_utf8(store.get(FILE).unwrap()).unwrap();
+        assert_eq!(lines.lines().count(), 2);
+        let j2 = Journal::open(store);
         assert_eq!(j2.replayed(), 2);
         assert_eq!(j2.completed("t1").as_deref(), Some("{\"v\": 1}"));
         assert_eq!(j2.completed("t2").as_deref(), Some("{\"v\": 2}"));
@@ -518,10 +384,25 @@ mod tests {
         assert_eq!(j2.dropped(), 0);
     }
 
+    /// A task whose journaled result was refused is re-run and recorded
+    /// again; the later record is the one served from then on.
+    #[test]
+    fn a_rerecorded_task_is_served_its_latest_payload() {
+        let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
+        Journal::open(Arc::clone(&store)).record("t1", "{\"v\": 1e1}");
+        let j = Journal::open(Arc::clone(&store));
+        assert_eq!(j.completed("t1").as_deref(), Some("{\"v\": 1e1}"));
+        j.record("t1", "{\"v\": 10}");
+        assert_eq!(j.completed("t1").as_deref(), Some("{\"v\": 10}"));
+        let j2 = Journal::open(store);
+        assert_eq!(j2.completed("t1").as_deref(), Some("{\"v\": 10}"));
+        assert_eq!(j2.replayed(), 1);
+    }
+
     #[test]
     fn torn_tail_is_dropped_not_fatal() {
         let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
-        let j = Journal::open(Arc::clone(&store), &header()).unwrap();
+        let j = Journal::open(Arc::clone(&store));
         j.record("t1", "{\"v\": 1}");
         j.record("t2", "{\"v\": 2}");
         drop(j);
@@ -530,59 +411,49 @@ mod tests {
         bytes.truncate(bytes.len() - 10);
         // Rewrite the journal with a torn tail (MemStore put replaces).
         store.put(FILE, &bytes).unwrap();
-        let j2 = Journal::open(store, &header()).unwrap();
+        let j2 = Journal::open(store);
         assert_eq!(j2.replayed(), 1, "t2's torn record treated as in-flight");
         assert!(j2.completed("t1").is_some());
         assert!(j2.completed("t2").is_none());
         assert_eq!(j2.dropped(), 1);
     }
 
+    /// A record whose CRC holds but whose payload fails its `vd` digest
+    /// is dropped, not served.
     #[test]
-    fn mismatched_campaign_is_refused() {
+    fn payload_digest_mismatch_is_dropped() {
         let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
-        let j = Journal::open(Arc::clone(&store), &header()).unwrap();
-        j.record("t1", "{\"v\": 1}");
-        drop(j);
-        let other = JournalHeader {
-            campaign: "test".to_string(),
-            config: "a=1 b=3".to_string(),
-        };
-        let err = match Journal::open(store, &other) {
-            Err(e) => e,
-            Ok(_) => panic!("mismatched campaign must be refused"),
-        };
-        assert!(err.contains("different campaign"), "{err}");
+        let body = "{\"kind\": \"task\", \"id\": \"t1\", \"vd\": \"0000000000000000\", \
+                    \"payload\": {\"v\": 1}}";
+        store.append_line(FILE, &frame(body)).unwrap();
+        let j = Journal::open(store);
+        assert_eq!(j.completed("t1"), None);
+        assert_eq!(j.dropped(), 1);
+    }
+
+    /// A line that is not a task record (such as the campaign header
+    /// older logs start with) is dropped without disturbing the replay.
+    #[test]
+    fn a_line_of_another_kind_is_dropped() {
+        let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
+        let header = "{\"format\": \"cs-journal-v1\", \"kind\": \"header\", \
+                      \"campaign\": \"seed-campaign\", \"config\": \"start=0x0 count=8\"}";
+        store.append_line(FILE, &frame(header)).unwrap();
+        Journal::open(Arc::clone(&store)).record("t1", "{\"v\": 1}");
+        let j = Journal::open(store);
+        assert_eq!((j.replayed(), j.dropped()), (1, 1));
+        assert_eq!(j.completed("t1").as_deref(), Some("{\"v\": 1}"));
     }
 
     #[test]
     fn payload_with_nested_objects_survives_replay() {
         let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
-        let j = Journal::open(Arc::clone(&store), &header()).unwrap();
+        let j = Journal::open(Arc::clone(&store));
         let payload = "{\"a\": {\"b\": [1, 2, {\"c\": \"x}y\"}]}, \"d\": 4}";
         j.record("deep", payload);
         drop(j);
-        let j2 = Journal::open(store, &header()).unwrap();
+        let j2 = Journal::open(store);
         assert_eq!(j2.completed("deep").as_deref(), Some(payload));
-    }
-
-    #[test]
-    fn check_resume_counts_and_refuses() {
-        let dir = std::env::temp_dir().join(format!("cs-journal-preflight-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        assert_eq!(check_resume(&dir, &header()), Ok(0), "no journal yet");
-        let store: Arc<dyn ArtifactStore> = Arc::new(DirStore::new(&dir));
-        let j = Journal::open(store, &header()).unwrap();
-        j.record("t1", "{\"v\": 1}");
-        j.record("t2", "{\"v\": 2}");
-        drop(j);
-        assert_eq!(check_resume(&dir, &header()), Ok(2));
-        let other = JournalHeader {
-            campaign: "other".to_string(),
-            config: String::new(),
-        };
-        assert!(check_resume(&dir, &other).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

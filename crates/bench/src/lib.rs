@@ -35,9 +35,7 @@ pub use exec::{
     SweepResult, SweepRun, TaskFailure,
 };
 pub use fuzz::{run_seed, shrink, SeedVerdict, Violation};
-pub use journal::{
-    check_resume, host_fault_matrix, render_host_matrix, HostMatrixRow, Journal, JournalHeader,
-};
+pub use journal::{host_fault_matrix, render_host_matrix, HostMatrixRow, Journal};
 pub use runner::ExperimentConfig;
 pub use store::{
     shared_dir_store, ArtifactStore, DirStore, FaultFs, HostFaultKind, HostFaultPlan, MemStore,

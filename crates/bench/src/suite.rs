@@ -14,9 +14,8 @@
 
 use crate::bench_report::{BenchReport, ModeSection};
 use crate::exec::{run_indexed, run_spec_once, ExecStats};
-use crate::journal::{Journal, JournalHeader};
-use crate::runner::{warmup_insts, ExperimentConfig};
-use crate::store::{shared_dir_store, ArtifactStore};
+use crate::journal::Journal;
+use crate::runner::ExperimentConfig;
 use cleanupspec::modes::SecurityMode;
 use cleanupspec::sim::SimReport;
 use cleanupspec_obs::{MetricsRegistry, RingSink, Shared};
@@ -41,16 +40,6 @@ pub fn smoke_workloads() -> Vec<SpecWorkload> {
 /// recorded, events dropped).
 pub type RunRow = (String, SimReport, f64, u64, u64);
 
-/// Where a matrix cell's report came from.
-enum RunSource {
-    /// Simulated in this process.
-    Fresh,
-    /// Served from the cs-snap checkpoint cache.
-    Checkpoint,
-    /// Replayed from the campaign journal (resume).
-    Journal,
-}
-
 /// How to run the suite matrix.
 #[derive(Clone, Debug)]
 pub struct SuiteOptions {
@@ -63,50 +52,24 @@ pub struct SuiteOptions {
     pub workloads: Vec<SpecWorkload>,
     /// Event-ring capacity per run.
     pub ring_capacity: usize,
-    /// cs-snap result cache directory.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Campaign directory holding the crash-safe journal. When set, a
-    /// journal is opened (or resumed) there, completed cells are replayed
-    /// without re-simulating, and every finished cell is recorded — so a
-    /// killed suite can be rerun with the same directory and produce a
-    /// byte-identical document.
+    /// `--resume` directory holding the result journal. When set, every
+    /// cell the journal holds is served without re-simulating and every
+    /// successful fresh cell is recorded — so a killed suite rerun with
+    /// the same directory produces a byte-identical document, and any
+    /// later campaign reuses the cells it shares with this one.
     pub resume_dir: Option<PathBuf>,
 }
 
 impl SuiteOptions {
-    /// Suite over `modes`/`workloads` with default sizing, no cache and
-    /// no journal.
+    /// Suite over `modes`/`workloads` with default sizing and no
+    /// journal.
     pub fn new(modes: &[SecurityMode], workloads: &[SpecWorkload]) -> Self {
         SuiteOptions {
             cfg: ExperimentConfig::default(),
             modes: modes.to_vec(),
             workloads: workloads.to_vec(),
             ring_capacity: crate::cli::DEFAULT_RING_CAPACITY,
-            checkpoint_dir: None,
             resume_dir: None,
-        }
-    }
-
-    /// The journal identity of this suite: everything that determines the
-    /// *results* (sizing, modes, workloads) and nothing that only affects
-    /// execution (threads, ring capacity), so an interrupted campaign may
-    /// resume at a different parallelism.
-    pub fn journal_header(&self) -> JournalHeader {
-        let mut modes = self.modes.clone();
-        modes.retain(|m| *m != SecurityMode::NonSecure);
-        modes.insert(0, SecurityMode::NonSecure);
-        let mode_names: Vec<&str> = modes.iter().map(|m| m.name()).collect();
-        let workload_names: Vec<&str> = self.workloads.iter().map(|w| w.name).collect();
-        JournalHeader {
-            campaign: "cs-bench-suite".to_string(),
-            config: format!(
-                "insts={} seed={} warmup={} modes={} workloads={}",
-                self.cfg.insts,
-                self.cfg.seed,
-                warmup_insts(self.cfg.insts),
-                mode_names.join(","),
-                workload_names.join(",")
-            ),
         }
     }
 }
@@ -120,10 +83,8 @@ pub struct SuiteOutcome {
     pub modes: Vec<SecurityMode>,
     /// Names of workloads whose simulation panicked, per mode.
     pub failed: Vec<(SecurityMode, String)>,
-    /// Runs served from the checkpoint cache.
-    pub cache_hits: u64,
-    /// Runs replayed from the campaign journal (resume).
-    pub resumed: u64,
+    /// Runs served from the result journal.
+    pub served: u64,
     /// Executor counters.
     pub exec: ExecStats,
     /// Total events recorded / dropped across every ring.
@@ -146,64 +107,36 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
     modes.retain(|m| *m != baseline_mode);
     modes.insert(0, baseline_mode);
     let workloads = &opts.workloads;
-    let checkpoint_dir = opts.checkpoint_dir.as_deref();
-
-    // Open (or resume) the campaign journal. A journal that belongs to a
-    // different campaign is refused up front by the CLI preflight
-    // (`journal::check_resume`); reaching that state through the library
-    // degrades to running without a journal rather than mixing results.
-    let journal: Option<Journal> = opts.resume_dir.as_deref().and_then(|dir| {
-        let store = shared_dir_store(dir) as std::sync::Arc<dyn ArtifactStore>;
-        match Journal::open(store, &opts.journal_header()) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                eprintln!("warning: not journaling this campaign: {e}");
-                None
-            }
-        }
-    });
+    let journal = opts.resume_dir.as_deref().map(Journal::in_dir);
 
     let mut host = MetricsRegistry::new();
     let suite_start = Instant::now();
 
     // One task per matrix cell: the executor balances across the whole
     // modes×workloads matrix, not within one mode at a time. With a
-    // journal, completed cells replay from it (skipping simulation
+    // journal, recorded cells are served from it (skipping simulation
     // entirely) and fresh completions are recorded as they land, so a
-    // SIGKILL costs only the in-flight cells. A served cell (journal or
-    // checkpoint) did no simulation, so it reports zero wall time.
+    // SIGKILL costs only the in-flight cells. A served cell did no
+    // simulation, so it reports zero wall time.
     let nw = workloads.len();
-    let journal = journal.as_ref();
     let outcome = run_indexed(modes.len() * nw, cfg.threads, |i| {
         let (mode, w) = (modes[i / nw], &workloads[i % nw]);
-        let task_id = format!("{}/{}", mode.name(), w.name);
-        if let Some(payload) = journal.and_then(|j| j.completed(&task_id)) {
-            match cleanupspec_obs::JsonValue::parse(&payload)
-                .and_then(|v| cleanupspec::snap::parse_report(&v))
-            {
-                Ok(r) => return ((w.name.to_string(), r, 0.0, 0, 0), RunSource::Journal),
-                Err(e) => {
-                    eprintln!("warning: re-running {task_id}: journaled result unusable ({e})")
-                }
-            }
-        }
         let ring = Shared::new(RingSink::new(opts.ring_capacity));
         let start = Instant::now();
-        let (r, cached) =
-            run_spec_once(w, mode, &cfg, checkpoint_dir, vec![Box::new(ring.clone())]);
-        let (wall, source) = if cached {
-            (0.0, RunSource::Checkpoint)
+        let (r, served) = run_spec_once(
+            w,
+            mode,
+            &cfg,
+            journal.as_ref(),
+            vec![Box::new(ring.clone())],
+        );
+        let wall = if served {
+            0.0
         } else {
-            (start.elapsed().as_secs_f64(), RunSource::Fresh)
+            start.elapsed().as_secs_f64()
         };
-        if let Some(j) = journal {
-            // Only completed (non-truncated) runs are replayable facts.
-            if r.stop.as_ref().is_none_or(|s| s.is_success()) {
-                j.record(&task_id, &cleanupspec::snap::report_json(&r));
-            }
-        }
         let (rec, drop) = ring.with(|s| (s.total_recorded(), s.dropped()));
-        ((w.name.to_string(), r, wall, rec, drop), source)
+        ((w.name.to_string(), r, wall, rec, drop), served)
     });
     let failed: Vec<(SecurityMode, String)> = outcome
         .failures
@@ -215,17 +148,17 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
             )
         })
         .collect();
-    let (mut cache_hits, mut resumed, mut fresh_insts) = (0u64, 0u64, 0u64);
+    let (mut served, mut fresh_insts) = (0u64, 0u64);
     let mut slots = outcome.slots.into_iter();
     let mut mode_rows: Vec<Vec<RunRow>> = (0..modes.len())
         .map(|_| {
             (0..nw)
                 .filter_map(|_| slots.next().flatten())
-                .map(|(row, source)| {
-                    match source {
-                        RunSource::Fresh => fresh_insts += row.1.total_insts(),
-                        RunSource::Checkpoint => cache_hits += 1,
-                        RunSource::Journal => resumed += 1,
+                .map(|(row, was_served)| {
+                    if was_served {
+                        served += 1;
+                    } else {
+                        fresh_insts += row.1.total_insts();
                     }
                     row
                 })
@@ -242,8 +175,7 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
     }
 
     // Host-side accounting, in the same shape cs-bench always emitted.
-    host.add("checkpoint_hits", cache_hits);
-    host.add("journal_resumed", resumed);
+    host.add("served", served);
     for (mi, mode) in modes.iter().enumerate() {
         host.add_timing(
             &format!("mode.{}", mode.name()),
@@ -315,8 +247,7 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
         report,
         modes,
         failed,
-        cache_hits,
-        resumed,
+        served,
         exec: exec_stats,
         events: (total_events, total_dropped),
         wall_secs: suite_wall,
@@ -374,18 +305,78 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let mut opts = tiny_opts();
-        opts.checkpoint_dir = Some(dir.clone());
+        opts.resume_dir = Some(dir.clone());
         let first = run_suite(&opts);
-        assert_eq!(first.cache_hits, 0, "cold cache must simulate");
+        assert_eq!(first.served, 0, "an empty journal must simulate");
         let second = run_suite(&opts);
         let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(second.cache_hits, 6, "warm cache must serve every cell");
+        assert_eq!(second.served, 6, "the journal must serve every cell");
+        assert_eq!(second.report.host.counter("served"), 6);
         assert_eq!(second.report.host.gauge("sim_kips"), 0.0);
         for section in &second.report.modes {
             for e in &section.entries {
                 assert_eq!(e.host_kips(), 0.0, "{} {}", section.mode, e.name);
             }
         }
+    }
+
+    /// `payload` with its first counter that is a nonzero multiple of ten
+    /// spelled in exponent form (`10` as `1e1`, `240` as `24e1`).
+    fn respell_a_counter(payload: &str) -> String {
+        let mut at = 0;
+        while let Some(i) = payload[at..].find(": ") {
+            let start = at + i + 2;
+            let digits = payload[start..]
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(0);
+            let value = &payload[start..start + digits];
+            if let Some(tens) = value.strip_suffix('0').filter(|t| !t.is_empty()) {
+                return format!(
+                    "{}{tens}e1{}",
+                    &payload[..start],
+                    &payload[start + digits..]
+                );
+            }
+            at = start;
+        }
+        panic!("no counter is a nonzero multiple of ten");
+    }
+
+    /// A journaled report that parses but does not re-serialize to its
+    /// own bytes is re-simulated, never served: here one counter spelled
+    /// like `1e1`, which the `f64`-backed JSON parser reads as 10 but
+    /// `report_json` never writes. The fresh report is recorded in its
+    /// place and served from then on.
+    #[test]
+    fn a_lossy_journaled_report_is_resimulated() {
+        let dir = std::env::temp_dir().join(format!(
+            "cs-suite-lossy-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let w = smoke_workloads()[0];
+        let mut opts = SuiteOptions::new(&[], &[w]);
+        opts.cfg = ExperimentConfig {
+            insts: 2_000,
+            seed: 11,
+            threads: 1,
+        };
+        let fresh = run_suite(&opts);
+        let payload = cleanupspec::snap::report_json(&fresh.report.modes[0].entries[0].report);
+        let tampered = respell_a_counter(&payload);
+        assert!(tampered != payload && tampered.contains("e1, "));
+        let key = crate::runner::spec_key(&w, SecurityMode::NonSecure, &opts.cfg);
+        Journal::in_dir(&dir).record(&key, &tampered);
+
+        opts.resume_dir = Some(dir.clone());
+        let rerun = run_suite(&opts);
+        assert_eq!(rerun.served, 0, "the lossy report was served");
+        let report = &rerun.report.modes[0].entries[0].report;
+        assert_eq!(cleanupspec::snap::report_json(report), payload);
+        let third = run_suite(&opts);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(third.served, 1, "the re-simulated report was not recorded");
     }
 
     #[test]
@@ -398,7 +389,7 @@ mod tests {
             .insts(opts.cfg.insts)
             .seed(opts.cfg.seed)
             .threads(opts.cfg.threads)
-            .checkpoints(None)
+            .resume(None)
             .run();
         assert!(sweep.is_complete());
         for section in &out.report.modes {

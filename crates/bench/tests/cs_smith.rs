@@ -70,3 +70,43 @@ fn sabotaged_restore_is_caught_and_shrinks_small() {
         "minimized repro fails even without the fault"
     );
 }
+
+/// `cs-smith` and a fault-free `cs-chaos` campaign key each seed's verdict
+/// the same way, so one is served the seeds the other ran in the same
+/// `--resume` directory, and its stdout is that of a fresh run.
+#[test]
+fn smith_and_chaos_campaigns_share_journaled_verdicts() {
+    let dir = std::env::temp_dir().join(format!("cs-smith-shared-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = |bin: &str, seeds: &str, resume: bool| {
+        let mut cmd = std::process::Command::new(bin);
+        cmd.args(["--seeds", seeds, "--start", "0"]);
+        if resume {
+            cmd.arg("--resume").arg(&dir);
+        }
+        let out = cmd
+            .env("CLEANUPSPEC_THREADS", "2")
+            .output()
+            .expect("spawn campaign");
+        assert!(out.status.success(), "{bin} failed: {out:?}");
+        (
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let smith = env!("CARGO_BIN_EXE_cs-smith");
+    let chaos = env!("CARGO_BIN_EXE_cs-chaos");
+    run(smith, "6", true);
+    let (stdout, stderr) = run(chaos, "10", true);
+    assert!(
+        stderr.contains("6 of 10 seed(s) served from the result journal"),
+        "{stderr}"
+    );
+    assert_eq!(stdout, run(chaos, "10", false).0);
+    let (_, stderr) = run(smith, "10", true);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        stderr.contains("10 of 10 seed(s) served from the result journal"),
+        "{stderr}"
+    );
+}

@@ -6,12 +6,12 @@
 //!   fault classes crossed with injection sites;
 //! * a campaign SIGKILLed mid-flight and rerun with `--resume` produces
 //!   a byte-identical final document;
-//! * a second `--resume` run replays every cell from the journal;
-//! * an unwritable checkpoint directory degrades to in-memory results
+//! * a second `--resume` run is served every cell from the journal;
+//! * an unwritable `--resume` directory degrades to in-memory results
 //!   with a one-line diagnostic instead of failing the run.
 
 use cleanupspec::modes::SecurityMode;
-use cleanupspec_bench::journal::{Journal, JournalHeader};
+use cleanupspec_bench::journal::Journal;
 use cleanupspec_bench::store::{
     ArtifactStore, DirStore, FaultFs, HostFaultKind, HostFaultPlan, StoreError,
 };
@@ -51,7 +51,7 @@ fn host_fault_matrix_handles_every_class() {
 
 /// Property sweep: every fault class crossed with several injection
 /// sites (`fire_at` walks the fault across the put payload, its sidecar,
-/// the journal header append, and the record appends). Two invariants,
+/// and the two record appends). Two invariants,
 /// regardless of where the fault lands:
 ///
 /// 1. a restarted healthy store never serves *wrong* artifact bytes —
@@ -67,17 +67,12 @@ fn faultfs_property_sweep_over_classes_and_sites() {
         for fire_at in 0..4u64 {
             let dir = scratch(&format!("prop-{}-{fire_at}", kind.name()));
             let faulty = Arc::new(FaultFs::new(&dir, HostFaultPlan { kind, fire_at }));
-            let header = JournalHeader {
-                campaign: "prop".to_string(),
-                config: "sweep".to_string(),
-            };
             // Faulted phase: one artifact, one journal with two records.
             // Nothing here may panic, whatever the injector does.
             let _ = faulty.put("a.json", PAYLOAD_A);
-            if let Ok(j) = Journal::open(Arc::clone(&faulty) as Arc<dyn ArtifactStore>, &header) {
-                j.record("t0", T0);
-                j.record("t1", T1);
-            }
+            let j = Journal::open(Arc::clone(&faulty) as Arc<dyn ArtifactStore>);
+            j.record("t0", T0);
+            j.record("t1", T1);
 
             // Healthy restart: invariant 1.
             let clean = DirStore::new(&dir);
@@ -98,8 +93,7 @@ fn faultfs_property_sweep_over_classes_and_sites() {
             }
 
             // Healthy restart: invariant 2.
-            let j = Journal::open(Arc::new(DirStore::new(&dir)), &header)
-                .expect("reopening a journal on a healthy store must never fail");
+            let j = Journal::open(Arc::new(DirStore::new(&dir)));
             for (id, want) in [("t0", T0), ("t1", T1)] {
                 if let Some(got) = j.completed(id) {
                     assert_eq!(
@@ -130,9 +124,9 @@ fn cs_bench_cmd(out: &Path, extra: &[&str]) -> Command {
     ])
     .arg(out)
     .args(extra)
-    // The suite must not pick up ambient caches or thread overrides:
+    // The suite must not pick up an ambient journal or thread override:
     // the test pins its own sizing.
-    .env_remove("CLEANUPSPEC_CHECKPOINT_DIR")
+    .env_remove("CLEANUPSPEC_RESUME_DIR")
     .env_remove("CLEANUPSPEC_THREADS");
     cmd
 }
@@ -167,7 +161,7 @@ fn sigkill_mid_campaign_then_resume_matches_uninterrupted_run() {
     );
 
     // Interrupted run: wait for the journal to hold at least one
-    // completed task (line 1 is the campaign header), then SIGKILL.
+    // completed task, then SIGKILL.
     let jdir_arg = jdir.to_string_lossy().into_owned();
     let mut child = cs_bench_cmd(&resumed, &["--resume", &jdir_arg])
         .stdout(std::process::Stdio::null())
@@ -181,7 +175,7 @@ fn sigkill_mid_campaign_then_resume_matches_uninterrupted_run() {
             break; // Finished before we could kill it; resume still must work.
         }
         let tasks = std::fs::read_to_string(&journal_file)
-            .map(|t| t.lines().count().saturating_sub(1))
+            .map(|t| t.lines().count())
             .unwrap_or(0);
         if tasks >= 1 {
             child.kill().expect("SIGKILL");
@@ -202,14 +196,10 @@ fn sigkill_mid_campaign_then_resume_matches_uninterrupted_run() {
         String::from_utf8_lossy(&output.stderr)
     );
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("resuming from"),
-        "resume preflight notice missing: {stderr}"
-    );
     if killed_midway {
         assert!(
-            stderr.contains("replayed from the campaign journal"),
-            "no cells were replayed after a mid-flight kill: {stderr}"
+            stderr.contains("served from the result journal"),
+            "no cells were served after a mid-flight kill: {stderr}"
         );
     }
     assert_eq!(
@@ -220,10 +210,10 @@ fn sigkill_mid_campaign_then_resume_matches_uninterrupted_run() {
     let _ = std::fs::remove_dir_all(&work);
 }
 
-/// In-process double-run: the second suite over the same journal replays
-/// every cell and produces a canonically identical document.
+/// In-process double-run: the second suite over the same journal is
+/// served every cell and produces a canonically identical document.
 #[test]
-fn second_suite_run_replays_every_cell_from_the_journal() {
+fn second_suite_run_is_served_every_cell_from_the_journal() {
     let jdir = scratch("double-run");
     let workloads: Vec<_> = SPEC_WORKLOADS
         .iter()
@@ -235,28 +225,28 @@ fn second_suite_run_replays_every_cell_from_the_journal() {
     opts.cfg.threads = 2;
     opts.resume_dir = Some(jdir.clone());
     let first = run_suite(&opts);
-    assert_eq!(first.resumed, 0);
+    assert_eq!(first.served, 0);
     let second = run_suite(&opts);
     // 2 modes (NonSecure forced in) x 2 workloads.
-    assert_eq!(second.resumed, 4, "second run must replay every cell");
+    assert_eq!(second.served, 4, "second run must be served every cell");
     let a = canonical_json(&JsonValue::parse(&first.report.to_json()).unwrap());
     let b = canonical_json(&JsonValue::parse(&second.report.to_json()).unwrap());
     assert_eq!(a, b, "replayed document differs");
     let _ = std::fs::remove_dir_all(&jdir);
 }
 
-/// An unwritable checkpoint directory must not fail the run: one
+/// An unwritable `--resume` directory must not fail the run: one
 /// diagnostic line, in-memory fallback, exit 0.
 #[test]
-fn unwritable_checkpoint_dir_degrades_with_a_diagnostic() {
-    let work = scratch("ro-ckpt");
+fn unwritable_resume_dir_degrades_with_a_diagnostic() {
+    let work = scratch("ro-resume");
     std::fs::create_dir_all(&work).unwrap();
     // A regular file where a directory is expected blocks every write
     // beneath it — works even when the test runs as root, unlike
     // permission bits.
     let blocker = work.join("blocked");
     std::fs::write(&blocker, b"not a directory").unwrap();
-    let ckpt = blocker.join("ckpt");
+    let resume = blocker.join("resume");
     let out = work.join("BENCH.json");
     let output = Command::new(env!("CARGO_BIN_EXE_cs-bench"))
         .args([
@@ -269,16 +259,16 @@ fn unwritable_checkpoint_dir_degrades_with_a_diagnostic() {
         ])
         .args(["--threads", "2", "--out"])
         .arg(&out)
-        .arg("--checkpoint-dir")
-        .arg(&ckpt)
-        .env_remove("CLEANUPSPEC_CHECKPOINT_DIR")
+        .arg("--resume")
+        .arg(&resume)
+        .env_remove("CLEANUPSPEC_RESUME_DIR")
         .env_remove("CLEANUPSPEC_THREADS")
         .output()
         .expect("spawn cs-bench");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
         output.status.success(),
-        "run must succeed despite the unwritable checkpoint dir: {stderr}"
+        "run must succeed despite the unwritable resume dir: {stderr}"
     );
     assert!(
         stderr.contains("unwritable"),

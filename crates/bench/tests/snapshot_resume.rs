@@ -10,10 +10,10 @@
 
 use cleanupspec::modes::SecurityMode;
 use cleanupspec::sim::{SimBuilder, Simulator};
-use cleanupspec::snap::{self, CheckpointKey};
+use cleanupspec::snap;
 use cleanupspec_core::system::RunLimits;
 use cleanupspec_mem::rng::SplitMix64;
-use cleanupspec_obs::{RingSink, Shared};
+use cleanupspec_obs::{JsonValue, RingSink, Shared};
 use cleanupspec_workloads::spec::spec_workload;
 
 const INSTS: u64 = 3_000;
@@ -132,26 +132,21 @@ fn event_stream_is_bit_exact_across_snapshot() {
     );
 }
 
-/// cs-snap-v1 serialization roundtrip at integration level: a real
-/// workload report survives write → parse → re-serialize unchanged, for
-/// a randomized and a non-randomized mode.
+/// cs-snap serialization roundtrip at integration level: a real workload
+/// report survives write → parse → re-serialize unchanged, for a
+/// randomized and a non-randomized mode.
 #[test]
-fn serialized_checkpoint_roundtrips_real_reports() {
+fn serialized_report_roundtrips_real_reports() {
     let mut rng = SplitMix64::new(0x5E41_2019);
     for mode in [SecurityMode::NonSecure, SecurityMode::CleanupSpec] {
         let seed = rng.next_u64();
         let mut sim = build_sim(mode, "astar", seed);
         sim.run_insts(INSTS);
         let report = sim.report();
-        let key = CheckpointKey {
-            workload: "astar".into(),
-            mode,
-            insts: INSTS,
-            seed,
-            warmup: 0,
-        };
-        let text = snap::write_checkpoint(&key, &report).expect("successful runs are cacheable");
-        let back = snap::read_checkpoint(&text, &key).expect("own output must parse");
-        assert_eq!(snap::report_json(&report), snap::report_json(&back));
+        let text = snap::report_json(&report);
+        let back = JsonValue::parse(&text)
+            .and_then(|v| snap::parse_report(&v))
+            .expect("own output must parse");
+        assert_eq!(snap::report_json(&back), text);
     }
 }

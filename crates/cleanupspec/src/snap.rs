@@ -1,29 +1,31 @@
-//! `cs-snap-v1`: the serialized, self-validating checkpoint format.
+//! `cs-snap`: the serialized, lossless run-report format.
 //!
 //! While [`crate::sim::Snapshot`] is the *in-memory* half of cs-snap (a
 //! deep copy of the whole machine, forked and restored within one
-//! process), this module is the *on-disk* half: a versioned cache of
-//! **completed** run results keyed by the full simulation configuration
-//! `(workload, mode, insts, seed, warmup)`. `repro_all`'s figure binaries
-//! re-simulate many identical configurations (the NonSecure baseline alone
-//! is re-run by most figures); with `cs-bench --checkpoint-dir DIR` each
-//! unique configuration is simulated once and every later request is
-//! served from its checkpoint file.
+//! process), this module is the *on-disk* half: the canonical JSON of a
+//! **completed** run's [`SimReport`]. The bench harness records it in its
+//! result journal (`--resume DIR`, or `CLEANUPSPEC_RESUME_DIR` for the
+//! figure binaries) under the run's full result key — workload, mode,
+//! insts, seed, warmup and [`FORMAT`] — so `repro_all`'s figure binaries,
+//! which re-simulate many identical configurations (the NonSecure
+//! baseline alone is re-run by most figures), simulate each one once.
 //!
 //! Design rules:
 //!
 //! - **Full fidelity.** The serialization is lossless: every counter,
 //!   all 65 histogram buckets, the `u128` sample sums (as decimal
 //!   strings), the CPI stack, and the per-scheme counters round-trip
-//!   exactly.
-//! - **Self-validating.** The file stores an FNV-1a digest of the
-//!   canonical report JSON. On load the parsed report is re-serialized
-//!   and re-digested; any mismatch (corruption, format drift, f64
-//!   precision loss) rejects the file and the caller re-simulates.
-//!   A version bump in `FORMAT` likewise invalidates old files.
+//!   exactly, so [`report_json`] of a [`parse_report`] result is the
+//!   input byte for byte. The harness serves a journaled report only
+//!   when that holds; anything else (corruption, format drift, f64
+//!   precision loss, a number spelled otherwise than [`report_json`]
+//!   writes it) is re-simulated.
+//! - **Versioned.** A bump of [`FORMAT`] changes every result key, so
+//!   reports of an older schema are never served.
 //! - **Successful runs only.** A `CycleLimit` or `Livelock` stop is not a
 //!   result, it is a failure (and carries a diagnostic dump this format
-//!   does not represent); [`write_checkpoint`] refuses to cache it.
+//!   does not represent); the harness never records one, and
+//!   [`parse_report`] refuses such a stop reason.
 
 use crate::modes::SecurityMode;
 use crate::sim::SimReport;
@@ -32,50 +34,16 @@ use cleanupspec_core::system::StopReason;
 use cleanupspec_mem::stats::{MemStats, MsgClass, Traffic};
 use cleanupspec_obs::{Histogram, JsonValue, JsonWriter};
 
-/// Format tag; bump on any schema change to invalidate stale caches.
+/// Format tag, part of every journaled report's key; bump on any schema
+/// change so reports of the old schema are no longer served.
 /// v2: per-core `episode_duration` / `episode_loads` histograms.
 pub const FORMAT: &str = "cs-snap-v2";
 
-/// The complete simulation configuration a checkpoint caches.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CheckpointKey {
-    /// Workload name (the bench suite's stable workload id).
-    pub workload: String,
-    /// Security mode simulated.
-    pub mode: SecurityMode,
-    /// Measured-region instruction budget.
-    pub insts: u64,
-    /// Hierarchy seed.
-    pub seed: u64,
-    /// Warmup instruction budget (0 when the run had no warmup phase).
-    pub warmup: u64,
-}
-
-impl CheckpointKey {
-    /// Deterministic file name for this key, safe for any filesystem:
-    /// non-alphanumeric workload characters are mapped to `_`.
-    pub fn file_name(&self) -> String {
-        let safe: String = self
-            .workload
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-            .collect();
-        format!(
-            "{}-{}-i{}-s{}-w{}.json",
-            safe,
-            self.mode.name(),
-            self.insts,
-            self.seed,
-            self.warmup
-        )
-    }
-}
-
-/// FNV-1a 64-bit over the canonical report JSON — cheap, dependency-free,
-/// and plenty to detect corruption or precision loss (this is an
-/// integrity check, not a security boundary). Public because the bench
-/// crate's artifact store and campaign journal reuse the same digest for
-/// their sidecar checksums and per-record CRCs.
+/// FNV-1a 64-bit — cheap, dependency-free, and plenty to detect
+/// corruption (this is an integrity check, not a security boundary).
+/// Public because the bench crate's artifact store and result journal
+/// use it for their sidecar checksums, per-record CRCs and payload
+/// digests.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -310,8 +278,8 @@ const CORE_FIELDS: &[FieldRow<CoreStats>] = &[
     ("faults", |s| s.faults, |s, v| s.faults = v),
 ];
 
-/// Canonical full-fidelity JSON for one report. This exact string is what
-/// the checkpoint digest covers; it is also a convenient byte-identical
+/// Canonical full-fidelity JSON for one report. This exact string is the
+/// journaled payload of a run; it is also a convenient byte-identical
 /// equality witness for the resume-exactness tests.
 pub fn report_json(r: &SimReport) -> String {
     let mut w = JsonWriter::new();
@@ -475,88 +443,11 @@ pub fn parse_report(v: &JsonValue) -> Result<SimReport, String> {
     })
 }
 
-/// Serializes a completed run as a checkpoint document.
-///
-/// Returns `None` when the report is not cacheable: the run never
-/// completed (`stop` is `None`) or stopped unsuccessfully (cycle-limit,
-/// livelock) — failures must be re-simulated, never replayed from cache.
-pub fn write_checkpoint(key: &CheckpointKey, report: &SimReport) -> Option<String> {
-    if !report.stop.as_ref().is_some_and(StopReason::is_success) {
-        return None;
-    }
-    let body = report_json(report);
-    let digest = fnv1a64(body.as_bytes());
-    let mut w = JsonWriter::new();
-    w.open_object(None)
-        .string("format", FORMAT)
-        .string("workload", &key.workload)
-        .string("mode", key.mode.name())
-        .int("insts", key.insts)
-        // Decimal string, not a JSON number: seeds span the full u64 range
-        // and the loader's f64-backed parser is only exact up to 2^53.
-        .string("seed", &key.seed.to_string())
-        .int("warmup", key.warmup)
-        .string("digest", &format!("{digest:016x}"))
-        .close_object();
-    // Embed the canonical body verbatim so the digest covers the exact
-    // bytes a loader will re-derive.
-    let head = w.finish();
-    let head = head.strip_suffix('}').expect("writer closes the object");
-    Some(format!("{head},\"report\":{body}}}"))
-}
-
-/// Loads a checkpoint document, validating format, key, and digest.
-///
-/// Any mismatch is an `Err` — the caller treats it as a cache miss and
-/// re-simulates. In particular the parsed report is re-serialized and
-/// re-digested, so a file whose numbers cannot round-trip exactly (e.g.
-/// hand-edited, truncated, or from a drifted schema) is rejected rather
-/// than served.
-pub fn read_checkpoint(text: &str, key: &CheckpointKey) -> Result<SimReport, String> {
-    let doc = JsonValue::parse(text)?;
-    let field = |k: &str| {
-        doc.get(k)
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("checkpoint: missing '{k}'"))
-    };
-    if field("format")? != FORMAT {
-        return Err(format!("checkpoint: format is not {FORMAT}"));
-    }
-    if field("workload")? != key.workload
-        || field("mode")? != key.mode.name()
-        || req_u64(&doc, "insts")? != key.insts
-        || field("seed")?.parse::<u64>().ok() != Some(key.seed)
-        || req_u64(&doc, "warmup")? != key.warmup
-    {
-        return Err("checkpoint: key mismatch".to_string());
-    }
-    let report = parse_report(doc.get("report").ok_or("checkpoint: missing report")?)?;
-    let body = report_json(&report);
-    let digest = format!("{:016x}", fnv1a64(body.as_bytes()));
-    if digest != field("digest")? {
-        return Err("checkpoint: digest mismatch (corrupt or lossy file)".to_string());
-    }
-    if report.mode != key.mode {
-        return Err("checkpoint: report mode disagrees with key".to_string());
-    }
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sim::SimBuilder;
     use cleanupspec_core::isa::{ProgramBuilder, Reg};
-
-    fn key() -> CheckpointKey {
-        CheckpointKey {
-            workload: "tiny/loads".to_string(),
-            mode: SecurityMode::CleanupSpec,
-            insts: 1000,
-            seed: 7,
-            warmup: 0,
-        }
-    }
 
     fn completed_report() -> SimReport {
         let mut b = ProgramBuilder::new("tiny");
@@ -571,59 +462,35 @@ mod tests {
         sim.report()
     }
 
+    fn reparse(text: &str) -> Result<SimReport, String> {
+        JsonValue::parse(text).and_then(|v| parse_report(&v))
+    }
+
     #[test]
     fn roundtrip_is_byte_identical() {
         let r = completed_report();
-        let text = write_checkpoint(&key(), &r).expect("successful run is cacheable");
-        let back = read_checkpoint(&text, &key()).expect("roundtrip");
-        assert_eq!(report_json(&r), report_json(&back));
+        let text = report_json(&r);
+        let back = reparse(&text).expect("roundtrip");
+        assert_eq!(report_json(&back), text);
         assert_eq!(back.mode, r.mode);
         assert_eq!(back.cycles, r.cycles);
         assert_eq!(back.stop, r.stop);
     }
 
     #[test]
-    fn unsuccessful_runs_are_not_cacheable() {
+    fn unsuccessful_stop_reasons_do_not_parse() {
         let mut r = completed_report();
         r.stop = Some(StopReason::CycleLimit);
-        assert!(write_checkpoint(&key(), &r).is_none());
-        r.stop = None;
-        assert!(write_checkpoint(&key(), &r).is_none());
+        assert!(reparse(&report_json(&r)).is_err());
     }
 
     #[test]
-    fn key_mismatch_is_rejected() {
-        let r = completed_report();
-        let text = write_checkpoint(&key(), &r).unwrap();
-        let mut other = key();
-        other.seed = 8;
-        assert!(read_checkpoint(&text, &other).is_err());
-        let mut other = key();
-        other.mode = SecurityMode::NonSecure;
-        assert!(read_checkpoint(&text, &other).is_err());
-    }
-
-    #[test]
-    fn full_range_seeds_roundtrip_exactly() {
-        // Seeds above 2^53 are not representable in the parser's f64
-        // numbers; the string encoding must keep them exact.
-        let r = completed_report();
-        let mut k = key();
-        k.seed = u64::MAX - 2019;
-        let text = write_checkpoint(&k, &r).unwrap();
-        read_checkpoint(&text, &k).expect("exact seed match");
-        let mut near = k.clone();
-        near.seed -= 1;
-        assert!(read_checkpoint(&text, &near).is_err());
-    }
-
-    #[test]
-    fn corruption_is_rejected_by_digest() {
-        let r = completed_report();
-        let text = write_checkpoint(&key(), &r).unwrap();
-        // Flip one digit inside the embedded report body.
-        let idx = text.find("\"report\":").unwrap() + 20;
-        let mut bytes = text.into_bytes();
+    fn corruption_changes_the_reserialized_bytes() {
+        let text = report_json(&completed_report());
+        // Flip one digit inside the report body: it still parses, but no
+        // longer re-serializes to the original bytes.
+        let idx = text.find("\"cycles\": ").unwrap() + "\"cycles\": ".len();
+        let mut bytes = text.clone().into_bytes();
         for b in &mut bytes[idx..] {
             if b.is_ascii_digit() {
                 *b = if *b == b'9' { b'0' } else { *b + 1 };
@@ -631,15 +498,7 @@ mod tests {
             }
         }
         let corrupt = String::from_utf8(bytes).unwrap();
-        assert!(read_checkpoint(&corrupt, &key()).is_err());
-    }
-
-    #[test]
-    fn file_name_is_sanitized_and_unique_per_key() {
-        let a = key().file_name();
-        assert!(a.starts_with("tiny_loads-cleanupspec-i1000-s7-w0"));
-        let mut k2 = key();
-        k2.warmup = 5;
-        assert_ne!(a, k2.file_name());
+        let back = reparse(&corrupt).expect("a digit flip still parses");
+        assert_ne!(report_json(&back), text);
     }
 }

@@ -254,9 +254,10 @@ pub struct StoreOutcome {
 /// The simulated memory hierarchy.
 ///
 /// `Clone` deep-copies every array, MSHR file, DRAM queue, CEASER cipher,
-/// and RNG stream — the memory half of a cs-snap [`Snapshot`]. The
-/// observer handle and fault injector are shared (`Arc`) with the clone;
-/// the injector's firing counters are snapshotted separately by
+/// and RNG stream — the memory half of a cs-snap
+/// `cleanupspec::sim::Snapshot`. The observer handle and fault injector
+/// are shared (`Arc`) with the clone; the injector's firing counters are
+/// snapshotted separately by
 /// [`crate::fault::FaultInjector::counters_snapshot`].
 #[derive(Clone, Debug)]
 pub struct MemHierarchy {

@@ -143,8 +143,8 @@ pub struct MshrToken {
 /// Besides the slots, the file keeps the counts of live and of
 /// speculation-tagged entries, and `next_due`: a lower bound on the
 /// `complete_at` of every entry that is not yet `Filled` (`Cycle::MAX`
-/// when there is none). [`Self::alloc`] lowers the bound and
-/// [`Self::take_due`] makes it exact; no other method adds an unfilled
+/// when there is none). [`Self::alloc`] lowers the bound and the fill
+/// pass (`take_due`) makes it exact; no other method adds an unfilled
 /// entry or moves a `complete_at`, so the bound holds between fill passes
 /// and the hierarchy skips a file whose bound lies in the future.
 #[derive(Clone, Debug)]

@@ -73,7 +73,9 @@ impl From<u64> for Addr {
 /// A cache-line address (byte address divided by the 64-B line size).
 ///
 /// The paper tracks 40-bit line addresses in the SEFE; we store them in a
-/// `u64` but [`crate::sefe_bits`] accounting uses the architectural 40 bits.
+/// `u64`, while the SEFE storage accounting (`cleanupspec::sefe`) and the
+/// CEASER cipher ([`crate::ceaser::CEASER_ADDR_BITS`]) use the
+/// architectural 40 bits.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LineAddr(u64);
 
