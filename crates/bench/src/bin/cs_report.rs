@@ -11,23 +11,22 @@
 //! cs-report gcc --compare --top 3              # episode shape across schemes
 //! cs-report spectre_v1 --fault skip-victim-restore --expect leaky
 //! cs-report spectre_v1 --json --out report.json
+//! cs-report smith:0x42e --mode cleanupspec      # trace a cs-smith finding
 //! ```
 //!
 //! The positional argument is a `.jsonl` trace written by
 //! `cs-trace --jsonl` (the header must declare schema `cs-events-v2`), or
-//! anything `cs-trace` accepts as a target. The report body is fully
-//! deterministic: replaying a trace of a run produces byte-identical
-//! output to running the workload directly, and `--threads` never changes
-//! a byte.
+//! anything `cs-trace` accepts as a target; `smith:<seed>` is exactly
+//! cs-smith's run of that seed (with `--fault`, cs-chaos's). The report
+//! body is fully deterministic: replaying a trace of a run produces
+//! byte-identical output to running the workload directly, and
+//! `--threads` never changes a byte.
 
 use cleanupspec::modes::SecurityMode;
-use cleanupspec::sim::SimBuilder;
-use cleanupspec_bench::cli::{CommonCli, DEFAULT_SEED};
+use cleanupspec_bench::cli::CommonCli;
 use cleanupspec_bench::exec::run_indexed;
-use cleanupspec_bench::fuzz::fuzz_mem_config;
-use cleanupspec_bench::target::{resolve_programs, TARGET_HELP};
-use cleanupspec_core::system::RunLimits;
-use cleanupspec_mem::fault::{FaultKind, FaultPlan};
+use cleanupspec_bench::target::{target_help, Target};
+use cleanupspec_mem::fault::FaultKind;
 use cleanupspec_obs::episode::{EpisodeBuilder, EpisodeRecord, EpisodeReport};
 use cleanupspec_obs::{
     event_from_json, EventSink, JsonValue, JsonWriter, Shared, SimEvent, EVENT_SCHEMA_VERSION,
@@ -56,15 +55,14 @@ enum Expect {
 struct Args {
     target: String,
     mode: SecurityMode,
-    insts: u64,
-    seed: u64,
+    insts: Option<u64>,
+    seed: Option<u64>,
     top: usize,
     json: bool,
     out: Option<String>,
     compare: bool,
     fault: Option<FaultKind>,
     expect: Option<Expect>,
-    squeeze: bool,
     threads: usize,
 }
 
@@ -75,19 +73,11 @@ fn common_cli() -> CommonCli {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cs-report [--mode <name>] [--insts N] [--seed N] [--threads N] \
-         [--top K] [--json] [--out FILE] [--compare] [--fault KIND] [--squeeze] \
+         [--top K] [--json] [--out FILE] [--compare] [--fault KIND] \
          [--expect clean|leaky] <trace.jsonl | file.s | workload>"
     );
     eprintln!("{}", common_cli().help());
-    eprintln!(
-        "modes: {}",
-        SecurityMode::ALL
-            .iter()
-            .map(|m| m.name())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    eprintln!("{TARGET_HELP}");
+    eprintln!("{}", target_help());
     eprintln!(
         "faults: {}",
         FaultKind::ALL
@@ -104,15 +94,14 @@ fn parse_args() -> Result<Args, ExitCode> {
     let mut args = Args {
         target: String::new(),
         mode: SecurityMode::CleanupSpec,
-        insts: 50_000,
-        seed: DEFAULT_SEED,
+        insts: None,
+        seed: None,
         top: 5,
         json: false,
         out: None,
         compare: false,
         fault: None,
         expect: None,
-        squeeze: false,
         threads: 0,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -137,7 +126,6 @@ fn parse_args() -> Result<Args, ExitCode> {
             },
             "--json" => args.json = true,
             "--compare" => args.compare = true,
-            "--squeeze" => args.squeeze = true,
             "--out" => match it.next() {
                 Some(f) => args.out = Some(f.clone()),
                 None => return Err(usage()),
@@ -160,8 +148,8 @@ fn parse_args() -> Result<Args, ExitCode> {
     if args.target.is_empty() {
         return Err(usage());
     }
-    args.insts = common.insts.unwrap_or(args.insts);
-    args.seed = common.seed.unwrap_or(args.seed);
+    args.insts = common.insts;
+    args.seed = common.seed;
     args.threads = common.threads_or_default();
     Ok(args)
 }
@@ -246,42 +234,6 @@ fn load_trace(path: &str) -> Result<Vec<(u64, SimEvent)>, String> {
         out.push(event_from_json(&v).map_err(|e| format!("{path}:{}: {e}", i + 1))?);
     }
     Ok(out)
-}
-
-/// Runs `target` under `mode` with the same limits cs-trace uses, so a
-/// report from a direct run matches a report from that run's trace.
-fn run_workload(
-    mode: SecurityMode,
-    target: &str,
-    insts: u64,
-    seed: u64,
-    fault: Option<FaultKind>,
-    squeeze: bool,
-) -> Result<Vec<(u64, SimEvent)>, String> {
-    let programs = resolve_programs(target, seed)?;
-    let sink = Shared::new(CollectSink::default());
-    let mut builder = SimBuilder::new(mode);
-    if squeeze {
-        // The fuzzer's 2-line L1: speculative installs evict victims
-        // constantly, so restore-path faults actually get opportunities.
-        builder = builder.mem_config(fuzz_mem_config(programs.len(), seed));
-    }
-    builder = builder.seed(seed).sink(Box::new(sink.clone()));
-    for p in programs {
-        builder = builder.program(p);
-    }
-    if let Some(kind) = fault {
-        builder = builder.fault_plan(FaultPlan::single(kind));
-    }
-    let mut sim = builder.build();
-    sim.run(RunLimits {
-        max_cycles: 100_000_000,
-        max_insts_per_core: insts,
-        ..RunLimits::default()
-    });
-    sim.drain(2_000);
-    sim.finish_observer();
-    Ok(sink.with(|s| s.events.clone()))
 }
 
 /// Aggregate episode-shape statistics over one report.
@@ -673,31 +625,27 @@ fn main() -> ExitCode {
             }
         }
     } else {
+        let target = match Target::resolve(&args.target, args.insts, args.seed, args.fault) {
+            Ok(t) => t,
+            Err(e) => {
+                eprintln!("cs-report: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
         let modes: Vec<SecurityMode> = if args.compare {
             COMPARE_MODES.to_vec()
         } else {
             vec![args.mode]
         };
         let outcome = run_indexed(modes.len(), args.threads, |i| {
-            let mode = modes[i];
-            run_workload(
-                mode,
-                &args.target,
-                args.insts,
-                args.seed,
-                args.fault,
-                args.squeeze,
-            )
-            .map(|events| analyze(mode.name(), &events))
+            let sink = Shared::new(CollectSink::default());
+            target.run(modes[i], vec![Box::new(sink.clone())]);
+            sink.with(|s| analyze(modes[i].name(), &s.events))
         });
         let mut done = Vec::with_capacity(modes.len());
         for (mode, slot) in modes.iter().zip(outcome.slots) {
             match slot {
-                Some(Ok(a)) => done.push(a),
-                Some(Err(e)) => {
-                    eprintln!("cs-report: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Some(a) => done.push(a),
                 None => {
                     eprintln!("cs-report: {} run panicked", mode.name());
                     return ExitCode::FAILURE;

@@ -25,6 +25,7 @@ use cleanupspec_asm::disassemble;
 use cleanupspec_bench::chaos::{run_campaign, CampaignOpts};
 use cleanupspec_bench::cli::{parse_u64, CommonCli};
 use cleanupspec_bench::fuzz::{reproduces, run_plan, shrink, SeedVerdict, Violation};
+use cleanupspec_bench::target::trace_command;
 use cleanupspec_workloads::smith::{assemble_plan, plan, SmithPlan};
 use std::process::ExitCode;
 
@@ -130,7 +131,7 @@ fn replay(seed: u64, do_shrink: bool) -> ExitCode {
         }
         SeedVerdict::Fail(violations) => {
             for v in &violations {
-                println!("FAIL {v}");
+                println!("{}", fail_line(v));
             }
             if do_shrink {
                 // Shrink towards the failure found first, not any failure:
@@ -206,13 +207,20 @@ fn main() -> ExitCode {
 /// Violations a campaign prints in full; the rest are only counted.
 const SHOWN_VIOLATIONS: usize = 20;
 
+/// A violation's `FAIL` line, ending with the `cs-report` command that
+/// traces it.
+fn fail_line(v: &Violation) -> String {
+    let trace = trace_command(v.seed, v.scheme, None);
+    format!("FAIL {v}  (trace: {trace})")
+}
+
 /// The campaign's violation listing: one `FAIL` line for each of the first
 /// [`SHOWN_VIOLATIONS`], then one line counting the rest, if any.
 fn violation_lines(violations: &[Violation]) -> Vec<String> {
     let mut lines: Vec<String> = violations
         .iter()
         .take(SHOWN_VIOLATIONS)
-        .map(|v| format!("FAIL {v}"))
+        .map(fail_line)
         .collect();
     if violations.len() > SHOWN_VIOLATIONS {
         let more = violations.len() - SHOWN_VIOLATIONS;
@@ -242,7 +250,8 @@ mod tests {
         assert_eq!(lines.len(), 20);
         assert_eq!(
             lines[19],
-            "FAIL seed 0x13 [cleanupspec] episode oracle: detail 19"
+            "FAIL seed 0x13 [cleanupspec] episode oracle: detail 19  \
+             (trace: cs-report smith:0x13 --mode cleanupspec)"
         );
     }
 

@@ -5,13 +5,15 @@
 //! ```sh
 //! cs-trace programs/spectre_v1.s                      # dump + ledger verdict
 //! cs-trace --mode cleanupspec programs/spectre_v1.s --perfetto out.json
-//! cs-trace --mode nonsecure spectre_v1 --jsonl events.jsonl
+//! cs-trace --mode non-secure spectre_v1 --jsonl events.jsonl
 //! cs-trace gcc --insts 20000 --filter cleanup-inval,cleanup-restore --core 0
+//! cs-trace smith:0x42e --dump 60                      # trace a cs-smith finding
 //! ```
 //!
-//! The positional argument is anything [`resolve_programs`] accepts: a
+//! The positional argument is anything [`Target::resolve`] accepts: a
 //! micro-ISA `.s` file, a Table-3 SPEC-like workload (`gcc`, `astar`,
-//! ...), `spectre_v1`, `meltdown`, `mispredict_storm`, or `smith:<seed>`.
+//! ...), `spectre_v1`, `meltdown`, `mispredict_storm`, or `smith:<seed>`
+//! (exactly cs-smith's run of that seed).
 //!
 //! `--filter` takes a comma list of exact event-kind names (validated
 //! against the `cs-events-v2` vocabulary) and `--core N` keeps only
@@ -20,11 +22,8 @@
 //! stream to stay sound.
 
 use cleanupspec::modes::SecurityMode;
-use cleanupspec::sim::SimBuilder;
-use cleanupspec_bench::cli::{CommonCli, DEFAULT_RING_CAPACITY, DEFAULT_SEED};
-use cleanupspec_bench::fuzz::fuzz_mem_config;
-use cleanupspec_bench::target::{resolve_programs, TARGET_HELP};
-use cleanupspec_core::system::RunLimits;
+use cleanupspec_bench::cli::{CommonCli, DEFAULT_RING_CAPACITY};
+use cleanupspec_bench::target::{target_help, Target};
 use cleanupspec_obs::{
     EpisodeBuilder, EventSink, JsonlSink, MetricsRegistry, PerfettoSink, RingSink, Shared, SimEvent,
 };
@@ -34,14 +33,11 @@ use std::process::ExitCode;
 struct Args {
     target: String,
     mode: SecurityMode,
-    insts: u64,
     perfetto: Option<String>,
     jsonl: Option<String>,
     filter: EventFilter,
     dump: usize,
-    seed: u64,
     ring_capacity: usize,
-    squeeze: bool,
 }
 
 /// The `--filter`/`--core` predicate shared by the dump and the JSONL
@@ -123,10 +119,6 @@ impl<S: EventSink> EventSink for FilteredSink<S> {
     }
 }
 
-fn mode_by_name(name: &str) -> Option<SecurityMode> {
-    SecurityMode::ALL.into_iter().find(|m| m.name() == name)
-}
-
 fn common_cli() -> CommonCli {
     CommonCli::new()
         .with_insts()
@@ -138,34 +130,24 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: cs-trace [--mode <name>] [--insts N] [--seed N] \
          [--perfetto FILE] [--jsonl FILE] [--filter <kind>[,<kind>...]] \
-         [--core N] [--dump N] [--ring-capacity N] [--squeeze] <file.s | workload>"
+         [--core N] [--dump N] [--ring-capacity N] <file.s | workload>"
     );
     eprintln!("{}", common_cli().help());
-    eprintln!(
-        "modes: {}",
-        SecurityMode::ALL
-            .iter()
-            .map(|m| m.name())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    eprintln!("{TARGET_HELP}");
+    eprintln!("{}", target_help());
     ExitCode::FAILURE
 }
 
-fn parse_args() -> Result<Args, ExitCode> {
+/// The parsed flags and the resolved target.
+fn parse_args() -> Result<(Args, Target), ExitCode> {
     let mut common = common_cli();
     let mut args = Args {
         target: String::new(),
         mode: SecurityMode::CleanupSpec,
-        insts: 50_000,
         perfetto: None,
         jsonl: None,
         filter: EventFilter::default(),
         dump: 40,
-        seed: DEFAULT_SEED,
         ring_capacity: DEFAULT_RING_CAPACITY,
-        squeeze: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
@@ -179,7 +161,7 @@ fn parse_args() -> Result<Args, ExitCode> {
             }
         }
         match a.as_str() {
-            "--mode" => match it.next().and_then(|m| mode_by_name(m)) {
+            "--mode" => match it.next().and_then(|m| SecurityMode::from_name(m)) {
                 Some(m) => args.mode = m,
                 None => return Err(usage()),
             },
@@ -208,7 +190,6 @@ fn parse_args() -> Result<Args, ExitCode> {
                 Some(n) => args.filter.core = Some(n),
                 None => return Err(usage()),
             },
-            "--squeeze" => args.squeeze = true,
             f if !f.starts_with('-') && args.target.is_empty() => {
                 args.target = f.to_string();
             }
@@ -218,23 +199,20 @@ fn parse_args() -> Result<Args, ExitCode> {
     if args.target.is_empty() {
         return Err(usage());
     }
-    args.insts = common.insts.unwrap_or(args.insts);
-    args.seed = common.seed.unwrap_or(args.seed);
     args.ring_capacity = common.ring_capacity.unwrap_or(args.ring_capacity);
-    Ok(args)
+    match Target::resolve(&args.target, common.insts, common.seed, None) {
+        Ok(target) => Ok((args, target)),
+        Err(e) => {
+            eprintln!("cs-trace: {e}");
+            Err(ExitCode::FAILURE)
+        }
+    }
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let (args, target) = match parse_args() {
         Ok(a) => a,
         Err(e) => return e,
-    };
-    let programs = match resolve_programs(&args.target, args.seed) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("cs-trace: {e}");
-            return ExitCode::FAILURE;
-        }
     };
 
     // Sinks: ring (dump) + ledger always; Perfetto/JSONL when requested.
@@ -246,22 +224,9 @@ fn main() -> ExitCode {
         .perfetto
         .as_ref()
         .map(|p| Shared::new(PerfettoSink::with_output(p)));
-    let mut builder = SimBuilder::new(args.mode);
-    if args.squeeze {
-        // The fuzzer's 2-line L1 (same knob as cs-report --squeeze):
-        // constant victim pressure, so restore-path activity shows up in
-        // short traces.
-        builder = builder.mem_config(fuzz_mem_config(programs.len(), args.seed));
-    }
-    builder = builder
-        .seed(args.seed)
-        .sink(Box::new(ring.clone()))
-        .sink(Box::new(ledger.clone()));
-    for p in programs {
-        builder = builder.program(p);
-    }
+    let mut sinks: Vec<Box<dyn EventSink>> = vec![Box::new(ring.clone()), Box::new(ledger.clone())];
     if let Some(p) = &perfetto {
-        builder = builder.sink(Box::new(p.clone()));
+        sinks.push(Box::new(p.clone()));
     }
     // Shared so the dropped-line counter can be read back after the run
     // and published as a host metric — write failures are not silent.
@@ -272,7 +237,7 @@ fn main() -> ExitCode {
                 let sink = Shared::new(JsonlSink::new(BufWriter::new(f)));
                 // --filter/--core narrow the export too, so a capture of
                 // just the cleanup kinds stays small on long runs.
-                builder = builder.sink(Box::new(FilteredSink {
+                sinks.push(Box::new(FilteredSink {
                     filter: args.filter.clone(),
                     inner: sink.clone(),
                 }));
@@ -285,19 +250,11 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut sim = builder.build();
     // Host self-profiling: wall-clock the run, then export the derived
     // rates as Perfetto counter tracks alongside the simulation's tracks.
     let mut host = MetricsRegistry::new();
     let start = std::time::Instant::now();
-    sim.run(RunLimits {
-        max_cycles: 100_000_000,
-        max_insts_per_core: args.insts,
-        ..RunLimits::default()
-    });
-    // Let in-flight fills land: insecure modes leak precisely via fills
-    // completing after a squash, and the ledger must see them.
-    sim.drain(2_000);
+    let sim = target.run(args.mode, sinks);
     let wall = start.elapsed().as_secs_f64();
     host.add_timing("sim", wall);
 

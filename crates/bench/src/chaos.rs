@@ -40,6 +40,7 @@
 use crate::fuzz::{self, exec_env, judge, merged_image, ExecEnv, ModeRun, SeedVerdict, Violation};
 use crate::journal::Journal;
 use crate::store::{shared_dir_store, ArtifactStore};
+use crate::target::trace_command;
 use cleanupspec::modes::SecurityMode;
 use cleanupspec_asm::disassemble;
 use cleanupspec_core::isa::Program;
@@ -115,12 +116,15 @@ impl MatrixRow {
     }
 }
 
-/// Builds the per-kind [`ExecEnv`]; the caller keeps the returned injector
-/// clone to read fire counters back after the run.
-fn env_for(kind: FaultKind) -> (ExecEnv, FaultInjector) {
-    let inj = FaultInjector::new(FaultPlan::single(kind));
+/// The [`ExecEnv`] a campaign runs a seed in: the plain fuzz environment,
+/// or with `fault` planted and the overrides its class needs. Read fire
+/// counters back through `env.faults` after the run.
+pub(crate) fn env_for(fault: Option<FaultKind>) -> ExecEnv {
+    let Some(kind) = fault else {
+        return ExecEnv::default();
+    };
     let mut env = ExecEnv {
-        faults: inj.clone(),
+        faults: FaultInjector::new(FaultPlan::single(kind)),
         ..ExecEnv::default()
     };
     if kind == FaultKind::LeakMshrSlot {
@@ -135,7 +139,7 @@ fn env_for(kind: FaultKind) -> (ExecEnv, FaultInjector) {
         // to actually occur.
         env.l1_geometry = Some((8 * 1024, 4));
     }
-    (env, inj)
+    env
 }
 
 /// True when every core with enough evictions in both runs produced the
@@ -182,17 +186,11 @@ pub fn probe_plan(kind: FaultKind, p: &SmithPlan) -> FaultProbe {
         // re-salt the L1 replacement RNG and compare victim digests.
         let run_pair = |faulted: bool| -> (ModeRun, ModeRun, FaultInjector) {
             let one = |salt: u64| -> (ModeRun, FaultInjector) {
-                let inj = if faulted {
-                    FaultInjector::new(FaultPlan::single(kind))
-                } else {
-                    FaultInjector::disabled()
-                };
                 let env = ExecEnv {
-                    faults: inj.clone(),
                     repl_seed_salt: salt,
-                    ..ExecEnv::default()
+                    ..env_for(faulted.then_some(kind))
                 };
-                (exec_env(&progs, mode, p.seed, &env), inj)
+                (exec_env(&progs, mode, p.seed, &env), env.faults)
             };
             let (a, inj) = one(0);
             let (b, _) = one(WITNESS_SALT);
@@ -210,10 +208,10 @@ pub fn probe_plan(kind: FaultKind, p: &SmithPlan) -> FaultProbe {
         return probe;
     }
 
-    let (env, inj) = env_for(kind);
+    let env = env_for(Some(kind));
     let run = exec_env(&progs, mode, p.seed, &env);
-    probe.opportunities = inj.counters(kind).opportunities;
-    probe.fires = inj.fires(kind);
+    probe.opportunities = env.faults.counters(kind).opportunities;
+    probe.fires = env.faults.fires(kind);
     if matches!(run.stop, StopReason::Livelock(_)) {
         probe.detectors.push("watchdog");
     }
@@ -436,15 +434,15 @@ const CAPTURE_STRIDE: Cycle = 50_000;
 /// resumes from that checkpoint instead of cycle 0. The ring only keeps
 /// the run's tail anyway — this way the observer tax is only paid over
 /// the window the artifact actually shows. Fault-injection counters are
-/// rewound with the checkpoint so the tail re-fires the same faults.
+/// rewound with the checkpoint so the tail re-fires the same faults. The
+/// system is built and finished like every smith run
+/// ([`fuzz::smith_system`], [`fuzz::run_drained`]), so the dump ends with
+/// the post-halt fills the ledger judged.
 fn capture_events(p: &SmithPlan, fault: Option<FaultKind>) -> String {
     let progs: Vec<Arc<Program>> = assemble_plan(p).into_iter().map(Arc::new).collect();
     let mode = SecurityMode::CleanupSpec;
-    let (env, _inj) = match fault {
-        Some(k) => env_for(k),
-        None => (ExecEnv::default(), FaultInjector::disabled()),
-    };
-    let mut sys = fuzz::build_system(&progs, mode, p.seed, &env);
+    let env = env_for(fault);
+    let mut sys = fuzz::smith_system(&progs, mode, p.seed, &env, Observer::disabled());
     let limits = fuzz::exec_limits(&env);
 
     // Silent pre-pass: advance slice by slice, keeping the last
@@ -467,7 +465,7 @@ fn capture_events(p: &SmithPlan, fault: Option<FaultKind>) -> String {
     env.faults.restore_counters(&counters);
     let ring = Shared::new(RingSink::new(RING_CAP));
     tail.set_observer(Observer::new(vec![Box::new(ring.clone())]));
-    let stop = tail.run(limits);
+    let stop = fuzz::run_drained(&mut tail, &env);
     ring.with(|r| {
         format!(
             "; stop: {stop}\n; resumed from cs-snap checkpoint at cycle {resumed_at}\n\
@@ -558,6 +556,8 @@ pub fn write_artifacts(
         .map(|k| format!(" --fault {}", k.name()))
         .unwrap_or_default();
     let _ = writeln!(repro, "replay: cs-chaos --replay {seed:#x}{replay_fault}");
+    let scheme = violations.first().map_or("", |v| v.scheme);
+    let _ = writeln!(repro, "trace: {}", trace_command(seed, scheme, fault));
     put(&format!("{rel}/repro.txt"), repro.as_bytes());
 
     for (i, prog) in assemble_plan(&min).iter().enumerate() {
@@ -659,7 +659,7 @@ pub fn run_campaign(opts: &CampaignOpts) -> CampaignResult {
     );
     let journal = opts.resume_dir.as_deref().map(Journal::in_dir);
     let outcome = crate::exec::run_indexed(opts.count as usize, opts.threads, |i| {
-        campaign_seed(opts, journal.as_ref(), opts.start + i as u64)
+        campaign_seed(opts, journal.as_deref(), opts.start + i as u64)
     });
     let mut result = CampaignResult::default();
     let mut failures = outcome.failures.into_iter().peekable();

@@ -261,7 +261,7 @@ impl Sweep {
         let outcome = run_indexed(nm * nw, self.threads, |i| {
             let (mode, w) = (modes[i / nw], &workloads[i % nw]);
             let start = Instant::now();
-            let (report, served) = run_spec_once(w, mode, &cfg, journal.as_ref(), Vec::new());
+            let (report, served) = run_spec_once(w, mode, &cfg, journal.as_deref(), Vec::new());
             SweepRun {
                 workload: *w,
                 mode,

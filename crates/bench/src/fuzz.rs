@@ -220,8 +220,9 @@ pub struct ModeRun {
 /// and collects oracle inputs, including the stop reason and victim
 /// witnesses.
 pub fn exec_env(progs: &[Arc<Program>], mode: SecurityMode, seed: u64, env: &ExecEnv) -> ModeRun {
-    let (mut sys, commits, episodes) = build_exec_system(progs, mode, seed, env);
-    let stop = sys.run(exec_limits(env));
+    let (obs, commits, episodes) = oracle_sinks();
+    let mut sys = smith_system(progs, mode, seed, env, obs);
+    let stop = run_drained(&mut sys, env);
     extract_run(sys, stop, &commits, &episodes)
 }
 
@@ -249,15 +250,15 @@ pub fn exec_env_checkpoint_resume(
     env: &ExecEnv,
     checkpoint: Cycle,
 ) -> (ModeRun, ModeRun) {
-    let (mut sys, commits, episodes) = build_exec_system(progs, mode, seed, env);
-    let full = exec_limits(env);
-    let mut leg = full;
-    leg.max_cycles = checkpoint.min(full.max_cycles);
+    let (obs, commits, episodes) = oracle_sinks();
+    let mut sys = smith_system(progs, mode, seed, env, obs);
+    let mut leg = exec_limits(env);
+    leg.max_cycles = checkpoint.min(leg.max_cycles);
     sys.run(leg);
     let resumed_sys = sys.clone();
     let ckpt_counters = env.faults.counters_snapshot();
 
-    let stop = sys.run(full);
+    let stop = run_drained(&mut sys, env);
     let original = extract_run(sys, stop, &commits, &episodes);
 
     // The resumed replay starts where the checkpoint left off — not at
@@ -265,43 +266,33 @@ pub fn exec_env_checkpoint_resume(
     // pays for the post-checkpoint tail of each replay.
     env.faults.restore_counters(&ckpt_counters);
     let mut resumed_sys = resumed_sys;
-    let fresh_commits = Shared::new(CommitLogSink::new());
-    let fresh_episodes = Shared::new(EpisodeBuilder::new());
-    resumed_sys.set_observer(Observer::new(vec![
-        Box::new(fresh_commits.clone()),
-        Box::new(fresh_episodes.clone()),
-    ]));
-    let stop = resumed_sys.run(full);
+    let (obs, fresh_commits, fresh_episodes) = oracle_sinks();
+    resumed_sys.set_observer(obs);
+    let stop = run_drained(&mut resumed_sys, env);
     let resumed = extract_run(resumed_sys, stop, &fresh_commits, &fresh_episodes);
     (original, resumed)
 }
 
-/// Builds the system exactly as [`exec_env`] does, with commit-log and
-/// episode-builder sinks attached, without running it.
-fn build_exec_system(
-    progs: &[Arc<Program>],
-    mode: SecurityMode,
-    seed: u64,
-    env: &ExecEnv,
-) -> (System, Shared<CommitLogSink>, Shared<EpisodeBuilder>) {
-    let mut sys = build_system(progs, mode, seed, env);
+/// Fresh commit-log and episode-builder sinks (the oracles' inputs) and
+/// the observer feeding both.
+fn oracle_sinks() -> (Observer, Shared<CommitLogSink>, Shared<EpisodeBuilder>) {
     let commits = Shared::new(CommitLogSink::new());
     let episodes = Shared::new(EpisodeBuilder::new());
-    sys.set_observer(Observer::new(vec![
-        Box::new(commits.clone()),
-        Box::new(episodes.clone()),
-    ]));
-    (sys, commits, episodes)
+    let obs = Observer::new(vec![Box::new(commits.clone()), Box::new(episodes.clone())]);
+    (obs, commits, episodes)
 }
 
-/// The sink-free part of [`build_exec_system`]: the fuzzing hierarchy
-/// under `mode` with `env`'s overrides (replacement salt, MSHR count, L1
-/// geometry, fault injector) applied.
-pub(crate) fn build_system(
+/// The system cs-smith judges for `progs` under `mode`: the fuzzing
+/// hierarchy with `env`'s overrides (replacement salt, MSHR count, L1
+/// geometry, fault injector) applied, observed by `obs`. Every smith run
+/// is built here and run by [`run_drained`]: [`exec_env`], cs-chaos's
+/// event capture and the `smith:<seed>` target of cs-trace and cs-report.
+pub fn smith_system(
     progs: &[Arc<Program>],
     mode: SecurityMode,
     seed: u64,
     env: &ExecEnv,
+    obs: Observer,
 ) -> System {
     let mut cfg = mode.apply_mem_config(fuzz_mem_config(progs.len(), seed));
     cfg.repl_seed_salt = env.repl_seed_salt;
@@ -317,7 +308,9 @@ pub(crate) fn build_system(
         mem.set_fault_injector(env.faults.clone());
     }
     let schemes: Vec<_> = progs.iter().map(|_| mode.build_scheme()).collect();
-    System::new(mem, CoreConfig::default(), schemes, progs.to_vec())
+    let mut sys = System::new(mem, CoreConfig::default(), schemes, progs.to_vec());
+    sys.set_observer(obs);
+    sys
 }
 
 /// The standard fuzz run limits for `env`.
@@ -333,16 +326,22 @@ pub(crate) fn exec_limits(env: &ExecEnv) -> RunLimits {
     limits
 }
 
-/// Drains in-flight memory traffic and distills the final system state
-/// into a [`ModeRun`].
+/// Runs a [`smith_system`] (from wherever it stands) to the fuzz limits
+/// for `env`, then drains in-flight memory traffic for `DRAIN_CYCLES`
+/// (4 000 cycles) so the fills the ledger judges have landed.
+pub fn run_drained(sys: &mut System, env: &ExecEnv) -> StopReason {
+    let stop = sys.run(exec_limits(env));
+    sys.advance_mem_only(DRAIN_CYCLES);
+    stop
+}
+
+/// Distills the final (drained) system state into a [`ModeRun`].
 fn extract_run(
-    mut sys: System,
+    sys: System,
     stop: StopReason,
     commits: &Shared<CommitLogSink>,
     episodes: &Shared<EpisodeBuilder>,
 ) -> ModeRun {
-    sys.advance_mem_only(DRAIN_CYCLES);
-
     let n = sys.mem().config().num_cores;
     let scheme_name = sys.scheme(0).name();
     let regs = (0..n)

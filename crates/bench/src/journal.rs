@@ -29,8 +29,8 @@
 //! verdict). Any other line is dropped at replay.
 
 use std::collections::HashMap;
-use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use cleanupspec::snap::fnv1a64;
 use cleanupspec_obs::{JsonValue, JsonWriter};
@@ -132,10 +132,17 @@ impl Journal {
         }
     }
 
-    /// Opens the journal of a `--resume` directory through the
-    /// process-wide store for `dir` ([`shared_dir_store`]).
-    pub fn in_dir(dir: &Path) -> Journal {
-        Journal::open(shared_dir_store(dir))
+    /// The process-wide journal of a `--resume` directory, opened on
+    /// first use through the process-wide store for `dir`
+    /// ([`shared_dir_store`]). Every later campaign in the process shares
+    /// it, so the log is read and CRC-checked once per process, and each
+    /// sees what the others recorded; appends made by another process
+    /// after the first open are not seen.
+    pub fn in_dir(dir: &Path) -> Arc<Journal> {
+        static REGISTRY: OnceLock<Mutex<HashMap<PathBuf, Arc<Journal>>>> = OnceLock::new();
+        let mut map = REGISTRY.get_or_init(Default::default).lock().expect("lock");
+        let journal = map.entry(dir.to_path_buf());
+        Arc::clone(journal.or_insert_with(|| Arc::new(Journal::open(shared_dir_store(dir)))))
     }
 
     /// The replayed payload for a completed task, if any.

@@ -42,4 +42,3 @@ pub use store::{
     StoreError, StoreStats,
 };
 pub use suite::{run_suite, SuiteOptions, SuiteOutcome, SMOKE_WORKLOADS};
-pub use target::{resolve_programs, TARGET_HELP};

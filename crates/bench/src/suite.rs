@@ -127,7 +127,7 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
             w,
             mode,
             &cfg,
-            journal.as_ref(),
+            journal.as_deref(),
             vec![Box::new(ring.clone())],
         );
         let wall = if served {

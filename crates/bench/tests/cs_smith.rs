@@ -5,10 +5,15 @@
 //! `cs-smith` binary and the 256-seed fault campaign via `cs-chaos`;
 //! these tests keep `cargo test` fast with a smaller smoke slice.
 
+use cleanupspec::modes::SecurityMode;
 use cleanupspec_bench::chaos::{chaos_plan_verdict, run_campaign, CampaignOpts};
-use cleanupspec_bench::fuzz::{shrink, SeedVerdict};
+use cleanupspec_bench::fuzz::{exec_env, run_plan, shrink, ExecEnv, SeedVerdict, FUZZ_MODES};
+use cleanupspec_bench::target::Target;
+use cleanupspec_core::isa::Program;
 use cleanupspec_mem::fault::FaultKind;
+use cleanupspec_obs::{EpisodeBuilder, JsonValue, Shared};
 use cleanupspec_workloads::smith::{assemble_plan, plan, SmithPlan};
+use std::sync::Arc;
 
 #[test]
 fn bounded_campaign_is_clean_and_exercises_squashes() {
@@ -109,4 +114,74 @@ fn smith_and_chaos_campaigns_share_journaled_verdicts() {
         stderr.contains("10 of 10 seed(s) served from the result journal"),
         "{stderr}"
     );
+}
+
+/// Seeds a `smith:` trace must agree on with cs-smith: a clean one, the
+/// ledger's first CleanupSpec `double-undo` and `transient-install-l1`
+/// findings, and its first NaiveInvalidate surviving install.
+const AGREEMENT_SEEDS: [u64; 4] = [0x9, 0x42e, 0x119d, 0x44b];
+
+/// `smith:<seed>` under every fuzzed scheme runs the system cs-smith
+/// judges: its ledger finds exactly the leaks of `fuzz::exec_env`, down to
+/// core, episode, line and kind.
+#[test]
+fn smith_targets_replay_the_runs_cs_smith_judges() {
+    for seed in AGREEMENT_SEEDS {
+        let target = Target::resolve(&format!("smith:{seed:#x}"), None, None, None).unwrap();
+        let progs: Vec<Arc<Program>> = assemble_plan(&plan(seed))
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        for mode in FUZZ_MODES {
+            let ledger = Shared::new(EpisodeBuilder::new());
+            target.run(mode, vec![Box::new(ledger.clone())]);
+            let traced = ledger.with(|l| l.report()).leaks;
+            let judged = exec_env(&progs, mode, seed, &ExecEnv::default())
+                .episodes
+                .leaks;
+            assert_eq!(traced, judged, "seed {seed:#x} under {}", mode.name());
+        }
+    }
+}
+
+/// `cs-report smith:<seed> --mode cleanupspec` reaches the verdict of
+/// cs-smith's episode oracle and names the same first leak: BALANCED on
+/// 0x9 and 0x44b, the double-undo and transient install of ROADMAP item
+/// 1 on 0x42e and 0x119d.
+#[test]
+fn cs_report_verdict_matches_the_episode_oracle() {
+    let cleanupspec = SecurityMode::CleanupSpec.name();
+    let expected = [
+        None,
+        Some("double-undo"),
+        Some("transient-install-l1"),
+        None,
+    ];
+    for (seed, want) in AGREEMENT_SEEDS.into_iter().zip(expected) {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cs-report"))
+            .args([&format!("smith:{seed:#x}"), "--mode", cleanupspec, "--json"])
+            .output()
+            .expect("spawn cs-report");
+        assert!(out.status.success(), "cs-report failed: {out:?}");
+        let doc = JsonValue::parse(&String::from_utf8_lossy(&out.stdout)).unwrap();
+        let report = &doc.get("modes").and_then(JsonValue::as_arr).unwrap()[0];
+        let verdict = report.get("verdict").and_then(JsonValue::as_str).unwrap();
+        let first_leak = report
+            .get("leaks")
+            .and_then(JsonValue::as_arr)
+            .unwrap()
+            .first();
+        let reported = first_leak.map(|l| l.get("kind").and_then(JsonValue::as_str).unwrap());
+        assert_eq!(verdict == "leaky", reported.is_some(), "seed {seed:#x}");
+
+        let oracle = match run_plan(&plan(seed)) {
+            SeedVerdict::Pass { .. } => None,
+            SeedVerdict::Fail(vs) => vs
+                .into_iter()
+                .find(|v| v.scheme == cleanupspec && v.oracle == "episode"),
+        };
+        let judged = oracle.map(|v| v.detail.rsplit_once(": ").unwrap().1.to_string());
+        assert_eq!(reported, judged.as_deref(), "seed {seed:#x}");
+        assert_eq!(reported, want, "seed {seed:#x}");
+    }
 }

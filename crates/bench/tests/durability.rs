@@ -109,17 +109,21 @@ fn faultfs_property_sweep_over_classes_and_sites() {
     }
 }
 
-fn cs_bench_cmd(out: &Path, extra: &[&str]) -> Command {
+/// A 16-cell suite (8 workloads under CleanupSpec and the forced
+/// NonSecure baseline) on `threads` workers: in a release build the
+/// sequential run takes long enough after its first journal record for
+/// a few-ms poll to kill it mid-flight.
+fn cs_bench_cmd(out: &Path, threads: &str, extra: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_cs-bench"));
     cmd.args([
         "--modes",
         "cleanupspec",
         "--workloads",
-        "gcc,mcf,lbm",
+        "gcc,mcf,lbm,astar,milc,bzip2,sjeng,namd",
         "--insts",
-        "6000",
+        "10000",
         "--threads",
-        "2",
+        threads,
         "--out",
     ])
     .arg(out)
@@ -151,7 +155,7 @@ fn sigkill_mid_campaign_then_resume_matches_uninterrupted_run() {
     let jdir = work.join("campaign");
 
     // Uninterrupted reference run (no journal).
-    let out = cs_bench_cmd(&baseline, &[])
+    let out = cs_bench_cmd(&baseline, "2", &[])
         .output()
         .expect("spawn cs-bench");
     assert!(
@@ -160,19 +164,20 @@ fn sigkill_mid_campaign_then_resume_matches_uninterrupted_run() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // Interrupted run: wait for the journal to hold at least one
-    // completed task, then SIGKILL.
+    // Interrupted run: one worker, so 15 cells are still to run when the
+    // journal holds its first completed task; poll for it every 2 ms,
+    // then SIGKILL.
     let jdir_arg = jdir.to_string_lossy().into_owned();
-    let mut child = cs_bench_cmd(&resumed, &["--resume", &jdir_arg])
+    let mut child = cs_bench_cmd(&resumed, "1", &["--resume", &jdir_arg])
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()
         .expect("spawn cs-bench");
     let journal_file = jdir.join("journal.csj");
     let mut killed_midway = false;
-    for _ in 0..600 {
-        if let Some(_status) = child.try_wait().expect("try_wait") {
-            break; // Finished before we could kill it; resume still must work.
+    for _ in 0..30_000 {
+        if child.try_wait().expect("try_wait").is_some() {
+            break; // Finished before the kill: the assert below fails.
         }
         let tasks = std::fs::read_to_string(&journal_file)
             .map(|t| t.lines().count())
@@ -182,12 +187,13 @@ fn sigkill_mid_campaign_then_resume_matches_uninterrupted_run() {
             killed_midway = true;
             break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        std::thread::sleep(std::time::Duration::from_millis(2));
     }
     let _ = child.wait();
+    assert!(killed_midway, "the campaign finished before the kill");
 
     // Resume to completion.
-    let output = cs_bench_cmd(&resumed, &["--resume", &jdir_arg])
+    let output = cs_bench_cmd(&resumed, "2", &["--resume", &jdir_arg])
         .output()
         .expect("spawn cs-bench");
     assert!(
@@ -196,12 +202,10 @@ fn sigkill_mid_campaign_then_resume_matches_uninterrupted_run() {
         String::from_utf8_lossy(&output.stderr)
     );
     let stderr = String::from_utf8_lossy(&output.stderr);
-    if killed_midway {
-        assert!(
-            stderr.contains("served from the result journal"),
-            "no cells were served after a mid-flight kill: {stderr}"
-        );
-    }
+    assert!(
+        stderr.contains("served from the result journal") && !stderr.contains("16 of 16"),
+        "the resume did not both serve and re-run cells: {stderr}"
+    );
     assert_eq!(
         canonical_doc(&baseline),
         canonical_doc(&resumed),

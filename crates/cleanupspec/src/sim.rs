@@ -172,6 +172,20 @@ pub struct Simulator {
 }
 
 impl Simulator {
+    /// Wraps a system built outside [`SimBuilder`] (cs-smith's fuzzing
+    /// hierarchy) that `obs` observes, after a run that stopped with
+    /// `stop`.
+    pub fn from_system(sys: System, mode: SecurityMode, obs: Observer, stop: StopReason) -> Self {
+        Simulator {
+            sys,
+            mode,
+            obs,
+            probe_seq: 0,
+            measure_base: 0,
+            last_stop: Some(stop),
+        }
+    }
+
     /// The active security mode.
     pub fn mode(&self) -> SecurityMode {
         self.mode
