@@ -2,9 +2,10 @@
 # Runs perfbench briefly on every workload and seed pinned in
 # ci/perfbench_fingerprints.txt and fails unless each run reports
 # "correct": true and the pinned fingerprint; then runs one traced pass
-# set on spec-1core and one on sharing-4core (whose traced mirror ticks
-# four pipelines), whose fingerprints must match as well (traced-run
-# fidelity).
+# set on spec-1core, one on sharing-4core (whose traced mirror ticks four
+# pipelines) and one on smith-campaign (whose traced mirror drives the
+# observer through the timed sink wrappers and shared sinks), whose
+# fingerprints must match as well (traced-run fidelity).
 #
 #   ci/check_perfbench_fingerprints.sh [path/to/cleanupspec-perfbench]
 set -euo pipefail
@@ -37,7 +38,7 @@ while read -r workload seed want; do
     check "$workload" "$seed" "$want" 2 0
 done <ci/perfbench_fingerprints.txt
 
-for workload in spec-1core sharing-4core; do
+for workload in spec-1core sharing-4core smith-campaign; do
     pin=$(awk -v w="$workload" '$1 == w { print $2, $3; exit }' ci/perfbench_fingerprints.txt)
     check "$workload" ${pin% *} ${pin#* } 3 1
 done

@@ -63,14 +63,21 @@ impl Default for BpredConfig {
 }
 
 /// Tournament direction predictor with BTB and RAS.
+///
+/// The two PC-indexed tables, the local-history table and the BTB, may be
+/// built shorter than configured ([`TournamentPredictor::for_program`]):
+/// they are indexed modulo their own length, which for every PC below
+/// that length is the PC itself, exactly as in a full-size table.
 #[derive(Clone, Debug)]
 pub struct TournamentPredictor {
     cfg: BpredConfig,
+    /// Per-PC local histories, indexed by `pc % local_hist.len()`.
     local_hist: Vec<u64>,
     local_ctrs: Vec<Ctr2>,
     global_ctrs: Vec<Ctr2>,
     choice_ctrs: Vec<Ctr2>,
     ghr: u64,
+    /// Direct-mapped, indexed by `pc % btb.len()`.
     btb: Vec<Option<(Pc, Pc)>>,
     ras: Vec<Pc>,
     /// Predictions made.
@@ -82,13 +89,23 @@ pub struct TournamentPredictor {
 impl TournamentPredictor {
     /// Builds a predictor.
     pub fn new(cfg: BpredConfig) -> Self {
+        Self::for_program(cfg, usize::MAX)
+    }
+
+    /// Builds a predictor for a program of `len` instructions: the
+    /// local-history table and the BTB get `min(configured, len)` entries.
+    /// It predicts exactly as [`new`](Self::new) for every branch at a PC
+    /// below `len` — the only PCs a core fetches a branch or return from,
+    /// since `Program::fetch` yields `Halt` past the end.
+    pub fn for_program(cfg: BpredConfig, len: usize) -> Self {
+        let pcs = len.max(1);
         TournamentPredictor {
-            local_hist: vec![0; cfg.local_history_entries],
+            local_hist: vec![0; cfg.local_history_entries.min(pcs)],
             local_ctrs: vec![Ctr2::default(); cfg.local_ctr_entries],
             global_ctrs: vec![Ctr2::default(); cfg.global_ctr_entries],
             choice_ctrs: vec![Ctr2::default(); cfg.choice_ctr_entries],
             ghr: 0,
-            btb: vec![None; cfg.btb_entries],
+            btb: vec![None; cfg.btb_entries.min(pcs)],
             ras: Vec::with_capacity(cfg.ras_entries),
             lookups: 0,
             mispredicts: 0,
@@ -96,8 +113,23 @@ impl TournamentPredictor {
         }
     }
 
+    /// `pc`'s slot in a PC-indexed table of `n` entries configured with
+    /// `entries`; a table cut to the program is only ever asked for PCs
+    /// inside it.
+    fn pc_slot(pc: Pc, n: usize, entries: usize) -> usize {
+        debug_assert!(
+            n == entries || pc < n,
+            "pc {pc} outside a predictor table sized to {n} instructions"
+        );
+        pc % n
+    }
+
     fn local_index(&self, pc: Pc) -> usize {
-        pc % self.cfg.local_history_entries
+        Self::pc_slot(pc, self.local_hist.len(), self.cfg.local_history_entries)
+    }
+
+    fn btb_index(&self, pc: Pc) -> usize {
+        Self::pc_slot(pc, self.btb.len(), self.cfg.btb_entries)
     }
 
     fn local_ctr_index(&self, pc: Pc) -> usize {
@@ -155,13 +187,13 @@ impl TournamentPredictor {
 
     /// BTB lookup: the last seen target for an indirect branch at `pc`.
     pub fn btb_lookup(&self, pc: Pc) -> Option<Pc> {
-        let e = self.btb[pc % self.cfg.btb_entries]?;
+        let e = self.btb[self.btb_index(pc)]?;
         (e.0 == pc).then_some(e.1)
     }
 
     /// Installs/updates a BTB entry.
     pub fn btb_update(&mut self, pc: Pc, target: Pc) {
-        let i = pc % self.cfg.btb_entries;
+        let i = self.btb_index(pc);
         self.btb[i] = Some((pc, target));
     }
 
@@ -267,6 +299,62 @@ mod tests {
         p.btb_update(10 + 4096, 900);
         assert_eq!(p.btb_lookup(10), None);
         assert_eq!(p.btb_lookup(10 + 4096), Some(900));
+    }
+
+    #[test]
+    fn a_program_sized_predictor_predicts_as_the_full_one() {
+        use cleanupspec_mem::rng::SplitMix64;
+        let cfg = BpredConfig::default();
+        let (lht, btb) = (cfg.local_history_entries, cfg.btb_entries);
+        // Program lengths below both PC-indexed tables (2048 local
+        // histories, 4096 BTB entries), between them, at each and above
+        // 4096.
+        for n in [1, 37, 2047, lht, 3000, btb, 5000, 9000] {
+            let mut full = TournamentPredictor::new(cfg.clone());
+            let mut sized = TournamentPredictor::for_program(cfg.clone(), n);
+            // Hot PCs: the first and last few of the program, and the PCs
+            // a full-size table aliases the last ones with.
+            let hot: Vec<Pc> = (0..8)
+                .map(|k| (k, n.saturating_sub(1 + k)))
+                .flat_map(|(k, last)| [k, last, last % lht, last % btb])
+                .filter(|&pc| pc < n)
+                .collect();
+            let mut visits = vec![0usize; n];
+            let mut rng = SplitMix64::new(n as u64);
+            for step in 0..40_000 {
+                let pc = if rng.below(4) == 0 {
+                    rng.below(n as u64) as usize
+                } else {
+                    hot[rng.below(hot.len() as u64) as usize]
+                };
+                match rng.below(4) {
+                    0 | 1 => {
+                        let predicted = full.predict(pc);
+                        assert_eq!(sized.predict(pc), predicted, "n={n} step {step}");
+                        // Each PC repeats a loop of its own period, which
+                        // only its local history can learn.
+                        visits[pc] += 1;
+                        let taken = visits[pc] % (2 + pc % 3) != 0;
+                        full.update(pc, taken, predicted != taken);
+                        sized.update(pc, taken, predicted != taken);
+                    }
+                    2 => {
+                        let target = rng.below(2 * n as u64) as usize;
+                        full.btb_update(pc, target);
+                        sized.btb_update(pc, target);
+                    }
+                    _ => assert_eq!(
+                        sized.btb_lookup(pc),
+                        full.btb_lookup(pc),
+                        "n={n} step {step}"
+                    ),
+                }
+            }
+            assert_eq!(sized.lookups, full.lookups);
+            assert_eq!(sized.mispredict_rate(), full.mispredict_rate(), "n={n}");
+            assert_eq!(sized.local_hist.len(), n.min(lht));
+            assert_eq!(sized.btb.len(), n.min(btb));
+        }
     }
 
     #[test]

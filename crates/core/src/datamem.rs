@@ -9,12 +9,12 @@
 
 use cleanupspec_mem::rng::mix64;
 use cleanupspec_mem::types::Addr;
-use std::collections::HashMap;
+use cleanupspec_obs::hash::IntMap;
 
 /// Sparse word-granular memory with hashed default contents.
 #[derive(Clone, Debug, Default)]
 pub struct DataMem {
-    words: HashMap<u64, u64>,
+    words: IntMap<u64, u64>,
 }
 
 impl DataMem {

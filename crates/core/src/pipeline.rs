@@ -261,6 +261,24 @@ impl BitSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// The positions `0..size` that are not members, in increasing order.
+    fn non_members(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(move |(k, &w)| {
+            let live = match self.size - k * 64 {
+                n if n >= 64 => !0,
+                n => (1u64 << n) - 1,
+            };
+            let mut bits = !w & live;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    k * 64 + b
+                })
+            })
+        })
+    }
+
     /// The lowest member.
     fn first(&self) -> Option<usize> {
         let k = self.words.iter().position(|&w| w != 0)?;
@@ -468,6 +486,10 @@ pub struct Pipeline {
     /// The free slots of `lq` and `sq` (a held LQ slot counts as free).
     lq_free: BitSet,
     sq_free: BitSet,
+    /// The number of `LqState::Inflight` entries in `lq`: raised at
+    /// issue, lowered at completion and when a slot is freed (commit,
+    /// squash).
+    lq_inflight: usize,
     next_seq: u64,
     fetch_pc: Pc,
     fetch_halted: bool,
@@ -503,7 +525,7 @@ impl Pipeline {
             regs[r.index()] = *v;
         }
         Pipeline {
-            pred: TournamentPredictor::new(cfg.bpred.clone()),
+            pred: TournamentPredictor::for_program(cfg.bpred.clone(), program.len()),
             regs,
             last_writer: [None; NUM_REGS],
             rob: VecDeque::with_capacity(cfg.rob_entries),
@@ -512,6 +534,7 @@ impl Pipeline {
             lq_held: Vec::new(),
             lq_free: BitSet::full(cfg.lq_entries),
             sq_free: BitSet::full(cfg.sq_entries),
+            lq_inflight: 0,
             next_seq: 1,
             fetch_pc: program.entry,
             fetch_halted: false,
@@ -595,11 +618,7 @@ impl Pipeline {
 
     /// Loads currently inflight in the load queue (livelock diagnostics).
     pub fn inflight_loads(&self) -> usize {
-        self.lq
-            .iter()
-            .flatten()
-            .filter(|l| matches!(l.state, LqState::Inflight { .. }))
-            .count()
+        self.lq_inflight
     }
 
     /// Advances the core by one cycle against the shared memory system.
@@ -900,6 +919,7 @@ impl Pipeline {
                         {
                             let sefe = token.and_then(|t| mem.collect(t)).unwrap_or_default();
                             self.load_id_ctr += 1;
+                            self.lq_inflight -= 1;
                             self.lq[li] = Some(LqEntry {
                                 seq,
                                 state: LqState::Done {
@@ -1129,7 +1149,7 @@ impl Pipeline {
         // correct-path loads are done (or immediately if the scheme does
         // not wait).
         if let SquashPhase::WaitInflight { mispredict_at, .. } = self.squash {
-            let must_wait = scheme.waits_for_older_inflight() && self.any_inflight_load();
+            let must_wait = scheme.waits_for_older_inflight() && self.lq_inflight > 0;
             if !must_wait {
                 acted = true;
                 let (loads, episode, seq) =
@@ -1207,13 +1227,6 @@ impl Pipeline {
                 );
             }
         }
-    }
-
-    fn any_inflight_load(&self) -> bool {
-        self.lq
-            .iter()
-            .flatten()
-            .any(|e| matches!(e.state, LqState::Inflight { .. }))
     }
 
     /// Removes all ROB entries younger than `branch_seq`, returning squash
@@ -1577,11 +1590,14 @@ impl Pipeline {
     // Issue / execute
     // ------------------------------------------------------------------
 
+    /// The value of the youngest store older than `seq` to `addr`'s word,
+    /// if it has one. Visits only the occupied SQ slots (none when the SQ
+    /// is empty).
     fn sq_forward(&self, seq: u64, addr: Addr) -> Option<u64> {
         let word = addr.raw() >> 3;
-        self.sq
-            .iter()
-            .flatten()
+        self.sq_free
+            .non_members()
+            .filter_map(|si| self.sq[si].as_ref())
             .filter(|s| s.seq < seq)
             .filter(|s| s.addr.is_some_and(|a| a.raw() >> 3 == word))
             .max_by_key(|s| s.seq)
@@ -1774,6 +1790,7 @@ impl Pipeline {
                             latency: out.complete_at - now,
                         });
                         let li = self.rob[i].lq.expect("loads own an LQ slot");
+                        self.lq_inflight += 1;
                         self.lq[li] = Some(LqEntry {
                             seq,
                             state: LqState::Inflight {
@@ -2100,6 +2117,13 @@ impl Pipeline {
     }
 
     fn free_lq(&mut self, li: usize) {
+        if let Some(LqEntry {
+            state: LqState::Inflight { .. },
+            ..
+        }) = self.lq[li]
+        {
+            self.lq_inflight -= 1;
+        }
         self.lq[li] = None;
         self.lq_free.insert(li);
     }
@@ -2141,6 +2165,13 @@ impl Pipeline {
         }
         assert_eq!(self.lq_free, free_slots(&self.lq), "free LQ slots");
         assert_eq!(self.sq_free, free_slots(&self.sq), "free SQ slots");
+        let inflight = self
+            .lq
+            .iter()
+            .flatten()
+            .filter(|l| matches!(l.state, LqState::Inflight { .. }))
+            .count();
+        assert_eq!(self.lq_inflight, inflight, "inflight loads");
         for e in &self.rob {
             let Some(p) = e.parked_on else { continue };
             assert_eq!(e.status, Status::Waiting, "parked seq {}", e.seq);
@@ -2850,6 +2881,11 @@ mod tests {
             Some(65),
             "95 and 0..64 are not members"
         );
+        // The non-members of a partial last word stop at `size`.
+        let gaps: Vec<usize> = q.non_members().collect();
+        assert_eq!(gaps, (0..64).chain([95]).collect::<Vec<_>>());
+        assert_eq!(BitSet::full(96).non_members().count(), 0);
+        assert_eq!(BitSet::new(40).non_members().count(), 40);
         // A ring smaller than a word wraps at its own size.
         let mut small = BitSet::new(16);
         small.insert(1);

@@ -37,8 +37,8 @@ use crate::mshr::{LoadPath, MshrEntry, MshrFile, MshrState, MshrToken, SefeRecor
 use crate::replacement::ReplacementKind;
 use crate::stats::{LoadClass, MemStats, MsgClass, Traffic};
 use crate::types::{CoreId, Cycle, EpochId, LineAddr, LoadId, SpecTag};
+use cleanupspec_obs::hash::IntMap;
 use cleanupspec_obs::{CacheLevel, Observer, SimEvent};
-use std::collections::HashMap;
 
 /// Directory entry for one L2-resident line.
 #[derive(Clone, Copy, Debug, Default)]
@@ -264,7 +264,7 @@ pub struct MemHierarchy {
     cfg: MemConfig,
     l1: Vec<SetAssocCache>,
     l2: SetAssocCache,
-    dir: HashMap<LineAddr, DirEntry>,
+    dir: IntMap<LineAddr, DirEntry>,
     mshr: Vec<MshrFile>,
     /// Scratch list of the slots due in the current fill pass (empty
     /// between calls; kept only to reuse its allocation).
@@ -279,7 +279,7 @@ pub struct MemHierarchy {
     /// the core's L1 for a scheme-attributable reason. Written by the
     /// cleanup/eviction paths, consumed (removed) by the next demand miss
     /// on the line, which reports it via [`LoadOutcome::provenance`].
-    miss_prov: Vec<HashMap<LineAddr, MissProvenance>>,
+    miss_prov: Vec<IntMap<LineAddr, MissProvenance>>,
     /// Cycle of the most recent externally stamped operation; events from
     /// calls without a `now` parameter (cleanup ops, retires) are stamped
     /// with it. Exact in a live simulation, where `advance(now)` runs each
@@ -359,14 +359,14 @@ impl MemHierarchy {
             epoch: vec![EpochId::zero(); cfg.num_cores],
             l1,
             l2,
-            dir: HashMap::new(),
+            dir: IntMap::default(),
             mshr,
             due: Vec::new(),
             stats: MemStats::default(),
             traffic: Traffic::default(),
             obs: Observer::disabled(),
             faults: FaultInjector::disabled(),
-            miss_prov: vec![HashMap::new(); cfg.num_cores],
+            miss_prov: vec![IntMap::default(); cfg.num_cores],
             now_hint: 0,
             episode: vec![0; cfg.num_cores],
             episode_seq: vec![0; cfg.num_cores],

@@ -45,14 +45,7 @@ impl SplitMix64 {
     }
 }
 
-/// A stateless 64-bit mixing hash (the SplitMix64 finalizer). Useful for
-/// deriving per-object seeds and branch-outcome streams.
-pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub use cleanupspec_obs::hash::mix64;
 
 /// Hashes a whole string to a 64-bit seed by folding every byte through
 /// [`mix64`]. Use this (not the first byte or the length) to derive

@@ -34,8 +34,8 @@
 //! before asking) are still caught.
 
 use crate::event::{CacheLevel, KindSet, SimEvent};
+use crate::hash::IntMap;
 use crate::observer::EventSink;
-use std::collections::HashMap;
 
 /// What a cleanup episode failed to undo.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -240,11 +240,11 @@ struct Owed {
 struct CoreState {
     /// Episodes keyed by id, so re-emission after a snapshot restore
     /// overwrites instead of duplicating.
-    episodes: HashMap<u64, EpisodeRecord>,
+    episodes: IntMap<u64, EpisodeRecord>,
     /// Id of the currently open episode, if any.
     open: Option<u64>,
-    watch: HashMap<u64, Watch>,
-    owed: HashMap<u64, Owed>,
+    watch: IntMap<u64, Watch>,
+    owed: IntMap<u64, Owed>,
     /// Dummy misses carrying a *prospective* episode id (the protected
     /// window has not squashed yet): `(prospective_id, line)`. Claimed
     /// when the episode opens, discarded when the protected line retires.

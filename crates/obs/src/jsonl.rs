@@ -18,7 +18,7 @@ use std::io::Write;
 /// run that panics mid-simulation still leaves every recorded line on
 /// disk (a `BufWriter` dropped without flushing would otherwise truncate
 /// the trace at the last buffer boundary).
-pub struct JsonlSink<W: Write + Send> {
+pub struct JsonlSink<W: Write> {
     /// `None` only after [`into_inner`](JsonlSink::into_inner) took the
     /// writer out from under the `Drop` impl.
     out: Option<W>,
@@ -27,7 +27,7 @@ pub struct JsonlSink<W: Write + Send> {
     warned: bool,
 }
 
-impl<W: Write + Send> JsonlSink<W> {
+impl<W: Write> JsonlSink<W> {
     /// Wraps a writer and emits the schema header line. Buffer it
     /// yourself (`BufWriter`) for file targets.
     pub fn new(out: W) -> Self {
@@ -77,7 +77,7 @@ impl<W: Write + Send> JsonlSink<W> {
     }
 }
 
-impl<W: Write + Send> EventSink for JsonlSink<W> {
+impl<W: Write> EventSink for JsonlSink<W> {
     fn record(&mut self, cycle: u64, event: &SimEvent) {
         // I/O errors intentionally do not abort the simulation; the run
         // keeps going with a short file, a one-time warning, and an
@@ -99,7 +99,7 @@ impl<W: Write + Send> EventSink for JsonlSink<W> {
     }
 }
 
-impl<W: Write + Send> Drop for JsonlSink<W> {
+impl<W: Write> Drop for JsonlSink<W> {
     fn drop(&mut self) {
         self.finish();
     }

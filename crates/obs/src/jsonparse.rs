@@ -29,6 +29,7 @@ impl JsonValue {
     /// trailing garbage is not.
     pub fn parse(s: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
         };
@@ -91,6 +92,7 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -188,12 +190,16 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Copy a full UTF-8 scalar, not just one byte.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape as one
+                    // slice. Both are ASCII, so the run ends on a character
+                    // boundary of the (already valid UTF-8) input.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.src[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -324,5 +330,19 @@ mod tests {
     fn unicode_passthrough_and_escapes() {
         let v = JsonValue::parse("\"héllo \\u0041\"").unwrap();
         assert_eq!(v.as_str(), Some("héllo A"));
+    }
+
+    #[test]
+    fn long_strings_keep_multibyte_text_and_escapes() {
+        // 20 000 repetitions (~460 KB): multibyte scalars of every width
+        // next to each escape kind, and runs that start and end on them.
+        let unit = "é→𝄞\\\"x\\n\\u00e9/\\\\";
+        let want_unit = "é→𝄞\"x\né/\\";
+        let doc = format!("[\"{}\", \"𝄞\"]", unit.repeat(20_000));
+        let v = JsonValue::parse(&doc).unwrap();
+        let arr = v.as_arr().unwrap();
+        assert_eq!(arr[0].as_str(), Some(want_unit.repeat(20_000).as_str()));
+        assert_eq!(arr[1].as_str(), Some("𝄞"));
+        assert!(JsonValue::parse(&format!("\"{}", unit.repeat(100))).is_err());
     }
 }

@@ -33,6 +33,7 @@ mod atomicio;
 pub mod commitlog;
 pub mod episode;
 pub mod event;
+pub mod hash;
 pub mod histogram;
 pub mod json;
 pub mod jsonl;

@@ -1,16 +1,25 @@
 //! The shared [`Observer`] handle instrumented code emits through, and the
 //! [`EventSink`] trait sinks implement.
+//!
+//! The event bus is single-threaded: a run emits every event from the one
+//! thread that simulates it, so the fan-out list and each [`Shared`] sink
+//! sit behind an `Rc<RefCell<_>>`, not a lock. Delivering an event costs a
+//! borrow-flag check per layer, not a lock/unlock pair. A parallel harness
+//! builds each run's observer and sinks on the worker thread that runs it;
+//! neither handle is `Send`. A sink that emits back into the observer
+//! delivering to it panics on the second borrow (where a lock would have
+//! deadlocked).
 
 use crate::event::{KindSet, SimEvent};
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// A consumer of simulation events.
 ///
-/// Sinks are driven strictly in emission order from the simulation thread
-/// (the `Mutex` in [`Observer`] exists only to make the handle `Send` for
-/// the parallel bench runner; there is no concurrent emission per run).
-pub trait EventSink: Send {
+/// Sinks are driven strictly in emission order from the simulation
+/// thread; no sink is ever called concurrently.
+pub trait EventSink {
     /// Consumes one event. `cycle` is the simulation cycle it occurred at.
     fn record(&mut self, cycle: u64, event: &SimEvent);
 
@@ -30,7 +39,7 @@ pub trait EventSink: Send {
 /// with its interest, and their union.
 struct Fanout {
     interest: KindSet,
-    sinks: Mutex<Vec<(KindSet, Box<dyn EventSink>)>>,
+    sinks: RefCell<Vec<(KindSet, Box<dyn EventSink>)>>,
 }
 
 /// A cloneable handle that fans events out to attached sinks.
@@ -41,7 +50,7 @@ struct Fanout {
 /// the kinds it declared.
 #[derive(Clone, Default)]
 pub struct Observer {
-    sinks: Option<Arc<Fanout>>,
+    sinks: Option<Rc<Fanout>>,
 }
 
 impl Observer {
@@ -60,9 +69,9 @@ impl Observer {
             .iter()
             .fold(KindSet::NONE, |all, (kinds, _)| all.union(*kinds));
         Observer {
-            sinks: Some(Arc::new(Fanout {
+            sinks: Some(Rc::new(Fanout {
                 interest,
-                sinks: Mutex::new(sinks),
+                sinks: RefCell::new(sinks),
             })),
         }
     }
@@ -88,7 +97,7 @@ impl Observer {
             if !fanout.interest.contains_index(kind) {
                 return;
             }
-            let mut sinks = fanout.sinks.lock().expect("observer sink poisoned");
+            let mut sinks = fanout.sinks.borrow_mut();
             for (interest, s) in sinks.iter_mut() {
                 if interest.contains_index(kind) {
                     s.record(cycle, &event);
@@ -109,7 +118,7 @@ impl Observer {
     /// Calls [`EventSink::finish`] on every sink.
     pub fn finish(&self) {
         if let Some(fanout) = &self.sinks {
-            let mut sinks = fanout.sinks.lock().expect("observer sink poisoned");
+            let mut sinks = fanout.sinks.borrow_mut();
             for (_, s) in sinks.iter_mut() {
                 s.finish();
             }
@@ -121,7 +130,7 @@ impl fmt::Debug for Observer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.sinks {
             Some(fanout) => {
-                let n = fanout.sinks.lock().map(|v| v.len()).unwrap_or(0);
+                let n = fanout.sinks.try_borrow().map_or(0, |v| v.len());
                 write!(f, "Observer({n} sinks)")
             }
             None => write!(f, "Observer(disabled)"),
@@ -143,40 +152,38 @@ impl fmt::Debug for Observer {
 /// obs.emit(3, SimEvent::DramWriteback { line: 0x40 });
 /// assert_eq!(ring.with(|r| r.total_recorded()), 1);
 /// ```
-pub struct Shared<S>(Arc<Mutex<S>>);
+pub struct Shared<S>(Rc<RefCell<S>>);
 
 impl<S> Clone for Shared<S> {
     fn clone(&self) -> Self {
-        Shared(Arc::clone(&self.0))
+        Shared(Rc::clone(&self.0))
     }
 }
 
 impl<S: EventSink> Shared<S> {
     /// Wraps a sink for shared access.
     pub fn new(sink: S) -> Self {
-        Shared(Arc::new(Mutex::new(sink)))
+        Shared(Rc::new(RefCell::new(sink)))
     }
 
-    /// Runs `f` with exclusive access to the wrapped sink.
+    /// Runs `f` with exclusive access to the wrapped sink. Panics if
+    /// called from inside that sink's own `record` (a re-entrant borrow).
     pub fn with<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        f(&mut self.0.lock().expect("shared sink poisoned"))
+        f(&mut self.0.borrow_mut())
     }
 }
 
 impl<S: EventSink> EventSink for Shared<S> {
     fn record(&mut self, cycle: u64, event: &SimEvent) {
-        self.0
-            .lock()
-            .expect("shared sink poisoned")
-            .record(cycle, event);
+        self.0.borrow_mut().record(cycle, event);
     }
 
     fn finish(&mut self) {
-        self.0.lock().expect("shared sink poisoned").finish();
+        self.0.borrow_mut().finish();
     }
 
     fn interest(&self) -> KindSet {
-        self.0.lock().expect("shared sink poisoned").interest()
+        self.0.borrow().interest()
     }
 }
 
@@ -241,6 +248,25 @@ mod tests {
     #[test]
     fn empty_sink_list_is_disabled() {
         assert!(!Observer::new(Vec::new()).is_enabled());
+    }
+
+    /// Emits every event it receives back into `0`.
+    struct Echo(Option<Observer>);
+    impl EventSink for Echo {
+        fn record(&mut self, cycle: u64, event: &SimEvent) {
+            if let Some(obs) = &self.0 {
+                obs.emit(cycle, *event);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "already borrowed")]
+    fn a_reentrant_emit_panics_instead_of_deadlocking() {
+        let echo = Shared::new(Echo(None));
+        let obs = Observer::single(Box::new(echo.clone()));
+        echo.with(|e| e.0 = Some(obs.clone()));
+        obs.emit(0, SimEvent::DramWriteback { line: 0 });
     }
 
     #[test]
