@@ -2,7 +2,7 @@
 //!
 //! ```sh
 //! cs-chaos --matrix                         # fault-detection matrix, all 8 classes
-//! cs-chaos --matrix --max-seeds 128         # widen the per-fault seed scan
+//! cs-chaos --matrix --max-seeds 128         # narrow the per-fault seed window
 //! cs-chaos --host-matrix                    # host-I/O fault recovery matrix
 //! cs-chaos --list-faults                    # print the fault taxonomy
 //! cs-chaos --fault drop-sefe-entry --seeds 32 --artifacts out/  # one-fault campaign
@@ -11,16 +11,19 @@
 //! cs-chaos --replay 0x2a --fault double-undo # probe one seed verbosely
 //! ```
 //!
-//! The matrix drives every [`FaultKind`] until it fires and is flagged by
-//! at least one detector (the three cs-smith oracles, the forward-progress
-//! watchdog, or the dual-run victim witness). `--host-matrix` turns the
-//! same discipline on the harness itself: every host-I/O fault class
-//! (ENOSPC, torn write, bit rot, read EIO, rename/fsync failure, crash
-//! after write) is injected under the hardened artifact store and must be
-//! retried, quarantined, degraded, or recovered on restart. Seed
-//! campaigns run on the seed-campaign driver shared with `cs-smith`
-//! ([`run_campaign`]), one executor task per seed on the default worker
-//! count (`CLEANUPSPEC_THREADS`). Exit status: 0 when the mode's
+//! The matrix runs one fault campaign per [`FaultKind`] over the seed
+//! window `--start .. --start + --max-seeds` and reports each class's
+//! first seed where the fault fired and an oracle flagged the run (the
+//! three cs-smith oracles, the forward-progress watchdog, or the dual-run
+//! victim witness), and how many seeds of the window were flagged.
+//! `--host-matrix` turns the same discipline on the harness itself: every
+//! host-I/O fault class (ENOSPC, torn write, bit rot, read EIO,
+//! rename/fsync failure, crash after write) is injected under the
+//! hardened artifact store and must be retried, quarantined, degraded,
+//! or recovered on restart. Seed campaigns, the matrix's included, run
+//! on the seed-campaign driver shared with `cs-smith` ([`run_campaign`]),
+//! one executor task per seed on the default worker count
+//! (`CLEANUPSPEC_THREADS`). Exit status: 0 when the mode's
 //! expectation holds (matrix: all faults detected; host matrix: all
 //! fault classes handled; fault campaign: at least one seed flagged;
 //! clean campaign: no violations and — with `--panic-at` — the planted
@@ -154,14 +157,14 @@ fn matrix(args: &Args) -> ExitCode {
     let rows = detection_matrix(args.campaign.start, args.max_seeds);
     print!("{}", render_matrix(&rows));
     if rows.iter().all(|r| r.detected()) {
-        println!("every fault class is caught by at least one detector");
+        println!("every fault class is caught by at least one oracle");
         ExitCode::SUCCESS
     } else {
         for r in rows.iter().filter(|r| !r.detected()) {
             eprintln!(
                 "UNDETECTED: {} survived {} seed(s) — a real bug of this class would ship",
                 r.kind.name(),
-                r.seeds_scanned
+                r.window
             );
         }
         ExitCode::FAILURE
@@ -182,7 +185,7 @@ fn replay(seed: u64, fault: Option<FaultKind>) -> ExitCode {
                 println!("  {v}");
             }
             if p.detected() {
-                println!("DETECTED by: {}", p.detectors.join(", "));
+                println!("DETECTED by: {}", p.oracles().join(", "));
                 ExitCode::SUCCESS
             } else if p.fires == 0 {
                 println!("fault never fired on this seed (try another)");
@@ -270,7 +273,7 @@ fn campaign(opts: &CampaignOpts) -> ExitCode {
     }
     match opts.fault {
         // A fault campaign succeeds when the oracles caught the fault
-        // somewhere (witness-only faults are a matrix concern).
+        // somewhere.
         Some(_) => {
             if sum.failures > 0 {
                 ExitCode::SUCCESS

@@ -2,31 +2,32 @@
 //! `cs-smith`.
 //!
 //! Oracles that never fire prove nothing, so every [`FaultKind`] the
-//! memory hierarchy and undo engine can inject is driven against seeded
-//! smith programs until it (a) actually fires and (b) is flagged by at
-//! least one detector, producing a **fault-detection matrix** — the
-//! machine-checked claim that no fault class escapes the safety net. The
-//! missing victim restore (`skip-victim-restore`) is one such class.
+//! memory hierarchy and undo engine can inject is run as a seed campaign
+//! until it (a) actually fires and (b) is flagged by at least one oracle,
+//! producing a **fault-detection matrix** — the machine-checked claim
+//! that no fault class escapes the safety net. The missing victim restore
+//! (`skip-victim-restore`) is one such class.
 //!
-//! Detectors (matrix columns):
+//! Oracles (matrix columns; every one is a [`Violation`] label from
+//! [`fuzz::ORACLES`]):
 //!
-//! * `arch` / `cache` / `episode` — the three cs-smith oracles from
-//!   [`crate::fuzz`] (architectural equivalence, cache-restoration
-//!   membership + invariants, and the episode-granular undo-coverage
-//!   ledger that pins each residue to the squash whose cleanup should
-//!   have covered it).
+//! * `arch` / `cache` / `episode` — the three cs-smith oracles
+//!   (architectural equivalence, cache-restoration membership +
+//!   invariants, and the episode-granular undo-coverage ledger that pins
+//!   each residue to the squash whose cleanup should have covered it).
 //! * `watchdog` — the forward-progress watchdog: the run stopped with
-//!   [`StopReason::Livelock`] (how `leak-mshr-slot` surfaces once the
-//!   MSHR file exhausts).
+//!   [`StopReason::Livelock`](cleanupspec_core::system::StopReason) (how
+//!   `leak-mshr-slot` surfaces once the MSHR file exhausts).
 //! * `witness` — the dual-run L1 victim witness: two runs that differ
 //!   *only* in `repl_seed_salt` must pick different eviction victims; if
 //!   the faulted pair agrees while the clean control pair diverges, the
 //!   replacement policy has gone deterministic (`deterministic-l1-replacement`
 //!   is invisible to the state oracles — the cache contents stay legal).
 //!
-//! [`run_campaign`] is the one seed-campaign driver: a plain
-//! differential campaign (`cs-smith`, or `cs-chaos` without `--fault`)
-//! and a one-fault campaign differ only in [`CampaignOpts::fault`]. Each
+//! [`run_campaign`] is the one loop that judges seeds: a plain
+//! differential campaign (`cs-smith`, or `cs-chaos` without `--fault`),
+//! a one-fault campaign and each row of the [`detection_matrix`] differ
+//! only in [`CampaignOpts::fault`] and the seed window. Each
 //! seed is a task on the shared executor ([`crate::exec::run_indexed`]),
 //! so the result is the same at any thread count. Campaigns are
 //! **crash-isolated**: each seed's verdict runs inside `catch_unwind`, a
@@ -37,15 +38,13 @@
 //! as they complete, keyed by `CampaignOpts::seed_key`, and served to
 //! any later campaign that asks for the same seed under the same knobs.
 
-use crate::fuzz::{self, exec_env, judge, merged_image, ExecEnv, ModeRun, SeedVerdict, Violation};
+use crate::fuzz::{self, exec_env, judge, ExecEnv, ModeRun, SeedVerdict, Violation};
 use crate::journal::Journal;
 use crate::store::{shared_dir_store, ArtifactStore};
 use crate::target::trace_command;
 use cleanupspec::modes::SecurityMode;
 use cleanupspec_asm::disassemble;
 use cleanupspec_core::isa::Program;
-use cleanupspec_core::reference::{interpret, RefRun};
-use cleanupspec_core::system::StopReason;
 use cleanupspec_mem::fault::{FaultInjector, FaultKind, FaultPlan};
 use cleanupspec_mem::types::Cycle;
 use cleanupspec_obs::{Observer, RingSink, Shared};
@@ -73,7 +72,7 @@ const WITNESS_SALT: u64 = 0x5A17_C0DE;
 /// fewer victims, two honest random policies can agree by chance.
 const WITNESS_MIN_VICTIMS: u64 = 8;
 
-/// One fault probed on one seed: did it fire, and who noticed?
+/// One fault probed on one seed: did it fire, and which oracles flagged it?
 #[derive(Clone, Debug)]
 pub struct FaultProbe {
     /// The injected fault.
@@ -84,35 +83,42 @@ pub struct FaultProbe {
     pub opportunities: u64,
     /// Times the fault actually fired.
     pub fires: u64,
-    /// Detector labels that flagged the run (one of [`DETECTORS`]).
-    pub detectors: Vec<&'static str>,
-    /// Oracle violations from the faulted run (empty for detections that
-    /// are not oracle-shaped, e.g. the witness compare).
+    /// Oracle violations of the faulted run, the seed's campaign verdict.
     pub violations: Vec<Violation>,
 }
 
 impl FaultProbe {
-    /// Detected = the fault really fired *and* at least one detector saw it.
+    /// Detected = the fault really fired *and* at least one oracle saw it.
     pub fn detected(&self) -> bool {
-        self.fires > 0 && !self.detectors.is_empty()
+        self.fires > 0 && !self.violations.is_empty()
+    }
+
+    /// The oracles that flagged the run, in [`fuzz::ORACLES`] order.
+    pub fn oracles(&self) -> Vec<&'static str> {
+        let flagged = |o: &&str| self.violations.iter().any(|v| v.oracle == *o);
+        fuzz::ORACLES.into_iter().filter(flagged).collect()
     }
 }
 
-/// One row of the fault-detection matrix.
+/// One row of the fault-detection matrix: one fault class's campaign
+/// over the seed window.
 #[derive(Clone, Debug)]
 pub struct MatrixRow {
     /// The fault class this row proves (or fails to prove) detectable.
     pub kind: FaultKind,
-    /// Seeds probed before detection (or the scan budget, if never).
-    pub seeds_scanned: u64,
-    /// The first detecting probe, if any.
-    pub probe: Option<FaultProbe>,
+    /// Seeds in the window.
+    pub window: u64,
+    /// Seeds of the window the campaign flagged (panics not included).
+    pub flagged: u64,
+    /// The `--replay` probe of the first flagged seed that did not panic
+    /// and on which the fault fired, if any.
+    pub first: Option<FaultProbe>,
 }
 
 impl MatrixRow {
     /// Whether this fault class was caught.
     pub fn detected(&self) -> bool {
-        self.probe.is_some()
+        self.first.is_some()
     }
 }
 
@@ -159,24 +165,15 @@ fn witness_agree(a: &ModeRun, b: &ModeRun) -> bool {
 
 /// Probes one fault against one smith plan under CleanupSpec.
 pub fn probe_plan(kind: FaultKind, p: &SmithPlan) -> FaultProbe {
+    let (progs, refs, ref_mem_digest) = fuzz::reference(p);
+    let mode = SecurityMode::CleanupSpec;
     let mut probe = FaultProbe {
         kind,
         seed: p.seed,
         opportunities: 0,
         fires: 0,
-        detectors: Vec::new(),
         violations: Vec::new(),
     };
-    let progs: Vec<Arc<Program>> = assemble_plan(p).into_iter().map(Arc::new).collect();
-    let refs: Vec<RefRun> = progs
-        .iter()
-        .map(|pr| interpret(pr, fuzz::REF_STEP_CAP))
-        .collect();
-    if refs.iter().any(|r| !r.halted) {
-        return probe; // Generator bug; nothing to judge against.
-    }
-    let ref_mem_digest = merged_image(&refs).image_digest();
-    let mode = SecurityMode::CleanupSpec;
 
     if kind == FaultKind::DeterministicL1Replacement {
         // This fault leaves every oracle-visible state legal — the caches
@@ -202,7 +199,12 @@ pub fn probe_plan(kind: FaultKind, p: &SmithPlan) -> FaultProbe {
         if probe.fires > 0 && witness_agree(&fa, &fb) {
             let (ca, cb, _) = run_pair(false);
             if !witness_agree(&ca, &cb) {
-                probe.detectors.push("witness");
+                probe.violations.push(Violation {
+                    seed: p.seed,
+                    scheme: fa.scheme,
+                    oracle: "witness",
+                    detail: "L1 victims ignore the replacement salt".to_string(),
+                });
             }
         }
         return probe;
@@ -212,15 +214,7 @@ pub fn probe_plan(kind: FaultKind, p: &SmithPlan) -> FaultProbe {
     let run = exec_env(&progs, mode, p.seed, &env);
     probe.opportunities = env.faults.counters(kind).opportunities;
     probe.fires = env.faults.fires(kind);
-    if matches!(run.stop, StopReason::Livelock(_)) {
-        probe.detectors.push("watchdog");
-    }
     probe.violations = judge(p.seed, mode, &refs, ref_mem_digest, &run);
-    for v in &probe.violations {
-        if !probe.detectors.contains(&v.oracle) {
-            probe.detectors.push(v.oracle);
-        }
-    }
     probe
 }
 
@@ -229,72 +223,71 @@ pub fn probe_fault(kind: FaultKind, seed: u64) -> FaultProbe {
     probe_plan(kind, &plan(seed))
 }
 
-/// Scans seeds from `start` until `kind` both fires and is detected, or
-/// the budget of `max_seeds` runs out.
-pub fn scan_fault(kind: FaultKind, start: u64, max_seeds: u64) -> MatrixRow {
-    for i in 0..max_seeds {
-        let probe = probe_fault(kind, start + i);
-        if probe.detected() {
-            return MatrixRow {
-                kind,
-                seeds_scanned: i + 1,
-                probe: Some(probe),
-            };
-        }
-    }
+/// Builds the full fault-detection matrix: one [`run_campaign`] per
+/// [`FaultKind`] over the seed window `start..start + window`, each seed
+/// a task on the shared executor, so a row is the same at any thread
+/// count. Rows come back in `FaultKind::ALL` order.
+pub fn detection_matrix(start: u64, window: u64) -> Vec<MatrixRow> {
+    FaultKind::ALL
+        .into_iter()
+        .map(|kind| matrix_row(kind, start, window))
+        .collect()
+}
+
+/// One matrix row: `kind`'s campaign over the window, and the
+/// `--replay` probe of its first flagged seed that did not panic and on
+/// which the fault fired.
+fn matrix_row(kind: FaultKind, start: u64, window: u64) -> MatrixRow {
+    let result = run_campaign(&CampaignOpts {
+        start,
+        count: window,
+        threads: crate::exec::default_threads(),
+        fault: Some(kind),
+        ..CampaignOpts::default()
+    });
+    let first = result
+        .triage()
+        .filter(|v| v.oracle != "panic")
+        .map(|v| probe_fault(kind, v.seed))
+        .find(FaultProbe::detected);
     MatrixRow {
         kind,
-        seeds_scanned: max_seeds,
-        probe: None,
+        window,
+        flagged: result.failures,
+        first,
     }
 }
 
-/// Builds the full fault-detection matrix: every [`FaultKind`], scanned
-/// on the shared executor (results are per-fault deterministic, so
-/// threading cannot change a verdict; rows come back in
-/// `FaultKind::ALL` order regardless of scheduling).
-pub fn detection_matrix(start: u64, max_seeds: u64) -> Vec<MatrixRow> {
-    let outcome =
-        crate::exec::run_indexed(FaultKind::ALL.len(), crate::exec::default_threads(), |i| {
-            scan_fault(FaultKind::ALL[i], start, max_seeds)
-        });
-    assert!(
-        outcome.is_complete(),
-        "matrix worker panicked: {:?}",
-        outcome.failures
-    );
-    outcome.slots.into_iter().flatten().collect()
-}
-
-/// Detector labels, in matrix-column order.
-pub const DETECTORS: [&str; 5] = ["arch", "cache", "episode", "watchdog", "witness"];
-
-/// Renders the matrix as a fixed-width table plus a one-line verdict.
+/// Renders the matrix as a fixed-width table plus a one-line verdict:
+/// each row's first detected seed, `flagged/window`, the fault's
+/// opportunities and fires on that seed, and one column per oracle.
 pub fn render_matrix(rows: &[MatrixRow]) -> String {
+    let columns = &fuzz::ORACLES[..fuzz::ORACLES.len() - 1]; // all but "panic"
     let mut out = String::new();
     let _ = write!(
         out,
-        "{:<30} {:>8} {:>5} {:>6} {:>6}",
-        "fault", "seed", "scan", "opps", "fires"
+        "{:<30} {:>8} {:>9} {:>6} {:>6}",
+        "fault", "seed", "flagged", "opps", "fires"
     );
-    for d in DETECTORS {
-        let _ = write!(out, " {d:>8}");
+    for o in columns {
+        let _ = write!(out, " {o:>8}");
     }
     out.push('\n');
     for r in rows {
-        match &r.probe {
+        let flagged = format!("{}/{}", r.flagged, r.window);
+        let _ = write!(out, "{:<30}", r.kind.name());
+        match &r.first {
             Some(p) => {
                 let _ = write!(
                     out,
-                    "{:<30} {:>8} {:>5} {:>6} {:>6}",
-                    r.kind.name(),
+                    " {:>8} {flagged:>9} {:>6} {:>6}",
                     format!("{:#x}", p.seed),
-                    r.seeds_scanned,
                     p.opportunities,
                     p.fires
                 );
-                for d in DETECTORS {
-                    let mark = if p.detectors.contains(&d) { "X" } else { "." };
+                let oracles = p.oracles();
+                for o in columns {
+                    let mark = if oracles.contains(o) { "X" } else { "." };
                     let _ = write!(out, " {mark:>8}");
                 }
                 out.push('\n');
@@ -302,12 +295,8 @@ pub fn render_matrix(rows: &[MatrixRow]) -> String {
             None => {
                 let _ = writeln!(
                     out,
-                    "{:<30} {:>8} {:>5} {:>6} {:>6}  NOT DETECTED",
-                    r.kind.name(),
-                    "-",
-                    r.seeds_scanned,
-                    "-",
-                    "-"
+                    " {:>8} {flagged:>9} {:>6} {:>6}  NOT DETECTED",
+                    "-", "-", "-"
                 );
             }
         }
@@ -350,9 +339,11 @@ impl CampaignOpts {
     /// count and directories change which seeds run and where results
     /// land, never what one seed's result is, so `cs-smith` and `cs-chaos`
     /// campaigns of any range share the verdicts they have in common.
+    /// The `v2` prefix marks verdicts judged with the watchdog and witness
+    /// oracles: a journal of older, witness-blind verdicts serves nothing.
     pub(crate) fn seed_key(&self, seed: u64) -> String {
         format!(
-            "seed-campaign/{seed:#x}/fault={}/shrink={}/panic={}",
+            "seed-campaign-v2/{seed:#x}/fault={}/shrink={}/panic={}",
             self.fault.map_or("none", FaultKind::name),
             self.shrink,
             self.panic_at == Some(seed)
@@ -405,7 +396,8 @@ impl CampaignResult {
 
 /// Verdict for one plan under a campaign's fault setting: the full
 /// differential [`fuzz::run_plan`] without a fault, else the faulted
-/// CleanupSpec probe, failing on any oracle violation.
+/// CleanupSpec probe, failing on any oracle violation (the witness and
+/// the watchdog included).
 pub fn chaos_plan_verdict(p: &SmithPlan, fault: Option<FaultKind>) -> SeedVerdict {
     match fault {
         None => fuzz::run_plan(p),
@@ -420,56 +412,22 @@ pub fn chaos_plan_verdict(p: &SmithPlan, fault: Option<FaultKind>) -> SeedVerdic
     }
 }
 
-/// Cycle stride between silent cs-snap checkpoints in [`capture_events`]:
-/// the replay runs unobserved up to the last checkpoint before the run
-/// stops, then attaches the ring and resumes only the tail.
-const CAPTURE_STRIDE: Cycle = 50_000;
-
-/// Replays a plan with a [`RingSink`] attached and returns the event dump
-/// (the run is deterministic, so the replay sees the failing execution).
-///
-/// The replay is two-phase: a silent pre-pass runs in
-/// [`CAPTURE_STRIDE`]-cycle slices, cloning the whole system (cs-snap) at
-/// the last slice boundary before the stop; the event capture then
-/// resumes from that checkpoint instead of cycle 0. The ring only keeps
-/// the run's tail anyway — this way the observer tax is only paid over
-/// the window the artifact actually shows. Fault-injection counters are
-/// rewound with the checkpoint so the tail re-fires the same faults. The
-/// system is built and finished like every smith run
-/// ([`fuzz::smith_system`], [`fuzz::run_drained`]), so the dump ends with
-/// the post-halt fills the ledger judged.
-fn capture_events(p: &SmithPlan, fault: Option<FaultKind>) -> String {
+/// Replays a plan under `mode` with a [`RingSink`] attached and returns
+/// the event dump (the run is deterministic, so the replay sees the
+/// failing execution). The system is built and finished like every
+/// smith run ([`fuzz::smith_system`], [`fuzz::run_drained`]), so the
+/// dump ends with the post-halt fills the ledger judged.
+fn capture_events(p: &SmithPlan, fault: Option<FaultKind>, mode: SecurityMode) -> String {
     let progs: Vec<Arc<Program>> = assemble_plan(p).into_iter().map(Arc::new).collect();
-    let mode = SecurityMode::CleanupSpec;
     let env = env_for(fault);
-    let mut sys = fuzz::smith_system(&progs, mode, p.seed, &env, Observer::disabled());
-    let limits = fuzz::exec_limits(&env);
-
-    // Silent pre-pass: advance slice by slice, keeping the last
-    // checkpoint taken before the run stops for real.
-    let mut ckpt = (sys.clone(), env.faults.counters_snapshot());
-    loop {
-        let mut slice = limits;
-        slice.max_cycles = (sys.now() + CAPTURE_STRIDE).min(limits.max_cycles);
-        let stop = sys.run(slice);
-        let at_slice_boundary =
-            matches!(stop, StopReason::CycleLimit) && sys.now() < limits.max_cycles;
-        if !at_slice_boundary {
-            break;
-        }
-        ckpt = (sys.clone(), env.faults.counters_snapshot());
-    }
-
-    let (mut tail, counters) = ckpt;
-    let resumed_at = tail.now();
-    env.faults.restore_counters(&counters);
     let ring = Shared::new(RingSink::new(RING_CAP));
-    tail.set_observer(Observer::new(vec![Box::new(ring.clone())]));
-    let stop = fuzz::run_drained(&mut tail, &env);
+    let obs = Observer::new(vec![Box::new(ring.clone())]);
+    let mut sys = fuzz::smith_system(&progs, mode, p.seed, &env, obs);
+    let stop = fuzz::run_drained(&mut sys, &env);
     ring.with(|r| {
         format!(
-            "; stop: {stop}\n; resumed from cs-snap checkpoint at cycle {resumed_at}\n\
-             ; {} event(s) kept of {} recorded\n{}",
+            "; scheme: {}\n; stop: {stop}\n; {} event(s) kept of {} recorded\n{}",
+            mode.name(),
             r.to_vec().len(),
             r.total_recorded(),
             r.dump()
@@ -491,8 +449,9 @@ fn artifact_name(seed: u64, fault: Option<FaultKind>, violations: &[Violation]) 
 /// Writes one failure's repro artifacts under `dir` and returns the
 /// artifact subdirectory: `repro.txt` (seed, fault plan, violations,
 /// replay hint), `core<i>.s` (shrunk if requested), and `events.log`
-/// (ring-buffer dump of the failing run; skipped for panicking seeds
-/// unless the replay survives its own `catch_unwind`).
+/// (ring-buffer dump of the failing run under the first violation's
+/// scheme; for a panicking seed, of the CleanupSpec run, or the replay's
+/// own panic message).
 ///
 /// All writes go through the hardened [`ArtifactStore`] for `dir`
 /// (atomic write + checksum sidecar + retry); an unwritable directory
@@ -513,6 +472,10 @@ pub fn write_artifacts(
         }
     };
     let panicked = violations.iter().any(|v| v.oracle == "panic");
+    // The first violation's scheme names the run `trace:` replays and
+    // `events.log` dumps; a crash names none, so CleanupSpec stands in.
+    let scheme = violations.first().map_or("", |v| v.scheme);
+    let mode = SecurityMode::from_name(scheme).unwrap_or(SecurityMode::CleanupSpec);
     let rel = artifact_name(seed, fault, violations);
     let sub = dir.join(&rel);
     let p = plan(seed);
@@ -556,7 +519,6 @@ pub fn write_artifacts(
         .map(|k| format!(" --fault {}", k.name()))
         .unwrap_or_default();
     let _ = writeln!(repro, "replay: cs-chaos --replay {seed:#x}{replay_fault}");
-    let scheme = violations.first().map_or("", |v| v.scheme);
     let _ = writeln!(repro, "trace: {}", trace_command(seed, scheme, fault));
     put(&format!("{rel}/repro.txt"), repro.as_bytes());
 
@@ -572,7 +534,7 @@ pub fn write_artifacts(
         put(&format!("{rel}/core{i}.s"), asm.as_bytes());
     }
 
-    let events = std::panic::catch_unwind(|| capture_events(&min, fault));
+    let events = std::panic::catch_unwind(|| capture_events(&min, fault, mode));
     let dump = match events {
         Ok(dump) => dump,
         Err(payload) => format!(
@@ -696,26 +658,27 @@ mod tests {
 
     #[test]
     fn skip_victim_restore_is_detected_within_a_few_seeds() {
-        let row = scan_fault(FaultKind::SkipVictimRestore, 0, 16);
-        let p = row.probe.expect("skip-victim-restore never detected");
+        let p = matrix_row(FaultKind::SkipVictimRestore, 0, 16)
+            .first
+            .expect("skip-victim-restore never detected");
         assert!(p.fires > 0);
         assert!(
-            p.detectors.contains(&"episode"),
+            p.oracles().contains(&"episode"),
             "expected the episode ledger to flag the missing restore, got {:?}",
-            p.detectors
+            p.oracles()
         );
     }
 
     /// Every fault class that corrupts *undo state* (as opposed to
     /// starving resources, biasing randomness, or skewing indexing) must
-    /// be caught by the episode detector — i.e. produce at least one
+    /// be caught by the episode oracle — i.e. produce at least one
     /// `EpisodeLeak` pinned to a cleanup episode, not just global residue.
     #[test]
     fn undo_corrupting_faults_are_flagged_at_episode_granularity() {
-        // (kind, seed-scan budget). Most classes trip within a handful of
+        // (kind, seed window). Most classes trip within a handful of
         // seeds; early-coherence-downgrade needs remote M ownership to
         // line up with a wrong-path load and historically first fires
-        // around seed 0xac, hence the wider budget.
+        // around seed 0xac, hence the wider window.
         let undo_faults = [
             (FaultKind::SkipVictimRestore, 16),
             (FaultKind::SkipTransientInvalidate, 16),
@@ -723,15 +686,63 @@ mod tests {
             (FaultKind::DropSefeEntry, 16),
             (FaultKind::EarlyCoherenceDowngrade, 192),
         ];
-        for (kind, budget) in undo_faults {
-            let caught = (0..budget).map(|s| probe_fault(kind, s)).any(|p| {
-                p.fires > 0
-                    && p.detectors.contains(&"episode")
-                    && p.violations.iter().any(|v| v.oracle == "episode")
+        for (kind, window) in undo_faults {
+            let r = run_campaign(&CampaignOpts {
+                fault: Some(kind),
+                ..opts(0, window, 2)
             });
+            let caught = r
+                .triage()
+                .map(|v| probe_fault(kind, v.seed))
+                .any(|p| p.fires > 0 && p.oracles().contains(&"episode"));
             assert!(
                 caught,
-                "{}: no seed in 0..{budget} produced an episode-ledger finding",
+                "{}: no seed in 0..{window} produced an episode-ledger finding",
+                kind.name()
+            );
+        }
+    }
+
+    /// The replacement witness is a campaign oracle: a
+    /// `deterministic-l1-replacement` campaign flags seeds by itself, not
+    /// only through the matrix.
+    #[test]
+    fn deterministic_replacement_campaign_is_flagged_by_the_witness() {
+        let r = run_campaign(&CampaignOpts {
+            fault: Some(FaultKind::DeterministicL1Replacement),
+            ..opts(0, 8, 2)
+        });
+        assert!(r.failures > 0, "{r:?}");
+        assert!(r.violations.iter().all(|v| v.oracle == "witness"), "{r:?}");
+    }
+
+    /// The matrix at `--start 0`: each class's first detected seed and the
+    /// oracles that flagged it.
+    #[test]
+    fn matrix_pins_first_seeds_and_oracle_marks() {
+        let want: [(FaultKind, u64, &[&str]); 8] = [
+            (FaultKind::SkipVictimRestore, 0x9, &["episode"]),
+            (FaultKind::DropSefeEntry, 0x0, &["cache", "episode"]),
+            (
+                FaultKind::SkipTransientInvalidate,
+                0x0,
+                &["cache", "episode"],
+            ),
+            (FaultKind::EarlyCoherenceDowngrade, 0xac, &["episode"]),
+            (FaultKind::StaleCeaserIndex, 0x0, &["cache"]),
+            (FaultKind::DeterministicL1Replacement, 0x0, &["witness"]),
+            (FaultKind::LeakMshrSlot, 0x0, &["arch", "watchdog"]),
+            (FaultKind::DoubleUndo, 0x0, &["episode"]),
+        ];
+        assert_eq!(want.map(|w| w.0), FaultKind::ALL);
+        for (kind, seed, oracles) in want {
+            let p = matrix_row(kind, 0, seed + 1)
+                .first
+                .unwrap_or_else(|| panic!("{} not detected", kind.name()));
+            assert_eq!(
+                (p.seed, &p.oracles()[..]),
+                (seed, oracles),
+                "{}",
                 kind.name()
             );
         }
@@ -860,13 +871,19 @@ mod tests {
         assert_eq!((again.resumed, again.panics), (4, 0));
     }
 
-    /// A log in the older layout keys a verdict by `seed-0x…` alone; no
-    /// full seed key equals that, so nothing in it is served.
+    /// Older logs key a verdict by `seed-0x…` alone, or by the full seed
+    /// key under the `seed-campaign/` prefix of verdicts judged without
+    /// the watchdog and witness oracles; neither is served.
     #[test]
     fn an_older_journal_serves_nothing() {
         let dir = scratch_dir("older");
         let passed = fuzz::verdict_to_json(&SeedVerdict::Pass { squashes: 0 });
-        Journal::in_dir(&dir).record("seed-0x3", &passed);
+        let journal = Journal::in_dir(&dir);
+        journal.record("seed-0x3", &passed);
+        journal.record(
+            "seed-campaign/0x3/fault=none/shrink=false/panic=false",
+            &passed,
+        );
         let r = run_campaign(&CampaignOpts {
             resume_dir: Some(dir.clone()),
             ..opts(3, 1, 1)
@@ -892,6 +909,46 @@ mod tests {
         assert!(sum.artifacts[0].join("core0.s").exists());
         assert!(sum.artifacts[0].join("events.log").exists());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `events.log` dumps the run `repro.txt`'s `trace:` line names: the
+    /// ring tail of the `smith:` target under the first violation's
+    /// scheme, and under CleanupSpec for a crash.
+    #[test]
+    fn events_log_traces_the_first_violations_scheme() {
+        let seed = 0x44b;
+        let ring_tail = |mode: SecurityMode| {
+            let ring = Shared::new(RingSink::new(RING_CAP));
+            crate::target::Target::resolve(&format!("smith:{seed:#x}"), None, None, None)
+                .unwrap()
+                .run(mode, vec![Box::new(ring.clone())]);
+            ring.with(|r| r.dump())
+        };
+        let dir = scratch_dir("events");
+        let mut dumps = Vec::new();
+        for (scheme, oracle, mode) in [
+            ("naive-invalidate", "episode", SecurityMode::NaiveInvalidate),
+            ("cleanupspec", "episode", SecurityMode::CleanupSpec),
+            ("(crashed)", "panic", SecurityMode::CleanupSpec),
+        ] {
+            let violation = Violation {
+                seed,
+                scheme,
+                oracle,
+                detail: "planted".to_string(),
+            };
+            let sub = write_artifacts(&dir, seed, None, &[violation], false);
+            let log = std::fs::read_to_string(sub.join("events.log")).expect("events.log");
+            assert!(
+                log.starts_with(&format!("; scheme: {}\n", mode.name())),
+                "{log}"
+            );
+            assert!(log.ends_with(&ring_tail(mode)), "{scheme}");
+            let _ = std::fs::remove_dir_all(&sub);
+            dumps.push(log);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_ne!(dumps[0], dumps[1], "both schemes dumped the same run");
     }
 
     /// A fault campaign with a planted panic and shrunk artifacts gives

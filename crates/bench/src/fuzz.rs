@@ -22,6 +22,9 @@
 //!    (its eviction channel is a documented non-goal). A violation names
 //!    the squash that leaked, not just the residue line.
 //!
+//! A run the forward-progress watchdog stopped is flagged as well, under
+//! the `watchdog` label of [`ORACLES`].
+//!
 //! A failing seed can be [`shrink`]-minimized: the shrinker greedily drops
 //! plan ops, trims wrong-path bodies, reduces loop iterations, and sheds
 //! the sharer core while the failure persists, then the minimal plan can
@@ -71,9 +74,12 @@ pub(crate) const CYCLE_CAP: Cycle = 2_000_000;
 /// the orphan fill that completes after the squash).
 const DRAIN_CYCLES: Cycle = 4_000;
 
-/// Every oracle label a [`Violation`] can carry: the three oracles, plus
-/// `"panic"` for a crashed run caught by the campaign's isolation.
-pub const ORACLES: [&str; 4] = ["arch", "cache", "episode", "panic"];
+/// Every oracle label a [`Violation`] can carry: the three oracles, the
+/// forward-progress `"watchdog"` (the run stopped with
+/// [`StopReason::Livelock`]), cs-chaos's dual-run replacement
+/// `"witness"`, and `"panic"` for a crashed run caught by the campaign's
+/// isolation.
+pub const ORACLES: [&str; 6] = ["arch", "cache", "episode", "watchdog", "witness", "panic"];
 
 /// One oracle violation on one seed under one scheme.
 #[derive(Clone, Debug, PartialEq)]
@@ -388,10 +394,27 @@ fn extract_run(
     }
 }
 
+/// What every judged seed starts from, clean ([`run_plan`]) or faulted
+/// ([`crate::chaos::probe_plan`]): the plan's programs, their reference
+/// runs and the digest of the [`merged_image`]. A reference that does
+/// not halt is a generator bug with nothing to judge against, so it
+/// panics (a campaign records the seed as crashed).
+pub(crate) fn reference(p: &SmithPlan) -> (Vec<Arc<Program>>, Vec<RefRun>, u64) {
+    let progs: Vec<Arc<Program>> = assemble_plan(p).into_iter().map(Arc::new).collect();
+    let refs: Vec<RefRun> = progs.iter().map(|p| interpret(p, REF_STEP_CAP)).collect();
+    assert!(
+        refs.iter().all(|r| r.halted),
+        "smith seed {:#x} generated a non-terminating program",
+        p.seed
+    );
+    let ref_mem_digest = merged_image(&refs).image_digest();
+    (progs, refs, ref_mem_digest)
+}
+
 /// Merges per-core reference memory images. The smith keeps architectural
 /// write sets disjoint across cores, so the merge is conflict-free and
 /// must equal the simulator's shared data memory exactly.
-pub(crate) fn merged_image(refs: &[RefRun]) -> DataMem {
+fn merged_image(refs: &[RefRun]) -> DataMem {
     let mut m = DataMem::new();
     for r in refs {
         for (w, v) in r.mem.words() {
@@ -401,7 +424,7 @@ pub(crate) fn merged_image(refs: &[RefRun]) -> DataMem {
     m
 }
 
-/// Applies the three oracles to one scheme run.
+/// Applies the oracles to one scheme run.
 pub(crate) fn judge(
     seed: u64,
     mode: SecurityMode,
@@ -420,6 +443,9 @@ pub(crate) fn judge(
         });
     };
 
+    if matches!(run.stop, StopReason::Livelock(_)) {
+        fail("watchdog", run.stop.to_string());
+    }
     // Oracle 1: architectural equivalence with the reference interpreter.
     if !run.halted {
         fail(
@@ -533,14 +559,7 @@ pub(crate) fn judge(
 /// Fuzzes one plan: reference run, all [`FUZZ_MODES`], the three oracles,
 /// and a same-seed CleanupSpec replay as a determinism guard.
 pub fn run_plan(p: &SmithPlan) -> SeedVerdict {
-    let progs: Vec<Arc<Program>> = assemble_plan(p).into_iter().map(Arc::new).collect();
-    let refs: Vec<RefRun> = progs.iter().map(|p| interpret(p, REF_STEP_CAP)).collect();
-    assert!(
-        refs.iter().all(|r| r.halted),
-        "smith seed {:#x} generated a non-terminating program",
-        p.seed
-    );
-    let ref_mem_digest = merged_image(&refs).image_digest();
+    let (progs, refs, ref_mem_digest) = reference(p);
 
     let mut violations = Vec::new();
     let mut squashes = 0;
