@@ -15,7 +15,7 @@
 //! ```
 //!
 //! The positional argument is a `.jsonl` trace written by
-//! `cs-trace --jsonl` (the header must declare schema `cs-events-v2`), or
+//! `cs-trace --jsonl` (the header must declare schema `cs-events-v3`), or
 //! anything `cs-trace` accepts as a target; `smith:<seed>` is exactly
 //! cs-smith's run of that seed (with `--fault`, cs-chaos's). The report
 //! body is fully deterministic: replaying a trace of a run produces

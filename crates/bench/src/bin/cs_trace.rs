@@ -16,7 +16,7 @@
 //! (exactly cs-smith's run of that seed).
 //!
 //! `--filter` takes a comma list of exact event-kind names (validated
-//! against the `cs-events-v2` vocabulary) and `--core N` keeps only
+//! against the `cs-events-v3` vocabulary) and `--core N` keeps only
 //! events attributed to core N; both apply to the dump *and* the JSONL
 //! export, but never to the ledger or Perfetto sinks, which need the full
 //! stream to stay sound.
@@ -52,7 +52,7 @@ struct EventFilter {
 
 impl EventFilter {
     /// Parses a comma list of kinds, rejecting names outside the
-    /// `cs-events-v2` vocabulary (a typo must not silently empty the
+    /// `cs-events-v3` vocabulary (a typo must not silently empty the
     /// trace).
     fn parse_kinds(&mut self, list: &str) -> Result<(), String> {
         let mut kinds = Vec::new();

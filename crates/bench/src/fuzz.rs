@@ -2,7 +2,9 @@
 //!
 //! Runs seeded random micro-ISA programs (generated by
 //! [`cleanupspec_workloads::smith`]) under several security schemes and
-//! checks three oracles against the in-order reference interpreter:
+//! judges them by the six oracle labels of [`ORACLES`] (`arch`, `cache`,
+//! `episode`, `watchdog`, `witness`, `panic`). The first three check each
+//! run against the in-order reference interpreter:
 //!
 //! 1. **Architectural equivalence.** Final register files, the shared
 //!    data-memory image, and the per-core committed-PC streams must match
@@ -22,8 +24,10 @@
 //!    (its eviction channel is a documented non-goal). A violation names
 //!    the squash that leaked, not just the residue line.
 //!
-//! A run the forward-progress watchdog stopped is flagged as well, under
-//! the `watchdog` label of [`ORACLES`].
+//! A run the forward-progress watchdog stopped is flagged under
+//! `watchdog`. cs-chaos's dual-run replacement witness flags under
+//! `witness`, and a crashed run caught by the campaign's isolation under
+//! `panic`.
 //!
 //! A failing seed can be [`shrink`]-minimized: the shrinker greedily drops
 //! plan ops, trims wrong-path bodies, reduces loop iterations, and sheds
@@ -74,11 +78,11 @@ pub(crate) const CYCLE_CAP: Cycle = 2_000_000;
 /// the orphan fill that completes after the squash).
 const DRAIN_CYCLES: Cycle = 4_000;
 
-/// Every oracle label a [`Violation`] can carry: the three oracles, the
-/// forward-progress `"watchdog"` (the run stopped with
-/// [`StopReason::Livelock`]), cs-chaos's dual-run replacement
-/// `"witness"`, and `"panic"` for a crashed run caught by the campaign's
-/// isolation.
+/// Every oracle label a [`Violation`] can carry: the three state oracles
+/// (`"arch"`, `"cache"`, `"episode"`), the forward-progress `"watchdog"`
+/// (the run stopped with [`StopReason::Livelock`]), cs-chaos's dual-run
+/// replacement `"witness"`, and `"panic"` for a crashed run caught by the
+/// campaign's isolation.
 pub const ORACLES: [&str; 6] = ["arch", "cache", "episode", "watchdog", "witness", "panic"];
 
 /// One oracle violation on one seed under one scheme.
@@ -235,46 +239,40 @@ pub fn exec_env(progs: &[Arc<Program>], mode: SecurityMode, seed: u64, env: &Exe
 /// Cycle at which [`exec_env_checkpoint_resume`] pauses to clone the
 /// system. Early enough that smith programs (hundreds to tens of
 /// thousands of cycles) are usually mid-flight — with wrong-path loads,
-/// SEFE entries, and pending cleanups live in the snapshot.
+/// SEFE entries, and pending cleanups live in the clone.
 pub const RESUME_CHECKPOINT: Cycle = 1_024;
 
-/// Runs like [`exec_env`], but pauses at `checkpoint` cycles, clones the
-/// entire system there (cs-snap), finishes the original run, then resumes
-/// the clone to completion. Returns `(original, resumed)`.
+/// Runs like [`exec_env`] with the default [`ExecEnv`], but pauses at
+/// [`RESUME_CHECKPOINT`], clones the entire system there, finishes the
+/// original run, then resumes the clone to completion. Returns
+/// `(original, resumed)`.
 ///
 /// Bit-exact resume means the two agree on every state-derived field:
 /// registers, cache contents, and memory digests. The clone gets fresh
 /// event sinks (the original's would double-count), so its commit log
 /// and episode report only cover the tail — compare state, not
 /// `pcs`/`episodes`.
-/// Fault-injection counters are snapshotted at the pause and rewound
-/// before the resume so the tail re-encounters the same fault schedule.
 pub fn exec_env_checkpoint_resume(
     progs: &[Arc<Program>],
     mode: SecurityMode,
     seed: u64,
-    env: &ExecEnv,
-    checkpoint: Cycle,
 ) -> (ModeRun, ModeRun) {
+    let env = ExecEnv::default();
     let (obs, commits, episodes) = oracle_sinks();
-    let mut sys = smith_system(progs, mode, seed, env, obs);
-    let mut leg = exec_limits(env);
-    leg.max_cycles = checkpoint.min(leg.max_cycles);
+    let mut sys = smith_system(progs, mode, seed, &env, obs);
+    let mut leg = exec_limits(&env);
+    leg.max_cycles = RESUME_CHECKPOINT.min(leg.max_cycles);
     sys.run(leg);
-    let resumed_sys = sys.clone();
-    let ckpt_counters = env.faults.counters_snapshot();
+    let mut resumed_sys = sys.clone();
 
-    let stop = run_drained(&mut sys, env);
+    let stop = run_drained(&mut sys, &env);
     let original = extract_run(sys, stop, &commits, &episodes);
 
     // The resumed replay starts where the checkpoint left off — not at
-    // cycle 0 — so a shrinker validating hundreds of candidates only
-    // pays for the post-checkpoint tail of each replay.
-    env.faults.restore_counters(&ckpt_counters);
-    let mut resumed_sys = resumed_sys;
+    // cycle 0 — so it only pays for the post-checkpoint tail.
     let (obs, fresh_commits, fresh_episodes) = oracle_sinks();
     resumed_sys.set_observer(obs);
-    let stop = run_drained(&mut resumed_sys, env);
+    let stop = run_drained(&mut resumed_sys, &env);
     let resumed = extract_run(resumed_sys, stop, &fresh_commits, &fresh_episodes);
     (original, resumed)
 }
@@ -556,8 +554,9 @@ pub(crate) fn judge(
     out
 }
 
-/// Fuzzes one plan: reference run, all [`FUZZ_MODES`], the three oracles,
-/// and a same-seed CleanupSpec replay as a determinism guard.
+/// Fuzzes one plan: reference run, all [`FUZZ_MODES`] judged by the
+/// `arch`/`cache`/`episode`/`watchdog` oracles of `judge`, and a
+/// CleanupSpec replay resumed from a mid-run clone as a determinism guard.
 pub fn run_plan(p: &SmithPlan) -> SeedVerdict {
     let (progs, refs, ref_mem_digest) = reference(p);
 
@@ -566,17 +565,11 @@ pub fn run_plan(p: &SmithPlan) -> SeedVerdict {
     for mode in FUZZ_MODES {
         if mode == SecurityMode::CleanupSpec {
             // Determinism + resume-exactness guard: the CleanupSpec run is
-            // checkpointed mid-flight (cs-snap) and the replay resumes from
-            // that checkpoint instead of cycle 0. An undo scheme whose
-            // cleanup depends on anything but the recorded side effects —
-            // or any state the snapshot fails to capture — diverges here.
-            let (run, resumed) = exec_env_checkpoint_resume(
-                &progs,
-                mode,
-                p.seed,
-                &ExecEnv::default(),
-                RESUME_CHECKPOINT,
-            );
+            // cloned mid-flight and the replay resumes from that clone
+            // instead of cycle 0. An undo scheme whose cleanup depends on
+            // anything but the recorded side effects — or any state the
+            // clone fails to copy — diverges here.
+            let (run, resumed) = exec_env_checkpoint_resume(&progs, mode, p.seed);
             squashes += run.episodes.squashes;
             violations.extend(judge(p.seed, mode, &refs, ref_mem_digest, &run));
             if resumed.regs != run.regs

@@ -185,3 +185,22 @@ fn cs_report_verdict_matches_the_episode_oracle() {
         assert_eq!(reported, want, "seed {seed:#x}");
     }
 }
+
+/// `cs-report` refuses a capture of the retired `cs-events-v2` schema,
+/// which still had the `snapshot-*` kinds, and names the schema it reads.
+#[test]
+fn cs_report_refuses_a_v2_capture() {
+    let path = std::env::temp_dir().join(format!("cs-events-v2-{}.jsonl", std::process::id()));
+    std::fs::write(&path, "{\"schema\": \"cs-events-v2\"}\n").expect("write capture");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cs-report"))
+        .arg(&path)
+        .output()
+        .expect("spawn cs-report");
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        !out.status.success(),
+        "cs-report accepted a v2 capture: {out:?}"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cs-events-v3"), "{stderr}");
+}

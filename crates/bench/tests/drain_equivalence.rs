@@ -2,7 +2,7 @@
 //! must be byte-identical to N one-cycle calls. Checked on the cs-smith
 //! drain (`fuzz::DRAIN_CYCLES` after halt) for every fuzzed scheme, on
 //! seeds whose MSHR files still hold fills in flight at halt, by the
-//! complete cs-events-v2 JSONL trace, the `SimReport` JSON (CPI stacks and
+//! complete cs-events-v3 JSONL trace, the `SimReport` JSON (CPI stacks and
 //! their `harness` bucket included).
 
 use cleanupspec::modes::SecurityMode;

@@ -1,12 +1,12 @@
 //! `System::run` jumps over quiet cycles, in which no core changes any
 //! state, and charges them in one step. The result must be byte-identical
 //! to stepping `System::tick` one cycle at a time with the same stop
-//! checks. Compared by the complete cs-events-v2 JSONL trace, the
+//! checks. Compared by the complete cs-events-v3 JSONL trace, the
 //! `SimReport` JSON (per-core CPI stacks and `fetch_stall_cycles`
 //! included), the stop reason and the final cycle, on:
 //!
 //! - every fuzzed scheme over a range of cs-smith seeds, multi-core plans
-//!   and a cs-snap checkpoint-resume leg included;
+//!   and a leg resumed from a checkpoint clone included;
 //! - two Table-3 programs with warmup and an instruction limit;
 //! - a cycle-limit cut and a watchdog livelock, each landing inside a
 //!   jump.
@@ -29,7 +29,7 @@ mod common;
 /// cs-smith seeds run under every fuzzed scheme.
 const SMITH_SEEDS: Range<u64> = 0..12;
 
-/// Where the checkpoint-resume leg snapshots: early enough that most of
+/// Where the checkpoint-resume leg clones: early enough that most of
 /// the smith seeds are still running.
 const CHECKPOINT: Cycle = 300;
 
@@ -153,6 +153,15 @@ fn build(mode: SecurityMode, progs: &[Program], smith_seed: Option<u64>) -> (Sim
     (b.build(), buf)
 }
 
+/// A clone of `sim` tracing into a fresh buffer, so its trace holds only
+/// what it runs after the clone.
+fn fork(sim: &Simulator) -> (Simulator, Buf) {
+    let buf = Buf::default();
+    let mut clone = sim.clone();
+    clone.set_sinks(vec![Box::new(JsonlSink::new(buf.clone()))]);
+    (clone, buf)
+}
+
 /// Runs both sides to the end of `limits` and compares them.
 fn compare(
     label: &str,
@@ -211,7 +220,7 @@ fn checkpoint_resume_jumps_like_it_steps() {
         let mut stepper = Stepper::default();
         let stop = jump.run(checkpoint);
         let step_stop = stepper.run(&mut step, checkpoint);
-        let (jump_snap, step_snap) = (jump.snapshot(), step.snapshot());
+        let (jump_clone, step_clone) = (fork(&jump), fork(&step));
         if stop == StopReason::CycleLimit {
             mid_flight += 1;
         }
@@ -229,14 +238,10 @@ fn checkpoint_resume_jumps_like_it_steps() {
             &mut stepper,
             fuzz_limits(),
         );
-        let (mut jump, jump_trace) = build(mode, &progs, Some(seed));
-        let (mut step, step_trace) = build(mode, &progs, Some(seed));
-        jump.restore(&jump_snap);
-        step.restore(&step_snap);
         compare(
             &format!("smith:{seed} resumed"),
-            (jump, jump_trace),
-            (step, step_trace),
+            jump_clone,
+            step_clone,
             &mut resumed_stepper,
             fuzz_limits(),
         );

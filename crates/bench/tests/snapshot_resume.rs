@@ -1,8 +1,8 @@
-//! cs-snap resume-exactness: running to cycle N, snapshotting, and
-//! continuing — or restoring and re-running — must be indistinguishable
+//! Clone resume-exactness: running to cycle N, cloning the simulator, and
+//! running on — the original or the clone — must be indistinguishable
 //! from an uninterrupted run, for every security mode. The comparison is
 //! byte-level on the canonical `snap::report_json` serialization, so any
-//! un-captured state (RNG streams, SEFE slots, CEASER keys, predictor
+//! uncopied state (RNG streams, SEFE slots, CEASER keys, predictor
 //! tables, watchdog progress) that changes a single counter fails loudly.
 //!
 //! Seeds come from a SplitMix64 stream (the repo's hermetic-test
@@ -37,7 +37,7 @@ fn full_limits() -> RunLimits {
     }
 }
 
-/// snapshot-at-N / continue and snapshot-at-N / restore / re-run must
+/// clone-at-N / continue the original and clone-at-N / run the clone must
 /// both reproduce the uninterrupted report byte-for-byte, for every
 /// mode, across seeds and several mid-run checkpoint points.
 #[test]
@@ -65,35 +65,33 @@ fn resume_is_bit_exact_for_every_mode() {
                     max_cycles: at,
                     ..full_limits()
                 });
-                let snap_state = sim.snapshot();
-                assert_eq!(snap_state.mode(), mode);
+                let mut clone = sim.clone();
 
-                // Taking a snapshot must not perturb the run.
+                // Taking a clone must not perturb the run.
                 sim.run(full_limits());
                 let continued = snap::report_json(&sim.report());
                 assert_eq!(
                     continued, expect,
-                    "{mode}/{workload} seed {seed:#x}: continue after snapshot at cycle {at} diverged"
+                    "{mode}/{workload} seed {seed:#x}: continue after clone at cycle {at} diverged"
                 );
 
-                // Rewinding to the checkpoint and re-running the tail must
-                // land on the identical report again.
-                sim.restore(&snap_state);
-                sim.run(full_limits());
-                let restored = snap::report_json(&sim.report());
+                // Running the clone from the checkpoint must land on the
+                // identical report again.
+                clone.run(full_limits());
+                let resumed = snap::report_json(&clone.report());
                 assert_eq!(
-                    restored, expect,
-                    "{mode}/{workload} seed {seed:#x}: restore+rerun from cycle {at} diverged"
+                    resumed, expect,
+                    "{mode}/{workload} seed {seed:#x}: clone resumed from cycle {at} diverged"
                 );
             }
         }
     }
 }
 
-/// The interrupted run's event stream (minus the snapshot markers
-/// themselves) must match the uninterrupted run's byte-for-byte.
+/// The event stream of a run interrupted and cloned must match the
+/// uninterrupted run's byte-for-byte.
 #[test]
-fn event_stream_is_bit_exact_across_snapshot() {
+fn event_stream_is_bit_exact_across_a_clone() {
     let mode = SecurityMode::CleanupSpec;
     let seed = SplitMix64::new(0xEE_2019).next_u64();
     let capacity = 1 << 20;
@@ -106,18 +104,14 @@ fn event_stream_is_bit_exact_across_snapshot() {
                 max_cycles: at,
                 ..full_limits()
             });
-            let _ = sim.snapshot();
+            let _ = sim.clone();
         }
         sim.run(full_limits());
         sim.finish_observer();
-        let dump = ring.with(|r| {
+        ring.with(|r| {
             assert_eq!(r.dropped(), 0, "ring too small for byte-exact comparison");
             r.dump()
-        });
-        dump.lines()
-            .filter(|l| !l.contains("snapshot-taken") && !l.contains("snapshot-restored"))
-            .collect::<Vec<_>>()
-            .join("\n")
+        })
     };
 
     let mut base = build_sim(mode, "gcc", seed);
@@ -128,7 +122,7 @@ fn event_stream_is_bit_exact_across_snapshot() {
     let got = dump_of(&mut interrupted, Some(mid));
     assert_eq!(
         got, expect,
-        "event stream changed across a snapshot at cycle {mid}"
+        "event stream changed across a clone at cycle {mid}"
     );
 }
 

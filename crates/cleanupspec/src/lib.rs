@@ -54,12 +54,12 @@ pub use schemes::{
     InvisiSpecVariant, NaiveInvalidate, NonSecure,
 };
 pub use sefe::{SefeLayout, SefeStorage};
-pub use sim::{SimBuilder, SimReport, Simulator, Snapshot};
+pub use sim::{SimBuilder, SimReport, Simulator};
 
 /// Convenient glob-import surface for examples and harnesses.
 pub mod prelude {
     pub use crate::modes::SecurityMode;
-    pub use crate::sim::{SimBuilder, SimReport, Simulator, Snapshot};
+    pub use crate::sim::{SimBuilder, SimReport, Simulator};
     pub use cleanupspec_core::isa::{
         AluOp, BranchCond, Inst, Operand, Pc, Program, ProgramBuilder, Reg,
     };

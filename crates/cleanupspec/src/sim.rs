@@ -11,11 +11,11 @@ use cleanupspec_core::isa::Program;
 use cleanupspec_core::pipeline::CoreConfig;
 use cleanupspec_core::stats::CoreStats;
 use cleanupspec_core::system::{RunLimits, StopReason, System};
-use cleanupspec_mem::fault::{FaultCountersSnapshot, FaultInjector, FaultPlan};
+use cleanupspec_mem::fault::{FaultInjector, FaultPlan};
 use cleanupspec_mem::hierarchy::{LoadReq, MemConfig, MemHierarchy};
 use cleanupspec_mem::stats::{MemStats, MsgClass, Traffic};
 use cleanupspec_mem::types::{Addr, CoreId, Cycle, LoadId};
-use cleanupspec_obs::{EventSink, Observer, SimEvent};
+use cleanupspec_obs::{EventSink, Observer};
 use std::fmt;
 use std::sync::Arc;
 
@@ -161,7 +161,14 @@ impl SimBuilder {
 }
 
 /// A runnable simulated system under one security mode.
-#[derive(Debug)]
+///
+/// `Clone` is the one way to fork a run: it deep-copies the [`System`]
+/// (see there for what that covers) plus the harness counters, so the
+/// clone and the original, each run on from the fork, stay bit-exact
+/// with one another. Like [`System`]'s, it shares the observer and the
+/// fault injector with the original; give the clone fresh sinks with
+/// [`Self::set_sinks`] so the two runs do not record into one set.
+#[derive(Clone, Debug)]
 pub struct Simulator {
     sys: System,
     mode: SecurityMode,
@@ -332,75 +339,12 @@ impl Simulator {
         self.sys.advance_mem_only(at.saturating_sub(self.sys.now()));
     }
 
-    // ------------------------------------------------------------------
-    // cs-snap: full-state snapshot / restore
-    // ------------------------------------------------------------------
-
-    /// Captures the simulator's complete state as an in-memory
-    /// [`Snapshot`]: every pipeline (ROB/LQ/SQ, registers, predictor
-    /// tables), the per-core schemes, all cache arrays with coherence and
-    /// dirty bits, MSHRs and SEFEs, DRAM queues, CEASER cipher keys, RNG
-    /// streams, cycle counters, watchdog progress, and stats.
-    ///
-    /// Restoring the snapshot and running to completion is
-    /// bit-exact with an uninterrupted run — the resume-exactness oracle
-    /// pinned by `tests/snapshot_resume.rs`.
-    pub fn snapshot(&self) -> Snapshot {
-        self.obs.emit(
-            self.sys.now(),
-            SimEvent::SnapshotTaken { at: self.sys.now() },
-        );
-        Snapshot {
-            sys: self.sys.clone(),
-            mode: self.mode,
-            probe_seq: self.probe_seq,
-            measure_base: self.measure_base,
-            last_stop: self.last_stop.clone(),
-            fault_counters: self.sys.mem().fault_injector().counters_snapshot(),
-        }
-    }
-
-    /// Rewinds this simulator to a previously captured [`Snapshot`].
-    ///
-    /// The snapshot is cloned, not consumed, so one checkpoint can seed
-    /// many resumes (the shrinker replays many candidates from the same
-    /// pre-divergence point). The simulator's current event sinks are
-    /// re-attached to the restored state; call [`Self::set_sinks`] first
-    /// if the resumed run must record into fresh sinks.
-    ///
-    /// Fault-injection counters are written back through the *shared*
-    /// injector handle, so a restore rewinds fault state globally — do not
-    /// interleave a restored run with the original on the same plan.
-    ///
-    /// # Panics
-    /// Panics if the snapshot was taken under a different security mode.
-    pub fn restore(&mut self, snap: &Snapshot) {
-        assert_eq!(
-            self.mode, snap.mode,
-            "snapshot was taken under a different security mode"
-        );
-        self.sys = snap.sys.clone();
-        self.probe_seq = snap.probe_seq;
-        self.measure_base = snap.measure_base;
-        self.last_stop = snap.last_stop.clone();
-        self.sys
-            .mem()
-            .fault_injector()
-            .restore_counters(&snap.fault_counters);
-        if self.obs.is_enabled() {
-            self.sys.set_observer(self.obs.clone());
-        }
-        self.obs.emit(
-            self.sys.now(),
-            SimEvent::SnapshotRestored { at: self.sys.now() },
-        );
-    }
-
     /// Replaces the event-bus observer with one wrapping `sinks`.
     ///
-    /// Use after [`Self::restore`] when the resumed run must not
-    /// double-count into the sinks the original run already filled. Pass
-    /// an empty vector to detach observation entirely.
+    /// Use on a clone, which shares the original's observer, so its run
+    /// records only its own tail instead of double-counting into the
+    /// sinks the original fills. Pass an empty vector to detach
+    /// observation entirely.
     pub fn set_sinks(&mut self, sinks: Vec<Box<dyn EventSink>>) {
         let obs = Observer::new(sinks);
         self.sys.set_observer(obs.clone());
@@ -434,35 +378,6 @@ impl Simulator {
             cores,
             scheme_counters,
         }
-    }
-}
-
-/// A bit-exact, in-memory capture of a [`Simulator`]'s full state
-/// (cs-snap).
-///
-/// Obtained from [`Simulator::snapshot`]; consumed by
-/// [`Simulator::restore`], which rewinds a simulator of the same security
-/// mode in place. `Clone` is a deep copy, so snapshots can be stockpiled
-/// and restored freely.
-#[derive(Clone, Debug)]
-pub struct Snapshot {
-    sys: System,
-    mode: SecurityMode,
-    probe_seq: u64,
-    measure_base: Cycle,
-    last_stop: Option<StopReason>,
-    fault_counters: Option<FaultCountersSnapshot>,
-}
-
-impl Snapshot {
-    /// Security mode the snapshot was taken under.
-    pub fn mode(&self) -> SecurityMode {
-        self.mode
-    }
-
-    /// Simulated cycle at capture time.
-    pub fn now(&self) -> Cycle {
-        self.sys.now()
     }
 }
 

@@ -1,8 +1,8 @@
 //! `cs-snap`: the serialized, lossless run-report format.
 //!
-//! While [`crate::sim::Snapshot`] is the *in-memory* half of cs-snap (a
-//! deep copy of the whole machine, forked and restored within one
-//! process), this module is the *on-disk* half: the canonical JSON of a
+//! A running machine is copied in memory by cloning it
+//! ([`crate::sim::Simulator`] and `System` derive `Clone`); this module
+//! writes what a run leaves behind: the canonical JSON of a
 //! **completed** run's [`SimReport`]. The bench harness records it in its
 //! result journal (`--resume DIR`, or `CLEANUPSPEC_RESUME_DIR` for the
 //! figure binaries) under the run's full result key — workload, mode,

@@ -469,7 +469,7 @@ impl TickActivity {
 ///
 /// `Clone` deep-copies the full microarchitectural state — ROB, LQ/SQ,
 /// registers, predictor tables, in-flight squash phase — forming the
-/// per-core half of a cs-snap snapshot. The `Program` stays `Arc`-shared
+/// per-core half of a cloned `System`. The `Program` stays `Arc`-shared
 /// (immutable) and the observer handle is shared with the clone.
 #[derive(Clone, Debug)]
 pub struct Pipeline {
@@ -579,13 +579,6 @@ impl Pipeline {
     /// Cleanup episodes opened so far (the per-core episode-id counter).
     pub fn episodes(&self) -> u64 {
         self.episodes
-    }
-
-    /// Overwrites the episode counter (cs-snap checkpoint load; episode
-    /// ids must keep climbing from where the snapshot left off so a
-    /// restored run re-emits the same ids as the uninterrupted one).
-    pub fn set_episodes(&mut self, n: u64) {
-        self.episodes = n;
     }
 
     /// Mutable stats access (the runner stamps total cycles).

@@ -147,7 +147,7 @@ pub trait SpeculationScheme: std::fmt::Debug {
     fn name(&self) -> &'static str;
 
     /// Deep-copies the scheme, including every internal counter, pending
-    /// cleanup deadline, and validation-queue slot, so a cs-snap
+    /// cleanup deadline, and validation-queue slot, so a
     /// [`crate::system::System`] clone resumes with identical policy
     /// decisions.
     fn boxed_clone(&self) -> Box<dyn SpeculationScheme>;

@@ -176,7 +176,7 @@ impl CpiStack {
         StallCause::ALL.iter().map(|&c| (c, self.counts[c.index()]))
     }
 
-    /// Overwrites the cycles charged to `cause` (cs-snap checkpoint load;
+    /// Overwrites the cycles charged to `cause` (cs-snap report load;
     /// production accounting must go through [`Self::charge`]).
     pub fn set(&mut self, cause: StallCause, n: u64) {
         self.counts[cause.index()] = n;

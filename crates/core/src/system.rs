@@ -179,13 +179,13 @@ impl std::fmt::Display for DiagnosticDump {
 
 /// A complete simulated system: cores + schemes + memory.
 ///
-/// `Clone` is the heart of cs-snap: it deep-copies every pipeline, scheme,
-/// cache array, MSHR file, DRAM queue, RNG stream, and the watchdog's
-/// progress markers, so a clone resumed with [`System::run`] is bit-exact
-/// with the original. Two handles are intentionally *shared* with the
-/// clone: the observer (sinks would double-count if duplicated) and the
-/// fault injector inside the hierarchy (its counters are captured
-/// separately via `FaultInjector::counters_snapshot`).
+/// `Clone` is how a running machine is copied: it deep-copies every
+/// pipeline, scheme, cache array, MSHR file, DRAM queue, RNG stream, and
+/// the watchdog's progress markers, so a clone resumed with
+/// [`System::run`] is bit-exact with the original. Two handles are
+/// *shared* with the clone: the observer (give the clone its own with
+/// [`System::set_observer`]) and the fault injector inside the hierarchy,
+/// firing counters included.
 #[derive(Clone, Debug)]
 pub struct System {
     cores: Vec<Pipeline>,
@@ -195,8 +195,8 @@ pub struct System {
     now: Cycle,
     /// Cycle of the last observed commit (any core) — or of the end of the
     /// last harness `advance_mem_only` phase, which also counts as forward
-    /// progress. Persistent state (not a `run`-local) so that a restored
-    /// snapshot carries the same watchdog gap as the uninterrupted run.
+    /// progress. Persistent state (not a `run`-local) so that a resumed
+    /// clone carries the same watchdog gap as the uninterrupted run.
     last_commit_at: Cycle,
     /// Total committed instructions at `last_commit_at`.
     last_committed: u64,
@@ -340,7 +340,7 @@ impl System {
     /// The forward-progress watchdog reads the persistent
     /// `last_commit_at` marker (updated by every [`Self::tick`] /
     /// [`Self::advance_mem_only`]) rather than run-local state, so stopping a
-    /// run, snapshotting, and resuming measures the same commit gap as an
+    /// run, cloning, and resuming measures the same commit gap as an
     /// uninterrupted run.
     pub fn run(&mut self, limits: RunLimits) -> StopReason {
         loop {

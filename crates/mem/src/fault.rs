@@ -200,13 +200,6 @@ fn lock(state: &Mutex<FaultState>) -> std::sync::MutexGuard<'_, FaultState> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// By-value copy of an injector's counters, taken for a cs-snap snapshot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultCountersSnapshot {
-    opportunities: [u64; FaultKind::ALL.len()],
-    fires: [u64; FaultKind::ALL.len()],
-}
-
 /// Per-fault-class counters from one run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaultCounters {
@@ -222,7 +215,9 @@ pub struct FaultCounters {
 /// without locking anything, so un-faulted runs pay a branch per hook site
 /// and nothing more. Clones share the same counters, which is what lets a
 /// single plan be threaded through the hierarchy, each L1 cache, and the
-/// scheme while firing as one coordinated saboteur.
+/// scheme while firing as one coordinated saboteur. It also means a cloned
+/// `System` shares its original's counters: an armed clone and its
+/// original run on one fault schedule, not two copies of it.
 #[derive(Clone, Debug, Default)]
 pub struct FaultInjector {
     state: Option<Arc<Mutex<FaultState>>>,
@@ -296,32 +291,6 @@ impl FaultInjector {
         match &self.state {
             None => FaultPlan::default(),
             Some(state) => lock(state).plan.clone(),
-        }
-    }
-
-    /// Freezes the firing counters for a cs-snap snapshot.
-    ///
-    /// Clones of a `FaultInjector` share one `Arc`'d counter block, so
-    /// cloning a `System` does *not* isolate fault state; a snapshot must
-    /// capture the counters by value and write them back on restore for the
-    /// resumed run to fire the same faults at the same opportunities.
-    pub fn counters_snapshot(&self) -> Option<FaultCountersSnapshot> {
-        self.state.as_ref().map(|state| {
-            let s = lock(state);
-            FaultCountersSnapshot {
-                opportunities: s.opportunities,
-                fires: s.fires,
-            }
-        })
-    }
-
-    /// Writes back counters captured by [`Self::counters_snapshot`].
-    /// A `None` snapshot (taken from a disabled handle) is a no-op.
-    pub fn restore_counters(&self, snap: &Option<FaultCountersSnapshot>) {
-        if let (Some(state), Some(snap)) = (&self.state, snap) {
-            let mut s = lock(state);
-            s.opportunities = snap.opportunities;
-            s.fires = snap.fires;
         }
     }
 

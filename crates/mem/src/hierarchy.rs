@@ -75,10 +75,8 @@ impl DirEntry {
 
 /// Memory-hierarchy configuration (defaults follow Table 4 of the paper).
 ///
-/// `PartialEq` lets harnesses group security modes into hardware
-/// equivalence classes (same [`MemConfig`] after
-/// `SecurityMode::apply_mem_config`) — the soundness condition for
-/// sharing a warmed cs-snap snapshot across modes.
+/// `PartialEq` lets harnesses compare configurations, e.g. two security
+/// modes' after `SecurityMode::apply_mem_config`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemConfig {
     /// Number of cores (private L1s).
@@ -254,11 +252,9 @@ pub struct StoreOutcome {
 /// The simulated memory hierarchy.
 ///
 /// `Clone` deep-copies every array, MSHR file, DRAM queue, CEASER cipher,
-/// and RNG stream — the memory half of a cs-snap
-/// `cleanupspec::sim::Snapshot`. The observer handle and fault injector
-/// are shared (`Arc`) with the clone; the injector's firing counters are
-/// snapshotted separately by
-/// [`crate::fault::FaultInjector::counters_snapshot`].
+/// and RNG stream — the memory half of a cloned `System`. The clone
+/// shares the observer handle and the fault injector, firing counters
+/// included, with the original.
 #[derive(Clone, Debug)]
 pub struct MemHierarchy {
     cfg: MemConfig,

@@ -49,9 +49,7 @@ pub mod types;
 pub use cache::{CacheLine, GeometryError, Mesi, SetAssocCache};
 pub use ceaser::{CeaserCipher, Indexer};
 pub use error::SimError;
-pub use fault::{
-    FaultCounters, FaultCountersSnapshot, FaultInjector, FaultKind, FaultPlan, FaultSpec,
-};
+pub use fault::{FaultCounters, FaultInjector, FaultKind, FaultPlan, FaultSpec};
 pub use hierarchy::{LoadKind, LoadOutcome, LoadReq, MemConfig, MemHierarchy, StoreOutcome};
 pub use mshr::{LoadPath, MshrFullError, MshrToken, SefeRecord};
 pub use replacement::ReplacementKind;

@@ -15,7 +15,7 @@ use crate::rng::SplitMix64;
 /// configured at construction.
 pub trait ReplacementPolicy: std::fmt::Debug {
     /// Deep-copies the policy, including RNG streams and per-set metadata,
-    /// so a snapshotted cache replays victim choices bit-exactly (cs-snap).
+    /// so a cloned cache replays victim choices bit-exactly.
     fn boxed_clone(&self) -> Box<dyn ReplacementPolicy>;
 
     /// Records a demand hit on `(set, way)`.

@@ -238,8 +238,7 @@ struct Owed {
 
 #[derive(Default, Debug)]
 struct CoreState {
-    /// Episodes keyed by id, so re-emission after a snapshot restore
-    /// overwrites instead of duplicating.
+    /// Episodes keyed by the id their events carry.
     episodes: IntMap<u64, EpisodeRecord>,
     /// Id of the currently open episode, if any.
     open: Option<u64>,
@@ -273,14 +272,6 @@ impl CoreState {
     }
 }
 
-/// Internal leak entry: the emission cycle rides along so snapshot
-/// restores can drop findings from the abandoned timeline.
-#[derive(Clone, Copy, Debug)]
-struct EagerLeak {
-    at: u64,
-    leak: EpisodeLeak,
-}
-
 /// Online reconstruction of cleanup episodes + undo-coverage ledger.
 ///
 /// Attach as a sink ([`crate::observer::Shared`] makes it retrievable
@@ -293,7 +284,7 @@ pub struct EpisodeBuilder {
     /// Claimed by the requester's SquashedLoad of the same line;
     /// reported unattributed (episode 0) otherwise.
     pending_downgrades: Vec<(u64, usize)>,
-    eager: Vec<EagerLeak>,
+    eager: Vec<EpisodeLeak>,
 }
 
 impl EpisodeBuilder {
@@ -312,7 +303,7 @@ impl EpisodeBuilder {
     /// Computes the verdict from the events seen so far. Call after the
     /// simulation has drained: late orphan fills are leaks too.
     pub fn report(&self) -> EpisodeReport {
-        let mut leaks: Vec<EpisodeLeak> = self.eager.iter().map(|e| e.leak).collect();
+        let mut leaks = self.eager.clone();
         for (ci, c) in self.cores.iter().enumerate() {
             for (&line, w) in &c.watch {
                 if !w.squashed && !w.orphan {
@@ -406,7 +397,6 @@ const EPISODE_KINDS: KindSet = KindSet::of(&[
     "downgrade",
     "mshr-alloc",
     "mshr-retire",
-    "snapshot-restored",
 ]);
 
 impl EventSink for EpisodeBuilder {
@@ -475,14 +465,11 @@ impl EventSink for EpisodeBuilder {
                 while i < self.pending_downgrades.len() {
                     if self.pending_downgrades[i].0 == line {
                         self.pending_downgrades.swap_remove(i);
-                        self.eager.push(EagerLeak {
-                            at: cycle,
-                            leak: EpisodeLeak {
-                                core,
-                                episode,
-                                line,
-                                kind: LeakKind::SpeculativeDowngrade,
-                            },
+                        self.eager.push(EpisodeLeak {
+                            core,
+                            episode,
+                            line,
+                            kind: LeakKind::SpeculativeDowngrade,
                         });
                     } else {
                         i += 1;
@@ -544,14 +531,11 @@ impl EventSink for EpisodeBuilder {
                     r.raced_fills += u64::from(raced);
                 }
                 if double {
-                    self.eager.push(EagerLeak {
-                        at: cycle,
-                        leak: EpisodeLeak {
-                            core,
-                            episode,
-                            line,
-                            kind: LeakKind::DoubleUndo,
-                        },
+                    self.eager.push(EpisodeLeak {
+                        core,
+                        episode,
+                        line,
+                        kind: LeakKind::DoubleUndo,
                     });
                 }
             }
@@ -755,24 +739,6 @@ impl EventSink for EpisodeBuilder {
             SimEvent::MshrRetire { core, spec, .. } if spec => {
                 let c = self.core(core);
                 c.sefe_live = c.sefe_live.saturating_sub(1);
-            }
-            SimEvent::SnapshotRestored { at } => {
-                // The timeline rewinds to `at`: episodes that closed
-                // before it are final; everything else will be re-emitted
-                // (possibly differently) on the resumed path, so drop the
-                // volatile state rather than double-count it. Exact only
-                // for a snapshot taken while no speculation was in flight:
-                // watches and debts opened before `at` are not re-emitted.
-                for c in &mut self.cores {
-                    c.episodes.retain(|_, r| r.closed && r.end <= at);
-                    c.open = None;
-                    c.watch.clear();
-                    c.owed.clear();
-                    c.pending_dummy.clear();
-                    c.sefe_live = 0;
-                }
-                self.pending_downgrades.clear();
-                self.eager.retain(|e| e.at <= at);
             }
             _ => {}
         }
@@ -1155,35 +1121,6 @@ mod tests {
         assert_eq!(r.episodes[1].overlap_next, 0);
     }
 
-    /// Snapshot restore: closed episodes are final; open/volatile state
-    /// belongs to the abandoned timeline and is dropped, so re-emission
-    /// neither double-counts nor orphans episodes.
-    #[test]
-    fn snapshot_restore_drops_abandoned_timeline() {
-        let mut b = EpisodeBuilder::new();
-        // Episode 1 closes before the snapshot point.
-        b.record(10, &squash(0, 1, 1));
-        b.record(10, &squashed_load(0, 7, 1));
-        b.record(12, &end(0, 1, 2));
-        // Episode 2 opens after it — then the run rewinds to cycle 20.
-        b.record(30, &squash(0, 2, 2));
-        b.record(30, &squashed_load(0, 8, 2));
-        b.record(0, &SimEvent::SnapshotRestored { at: 20 });
-        // The resumed timeline re-emits episode 2 (same id, forked path).
-        b.record(35, &squash(0, 2, 2));
-        b.record(35, &squashed_load(0, 8, 2));
-        b.record(36, &inval(0, 8, 2));
-        b.record(40, &end(0, 2, 5));
-        let r = b.report();
-        assert_eq!(r.episodes.len(), 2, "no duplicate episode 2");
-        let e2 = &r.episodes[1];
-        assert_eq!(e2.squashes, 1, "pre-restore squash not double-counted");
-        assert_eq!(r.squashes, 2, "the report total follows the records");
-        assert_eq!(e2.loads, 1);
-        assert_eq!(e2.start, 35, "record reflects the resumed timeline");
-        assert!(r.clean(), "{r}");
-    }
-
     #[test]
     fn truncated_episode_stays_open_in_report() {
         let mut b = EpisodeBuilder::new();
@@ -1379,7 +1316,6 @@ mod tests {
                 "fault",
                 "gets-safe-defer",
                 "livelock",
-                "snapshot-taken",
                 "mshr-drop",
                 "sefe-overflow",
                 "ceaser-remap",

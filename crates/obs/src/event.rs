@@ -8,11 +8,13 @@
 use std::fmt;
 
 /// Version tag of the event vocabulary + JSONL field layout. Written as
-/// the first line of every JSONL trace (`{"schema": "cs-events-v2"}`) and
+/// the first line of every JSONL trace (`{"schema": "cs-events-v3"}`) and
 /// checked by `cs-report` before replaying a trace: a report built from a
 /// trace with a different schema would silently mis-correlate episodes.
 /// Bump when an event gains/loses/renames a field or a kind changes.
-pub const EVENT_SCHEMA_VERSION: &str = "cs-events-v2";
+/// v3: the two snapshot kinds are gone (a run is forked by cloning it,
+/// which emits nothing).
+pub const EVENT_SCHEMA_VERSION: &str = "cs-events-v3";
 
 /// Which layer of the machine emitted an event.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -326,17 +328,6 @@ pub enum SimEvent {
         /// Live speculation-tagged MSHR entries (pending SEFEs).
         sefes: u64,
     },
-    /// cs-snap captured a full-state snapshot of the running system.
-    SnapshotTaken {
-        /// Simulated cycle at capture time.
-        at: u64,
-    },
-    /// cs-snap rewound the system to a previously captured snapshot (or
-    /// forked a new simulator from one).
-    SnapshotRestored {
-        /// Simulated cycle the restored state resumes from.
-        at: u64,
-    },
 
     // ------------------------------------------------------------ mshr
     /// An MSHR entry was allocated. `spec` entries double as SEFE
@@ -556,7 +547,7 @@ impl SimEvent {
     /// Every kind name [`Self::kind`] can return, in declaration order.
     /// CLI filters (`cs-trace --filter`) validate against this list so a
     /// typo is an error instead of a silently empty trace.
-    pub const KINDS: [&'static str; 31] = [
+    pub const KINDS: [&'static str; 29] = [
         "dispatch",
         "load-issue",
         "commit",
@@ -573,8 +564,6 @@ impl SimEvent {
         "gets-safe-defer",
         "downgrade",
         "livelock",
-        "snapshot-taken",
-        "snapshot-restored",
         "mshr-alloc",
         "mshr-retire",
         "mshr-drop",
@@ -615,21 +604,19 @@ impl SimEvent {
             SimEvent::GetsSafeDefer { .. } => 13,
             SimEvent::Downgrade { .. } => 14,
             SimEvent::Livelock { .. } => 15,
-            SimEvent::SnapshotTaken { .. } => 16,
-            SimEvent::SnapshotRestored { .. } => 17,
-            SimEvent::MshrAlloc { .. } => 18,
-            SimEvent::MshrRetire { .. } => 19,
-            SimEvent::MshrDrop { .. } => 20,
-            SimEvent::SefeOverflow { .. } => 21,
-            SimEvent::DroppedFill { .. } => 22,
-            SimEvent::OrphanFill { .. } => 23,
-            SimEvent::CleanupInval { .. } => 24,
-            SimEvent::CleanupRestore { .. } => 25,
-            SimEvent::EpochBump { .. } => 26,
-            SimEvent::SpecRetire { .. } => 27,
-            SimEvent::CeaserRemap { .. } => 28,
-            SimEvent::DramRead { .. } => 29,
-            SimEvent::DramWriteback { .. } => 30,
+            SimEvent::MshrAlloc { .. } => 16,
+            SimEvent::MshrRetire { .. } => 17,
+            SimEvent::MshrDrop { .. } => 18,
+            SimEvent::SefeOverflow { .. } => 19,
+            SimEvent::DroppedFill { .. } => 20,
+            SimEvent::OrphanFill { .. } => 21,
+            SimEvent::CleanupInval { .. } => 22,
+            SimEvent::CleanupRestore { .. } => 23,
+            SimEvent::EpochBump { .. } => 24,
+            SimEvent::SpecRetire { .. } => 25,
+            SimEvent::CeaserRemap { .. } => 26,
+            SimEvent::DramRead { .. } => 27,
+            SimEvent::DramWriteback { .. } => 28,
         }
     }
 
@@ -644,9 +631,7 @@ impl SimEvent {
             | SimEvent::Fault { .. }
             | SimEvent::CleanupStart { .. }
             | SimEvent::CleanupEnd { .. }
-            | SimEvent::Livelock { .. }
-            | SimEvent::SnapshotTaken { .. }
-            | SimEvent::SnapshotRestored { .. } => Layer::Pipeline,
+            | SimEvent::Livelock { .. } => Layer::Pipeline,
             SimEvent::Fill { .. }
             | SimEvent::Evict { .. }
             | SimEvent::BackInval { .. }
@@ -699,10 +684,7 @@ impl SimEvent {
             | SimEvent::Livelock { core, .. }
             | SimEvent::DramRead { core, .. } => Some(core),
             SimEvent::Downgrade { owner, .. } => Some(owner),
-            SimEvent::CeaserRemap { .. }
-            | SimEvent::DramWriteback { .. }
-            | SimEvent::SnapshotTaken { .. }
-            | SimEvent::SnapshotRestored { .. } => None,
+            SimEvent::CeaserRemap { .. } | SimEvent::DramWriteback { .. } => None,
         }
     }
 
@@ -930,9 +912,6 @@ impl SimEvent {
                 ("mshr", U64(mshr)),
                 ("sefes", U64(sefes)),
             ],
-            SimEvent::SnapshotTaken { at } | SimEvent::SnapshotRestored { at } => {
-                vec![("at", U64(at))]
-            }
             SimEvent::MshrAlloc {
                 core,
                 line,
@@ -1110,8 +1089,6 @@ pub(crate) fn sample_events() -> Vec<SimEvent> {
             mshr: 8,
             sefes: 8,
         },
-        SimEvent::SnapshotTaken { at: 7 },
-        SimEvent::SnapshotRestored { at: 7 },
         SimEvent::MshrAlloc {
             core: 0,
             line: 3,
@@ -1218,7 +1195,7 @@ mod tests {
         }
     }
 
-    /// The pinned `cs-events-v2` schema: every event kind and the exact
+    /// The pinned `cs-events-v3` schema: every event kind and the exact
     /// JSONL field names it emits, in order. Changing any line here is a
     /// schema break — bump [`EVENT_SCHEMA_VERSION`] and update every
     /// consumer (`cs-report` refuses traces with a different version).
@@ -1249,20 +1226,18 @@ mod tests {
         ("mshr-retire", "core,line,spec,occupancy"),
         ("orphan-fill", "core,line"),
         ("sefe-overflow", "core,line"),
-        ("snapshot-restored", "at"),
-        ("snapshot-taken", "at"),
         ("spec-retire", "core,line"),
         ("squash", "core,seq,squashed,episode"),
         ("squashed-load", "core,line,issued,episode"),
     ];
 
-    /// Satellite: the `cs-events-v2` exhaustiveness test. Pins every
+    /// The `cs-events-v3` exhaustiveness test. Pins every
     /// `SimEvent::kind()` and its JSONL field layout against
     /// [`PINNED_SCHEMA`]; `sample_events()` must cover every variant
     /// (the count is asserted so a new variant cannot slip in unsampled).
     #[test]
     fn event_schema_is_pinned() {
-        assert_eq!(EVENT_SCHEMA_VERSION, "cs-events-v2");
+        assert_eq!(EVENT_SCHEMA_VERSION, "cs-events-v3");
         let events = sample_events();
         let mut got: Vec<(String, String)> = events
             .iter()
@@ -1285,7 +1260,7 @@ mod tests {
             want.len()
         );
         for (g, w) in got.iter().zip(want.iter()) {
-            assert_eq!(g, w, "event schema drifted; bump cs-events-v2 deliberately");
+            assert_eq!(g, w, "event schema drifted; bump cs-events-v3 deliberately");
         }
     }
 

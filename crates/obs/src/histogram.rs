@@ -114,15 +114,15 @@ impl Histogram {
     }
 
     /// Decomposes into raw parts `(counts, total, sum, max)` for exact
-    /// serialization (cs-snap checkpoints). `sum` is the full `u128`
+    /// serialization (cs-snap reports). `sum` is the full `u128`
     /// sample sum — serialize it as a decimal string, not a JSON number.
     pub fn raw_parts(&self) -> (&[u64; 65], u64, u128, u64) {
         (&self.counts, self.total, self.sum, self.max)
     }
 
     /// Rebuilds a histogram from [`Self::raw_parts`] output (cs-snap
-    /// checkpoint load). The parts are trusted as-is; consistency is
-    /// enforced by the checkpoint's digest, not here.
+    /// report load). The parts are trusted as-is; consistency is
+    /// enforced by the journal record's digest, not here.
     pub fn from_raw_parts(counts: [u64; 65], total: u64, sum: u128, max: u64) -> Self {
         Histogram {
             counts,

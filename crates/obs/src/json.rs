@@ -287,8 +287,6 @@ pub fn event_from_json(value: &crate::jsonparse::JsonValue) -> Result<(u64, SimE
             mshr: u("mshr")?,
             sefes: u("sefes")?,
         },
-        "snapshot-taken" => SimEvent::SnapshotTaken { at: u("at")? },
-        "snapshot-restored" => SimEvent::SnapshotRestored { at: u("at")? },
         "mshr-alloc" => SimEvent::MshrAlloc {
             core: us("core")?,
             line: u("line")?,

@@ -8,7 +8,7 @@ use std::io::Write;
 /// Writes each event as one JSON line to an arbitrary writer.
 ///
 /// The first line is a header naming the schema version
-/// (`{"schema": "cs-events-v2"}`); consumers like `cs-report` refuse
+/// (`{"schema": "cs-events-v3"}`); consumers like `cs-report` refuse
 /// traces whose header does not match the vocabulary they were built
 /// against. Every following line has the shape
 /// `{"cycle": N, "layer": "...", "kind": "...", ...fields}` — grep-able,
@@ -129,7 +129,7 @@ mod tests {
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "{\"schema\": \"cs-events-v2\"}");
+        assert_eq!(lines[0], "{\"schema\": \"cs-events-v3\"}");
         assert!(lines[1].contains("\"kind\": \"dram-writeback\""));
         assert!(lines[2].contains("\"cycle\": 5"));
     }

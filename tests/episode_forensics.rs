@@ -2,7 +2,7 @@
 //! produce faithful, internally consistent episode records from *real*
 //! simulator runs — including the awkward timelines: back-to-back
 //! squashes, runs truncated mid-cleanup by `max_cycles`, livelocked runs,
-//! and snapshot/restore forks that rewind through an open episode.
+//! and a run cloned between episodes.
 //!
 //! The unit tests in `crates/obs/src/episode.rs` pin the ledger rules on
 //! hand-written event sequences; these tests pin that the full pipeline →
@@ -287,7 +287,7 @@ fn livelocked_run_reports_consistently() {
 
 /// Two gadgets back to back with a long arithmetic lull in between, so
 /// there is a quiet window (episode 1 fully unwound, episode 2 not yet
-/// speculating) to snapshot in.
+/// speculating) to clone in.
 fn double_gadget() -> Program {
     let mut b = ProgramBuilder::new("double_gadget");
     let (r_trig, r_cond, r_sink, r_addr) = (Reg(2), Reg(3), Reg(5), Reg(6));
@@ -315,14 +315,13 @@ fn double_gadget() -> Program {
     b.build()
 }
 
-/// Snapshot/restore between episodes: fork the run in the quiet window
-/// after episode 1, finish the original, rewind, and re-run the tail. The
-/// builder sees both timelines plus the `SnapshotRestored` marker and
-/// must converge on exactly the report of an uninterrupted run — episode
-/// 1 kept once (not double-counted), episode 2 re-reconstructed from the
-/// resumed timeline, no findings carried over from the abandoned fork.
+/// A clone taken between episodes: fork the run in the quiet window
+/// after episode 1, finish the original, then run the clone with a fresh
+/// builder. The finished original must report exactly the straight run;
+/// the clone, which records only its tail, must report exactly the
+/// straight run's episode 2 and no findings.
 #[test]
-fn snapshot_restore_between_episodes_converges_on_the_straight_run() {
+fn clone_between_episodes_replays_the_straight_runs_second_episode() {
     // Straight run: the reference report.
     let (mut sim, episodes, _ring) = instrumented(double_gadget(), 0x5eed);
     sim.run(LIMITS);
@@ -337,23 +336,38 @@ fn snapshot_restore_between_episodes_converges_on_the_straight_run() {
     );
     let cut = (e1.end + e2.start) / 2;
 
-    // Forked run: pause in the window, snapshot, finish, rewind, re-finish.
+    // Forked run: pause in the window, clone, finish the original.
     let (mut sim, episodes, _ring) = instrumented(double_gadget(), 0x5eed);
     sim.run(RunLimits {
         max_cycles: cut,
         ..LIMITS
     });
-    let snap = sim.snapshot();
-    sim.run(LIMITS);
-    sim.drain(2_000);
-    sim.restore(&snap);
+    let mut clone = sim.clone();
     sim.run(LIMITS);
     sim.drain(2_000);
     sim.finish_observer();
-    let forked = episodes.with(|e| e.report());
-    check_consistency(&forked);
+    let original = episodes.with(|e| e.report());
+    check_consistency(&original);
     assert_eq!(
-        forked, straight,
-        "the post-restore timeline must reproduce the straight run"
+        original, straight,
+        "taking a clone must not perturb the original run"
     );
+
+    // The clone resumes in the window with its own builder.
+    let tail = Shared::new(EpisodeBuilder::new());
+    clone.set_sinks(vec![Box::new(tail.clone())]);
+    clone.run(LIMITS);
+    clone.drain(2_000);
+    clone.finish_observer();
+    let resumed = tail.with(|e| e.report());
+    check_consistency(&resumed);
+    assert_eq!(resumed.episodes.len(), 1, "{resumed}");
+    let r2 = &resumed.episodes[0];
+    assert_eq!(
+        (r2.id, r2.start, r2.end, r2.loads, r2.squashes),
+        (e2.id, e2.start, e2.end, e2.loads, e2.squashes),
+        "the clone's episode must be the straight run's episode 2"
+    );
+    assert_eq!(resumed.squashes, e2.squashes);
+    assert!(resumed.clean(), "{resumed}");
 }
