@@ -357,6 +357,43 @@ mod tests {
         }
     }
 
+    /// A clone predicts exactly as its original. Branch `b` repeats the
+    /// random outcome of branch `a`, which only the global history holds,
+    /// so a clone that lost that history predicts the next branches
+    /// differently even though every table was copied.
+    #[test]
+    fn a_clone_predicts_as_the_original() {
+        use cleanupspec_mem::rng::SplitMix64;
+        fn step(p: &mut TournamentPredictor, pc: Pc, taken: bool) -> bool {
+            let predicted = p.predict(pc);
+            p.update(pc, taken, predicted != taken);
+            predicted
+        }
+        let (a, b) = (3, 9);
+        let mut rng = SplitMix64::new(7);
+        let mut original = TournamentPredictor::default();
+        for _ in 0..5000 {
+            let taken = rng.below(2) == 1;
+            step(&mut original, a, taken);
+            step(&mut original, b, taken);
+        }
+        let mut clone = original.clone();
+        let before = original.mispredicts;
+        for i in 0..64 {
+            let taken = rng.below(2) == 1;
+            for pc in [a, b] {
+                let predicted = step(&mut original, pc, taken);
+                assert_eq!(
+                    step(&mut clone, pc, taken),
+                    predicted,
+                    "branch {i} at pc {pc}"
+                );
+            }
+        }
+        // Only `a` is unpredictable: the global history learned `b`.
+        assert!(original.mispredicts - before < 64 + 8);
+    }
+
     #[test]
     fn ras_lifo_and_bounded() {
         let mut p = TournamentPredictor::new(BpredConfig {

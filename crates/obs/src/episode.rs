@@ -1314,8 +1314,8 @@ mod tests {
             [
                 "dispatch",
                 "fault",
-                "gets-safe-defer",
                 "livelock",
+                "gets-safe-defer",
                 "mshr-drop",
                 "sefe-overflow",
                 "ceaser-remap",

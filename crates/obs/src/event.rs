@@ -5,6 +5,7 @@
 //! across threads. `line` fields hold the cache-line number (byte address
 //! divided by the line size), matching `LineAddr` in `cleanupspec-mem`.
 
+use crate::jsonparse::JsonValue;
 use std::fmt;
 
 /// Version tag of the event vocabulary + JSONL field layout. Written as
@@ -139,326 +140,434 @@ impl fmt::Display for PathKind {
     }
 }
 
-/// One simulation event. See [`Layer`] for the grouping; field semantics
-/// are documented per variant.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SimEvent {
-    // ------------------------------------------------------------ pipeline
-    /// An instruction entered the window.
-    Dispatch {
-        /// Emitting core.
-        core: usize,
-        /// Dynamic sequence number.
-        seq: u64,
-        /// Static program counter.
-        pc: u64,
-    },
-    /// A load left the load queue and probed the hierarchy.
-    LoadIssue {
-        /// Emitting core.
-        core: usize,
-        /// Dynamic sequence number.
-        seq: u64,
-        /// Requested cache line.
-        line: u64,
-        /// Where the load was serviced.
-        path: PathKind,
-        /// Whether the load was speculative (unresolved older branch).
-        spec: bool,
-        /// Cycles until the value returns.
-        latency: u64,
-    },
-    /// An instruction retired architecturally. `line` is set for loads.
-    Commit {
-        /// Emitting core.
-        core: usize,
-        /// Dynamic sequence number.
-        seq: u64,
-        /// Static program counter.
-        pc: u64,
-        /// Cache line, for committed loads.
-        line: Option<u64>,
-    },
-    /// A branch mispredict squashed the younger window.
-    Squash {
-        /// Emitting core.
-        core: usize,
-        /// Sequence number of the mispredicted branch.
-        seq: u64,
-        /// Instructions squashed.
-        squashed: u64,
-        /// Cleanup episode this squash opened or joined (1-based,
-        /// monotonically increasing per core). Squashes that merge into a
-        /// cleanup already waiting on in-flight loads share its episode.
-        episode: u64,
-    },
-    /// One squashed load (one event per load with a known line).
-    SquashedLoad {
-        /// Emitting core.
-        core: usize,
-        /// The load's cache line.
-        line: u64,
-        /// Whether it had issued to the hierarchy before the squash.
-        issued: bool,
-        /// Cleanup episode the load's undo belongs to.
-        episode: u64,
-    },
-    /// An architectural fault reached commit and flushed the window.
-    Fault {
-        /// Emitting core.
-        core: usize,
-        /// Dynamic sequence number.
-        seq: u64,
-        /// Static program counter.
-        pc: u64,
-    },
-    /// The squash handler invoked the scheme's cleanup (duration known
-    /// up front: the scheme returns its resume cycle).
-    CleanupStart {
-        /// Emitting core.
-        core: usize,
-        /// Squashed loads handed to the scheme.
-        loads: u64,
-        /// Cycles until issue resumes.
-        stall: u64,
-        /// Cleanup episode being executed.
-        episode: u64,
-    },
-    /// Cleanup finished; stamped at the resume cycle.
-    CleanupEnd {
-        /// Emitting core.
-        core: usize,
-        /// Cycles the cleanup stalled issue.
-        stall: u64,
-        /// Cleanup episode that just closed.
-        episode: u64,
-    },
+/// Declares the event vocabulary: the one place an event kind is written
+/// down. Each [`Layer`] lists its variants; each variant gives its
+/// kebab-case kind and its typed fields, in JSONL order. From that list
+/// the macro generates [`SimEvent`], [`SimEvent::KINDS`],
+/// [`SimEvent::kind_index`], [`SimEvent::layer`], [`SimEvent::fields`] and
+/// the JSONL decoder behind [`crate::event_from_json`].
+///
+/// A field's type picks its encoding through the private [`Field`] trait.
+/// A field written `name: Option<T> [flag]` is encoded as the bool `flag`
+/// (whether the value is present) followed by `name` when it is.
+macro_rules! events {
+    ($(
+        $layer:ident {
+            $(
+                $(#[$doc:meta])*
+                $variant:ident = $kind:literal {
+                    $( $(#[$field_doc:meta])* $field:ident: $ty:ty $([$flag:ident])? ),* $(,)?
+                }
+            )*
+        }
+    )*) => {
+        /// One simulation event. See [`Layer`] for the grouping; field
+        /// semantics are documented per variant.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        pub enum SimEvent {
+            $($(
+                $(#[$doc])*
+                $variant { $( $(#[$field_doc])* $field: $ty, )* },
+            )*)*
+        }
 
-    // ------------------------------------------------------------ cache
-    /// A line was installed.
-    Fill {
-        /// Requesting core.
-        core: usize,
-        /// Installed line.
-        line: u64,
-        /// Level installed into.
-        level: CacheLevel,
-        /// Whether the install is speculation-tagged (SEFE-tracked).
-        spec: bool,
-    },
-    /// A line was evicted to make room.
-    Evict {
-        /// Core whose install caused the eviction (L2: requesting core).
-        core: usize,
-        /// Evicted line.
-        line: u64,
-        /// Level evicted from.
-        level: CacheLevel,
-        /// Whether the victim was dirty (writeback).
-        dirty: bool,
-        /// Line whose speculative install displaced it, if any
-        /// (CleanupSpec owes this victim a restore if that load is
-        /// squashed; if it retires, the eviction is architectural).
-        evictor: Option<u64>,
-    },
-    /// Inclusion back-invalidation of an L1 copy after an L2 eviction.
-    BackInval {
-        /// Core whose L1 lost the line.
-        core: usize,
-        /// Invalidated line.
-        line: u64,
-    },
-    /// Explicit `clflush`: the line left every cache level.
-    Clflush {
-        /// Core that executed the flush.
-        core: usize,
-        /// Flushed line.
-        line: u64,
-    },
-    /// CleanupSpec window protection returned a dummy miss (DRAM latency,
-    /// no state change).
-    DummyMiss {
-        /// Requesting core.
-        core: usize,
-        /// Requested line.
-        line: u64,
-        /// Core whose transient install is being hidden.
-        owner: usize,
-        /// The *prospective* cleanup episode of the owning core: the
-        /// window being protected has not squashed yet, so the id names
-        /// the episode that will open if it does (owner's last episode
-        /// + 1).
-        episode: u64,
-    },
-    /// GetS-Safe deferred a speculative request that would have downgraded
-    /// another core's modified line.
-    GetsSafeDefer {
-        /// Requesting core.
-        core: usize,
-        /// Requested line.
-        line: u64,
-        /// Core owning the line in M state.
-        owner: usize,
-    },
-    /// A demand access downgraded another core's modified copy (M -> S).
-    Downgrade {
-        /// Previous owner.
-        owner: usize,
-        /// Downgraded line.
-        line: u64,
-        /// Whether a *speculative* request forced the downgrade. Under
-        /// GetS-Safe this must never happen — the episode ledger flags any
-        /// `spec=true` downgrade as a leak.
-        spec: bool,
-    },
-    /// The forward-progress watchdog fired: this core committed nothing
-    /// for `stalled_for` cycles. One event per stuck core, mirroring the
-    /// `DiagnosticDump` carried by `StopReason::Livelock`.
-    Livelock {
-        /// Stuck core.
-        core: usize,
-        /// Cycles since the last commit on any core.
-        stalled_for: u64,
-        /// Live ROB entries.
-        rob: u64,
-        /// PC of the ROB head (0 if the ROB is empty).
-        head_pc: u64,
-        /// Occupied MSHR entries.
-        mshr: u64,
-        /// Live speculation-tagged MSHR entries (pending SEFEs).
-        sefes: u64,
-    },
+        /// The kinds of [`SimEvent`] without their fields: a kind's
+        /// discriminant is its index in [`SimEvent::KINDS`].
+        enum Kind {
+            $($($variant,)*)*
+        }
 
-    // ------------------------------------------------------------ mshr
-    /// An MSHR entry was allocated. `spec` entries double as SEFE
-    /// allocations (the undo log of the speculative fill).
-    MshrAlloc {
-        /// Owning core.
-        core: usize,
-        /// Missing line.
-        line: u64,
-        /// Whether the entry is speculation-tagged (a SEFE allocation).
-        spec: bool,
-        /// Entries live after this allocation.
-        occupancy: u64,
-    },
-    /// An MSHR entry was freed after its load was collected. `spec`
-    /// entries double as SEFE frees.
-    MshrRetire {
-        /// Owning core.
-        core: usize,
-        /// The entry's line.
-        line: u64,
-        /// Whether the entry was speculation-tagged (a SEFE free).
-        spec: bool,
-        /// Entries live after this free.
-        occupancy: u64,
-    },
-    /// An epoch bump marked pending entries as dropped.
-    MshrDrop {
-        /// Owning core.
-        core: usize,
-        /// Entries marked dropped.
-        dropped: u64,
-    },
-    /// A speculative load found no free MSHR entry (SEFE overflow: the
-    /// load retries rather than running unlogged).
-    SefeOverflow {
-        /// Requesting core.
-        core: usize,
-        /// Requested line.
-        line: u64,
-    },
-    /// A dropped (epoch-stale) fill completed and was discarded without
-    /// touching the caches.
-    DroppedFill {
-        /// Owning core.
-        core: usize,
-        /// The fill's line.
-        line: u64,
-        /// Cleanup episode whose epoch bump dropped the fill (stamped on
-        /// the MSHR entry at drop time; the fill itself lands later).
-        episode: u64,
-    },
-    /// An orphaned fill (owner squashed, entry kept alive in insecure
-    /// modes) completed and installed anyway — the classic leak.
-    OrphanFill {
-        /// Owning core.
-        core: usize,
-        /// The fill's line.
-        line: u64,
-    },
+        impl SimEvent {
+            /// Every kind name [`Self::kind`] can return, in declaration
+            /// order. CLI filters (`cs-trace --filter`) validate against this
+            /// list so a typo is an error instead of a silently empty trace.
+            pub const KINDS: [&'static str; [$($($kind,)*)*].len()] = [$($($kind,)*)*];
 
-    // ------------------------------------------------------------ cleanup
-    /// CleanupSpec invalidated a transiently filled line.
-    CleanupInval {
-        /// Squashing core.
-        core: usize,
-        /// Invalidated (speculatively installed) line.
-        line: u64,
-        /// Whether the L1 copy was targeted.
-        l1: bool,
-        /// Whether the L2 copy was targeted.
-        l2: bool,
-        /// Sequence number of the squash that triggered the cleanup.
-        seq: u64,
-        /// Cleanup episode performing the undo.
-        episode: u64,
-    },
-    /// CleanupSpec re-installed a victim displaced by a speculative fill.
-    CleanupRestore {
-        /// Squashing core.
-        core: usize,
-        /// Restored (victim) line.
-        line: u64,
-        /// The speculatively installed line whose eviction is being
-        /// undone — the same line the paired [`SimEvent::CleanupInval`]
-        /// targets.
-        evictor: u64,
-        /// Sequence number of the squash that triggered the cleanup.
-        seq: u64,
-        /// Cleanup episode performing the undo.
-        episode: u64,
-    },
-    /// The core's load epoch advanced, orphan-dropping in-flight fills.
-    EpochBump {
-        /// Squashing core.
-        core: usize,
-        /// New epoch value.
-        epoch: u64,
-        /// Pending fills dropped by the bump.
-        dropped: u64,
-        /// Cleanup episode that bumped the epoch.
-        episode: u64,
-    },
-    /// A speculative load committed; its SEFE/speculation tags cleared.
-    SpecRetire {
-        /// Committing core.
-        core: usize,
-        /// The load's line.
-        line: u64,
-    },
-    /// A CEASER-randomized index function was (re)keyed.
-    CeaserRemap {
-        /// Randomized level.
-        level: CacheLevel,
-        /// Remap epoch (0 = initial keying).
-        epoch: u64,
-    },
+            /// Position of [`Self::kind`] in [`Self::KINDS`] (the bit of the
+            /// kind in a [`KindSet`]).
+            pub fn kind_index(&self) -> usize {
+                (match self {
+                    $($(SimEvent::$variant { .. } => Kind::$variant,)*)*
+                }) as usize
+            }
 
-    // ------------------------------------------------------------ dram
-    /// A demand read reached DRAM.
-    DramRead {
-        /// Requesting core.
-        core: usize,
-        /// Read line.
-        line: u64,
-    },
-    /// A dirty eviction wrote back to DRAM.
-    DramWriteback {
-        /// Written line.
-        line: u64,
-    },
+            /// The layer that emits this event.
+            pub fn layer(&self) -> Layer {
+                match self {
+                    $($(SimEvent::$variant { .. } => Layer::$layer,)*)*
+                }
+            }
+
+            /// Calls `f` with every field as `(name, value)`, in declaration
+            /// order: the one encoder, behind [`Self::fields`] and the field
+            /// accessors.
+            pub(crate) fn each_field(&self, mut f: impl FnMut(&'static str, FieldValue)) {
+                match *self {
+                    $($(SimEvent::$variant { $($field),* } => {
+                        $(events!(@put f, $field $([$flag])?);)*
+                    })*)*
+                }
+            }
+
+            /// Reads one JSONL trace line back into `(cycle, event)`: the
+            /// inverse of [`crate::event_to_json`].
+            pub(crate) fn from_json(value: &JsonValue) -> Result<(u64, SimEvent), String> {
+                let kind = value
+                    .get("kind")
+                    .and_then(JsonValue::as_str)
+                    .ok_or("missing \"kind\"")?;
+                let cycle = u64::take(value, kind, "cycle")?;
+                let event = match kind {
+                    $($($kind => SimEvent::$variant {
+                        $($field: events!(@take value, kind, $field: $ty $([$flag])?),)*
+                    },)*)*
+                    other => return Err(format!("unknown event kind {other:?}")),
+                };
+                Ok((cycle, event))
+            }
+        }
+    };
+    (@put $f:ident, $field:ident [$flag:ident]) => {{
+        $f(stringify!($flag), FieldValue::Bool($field.is_some()));
+        $field.put(stringify!($field), &mut $f)
+    }};
+    (@put $f:ident, $field:ident) => {
+        $field.put(stringify!($field), &mut $f)
+    };
+    (@take $value:ident, $kind:ident, $field:ident: $ty:ty [$flag:ident]) => {
+        if bool::take($value, $kind, stringify!($flag))? {
+            Some(Field::take($value, $kind, stringify!($field))?)
+        } else {
+            None
+        }
+    };
+    (@take $value:ident, $kind:ident, $field:ident: $ty:ty) => {
+        <$ty as Field>::take($value, $kind, stringify!($field))?
+    };
+}
+
+events! {
+    Pipeline {
+        /// An instruction entered the window.
+        Dispatch = "dispatch" {
+            /// Emitting core.
+            core: usize,
+            /// Dynamic sequence number.
+            seq: u64,
+            /// Static program counter.
+            pc: u64,
+        }
+        /// A load left the load queue and probed the hierarchy.
+        LoadIssue = "load-issue" {
+            /// Emitting core.
+            core: usize,
+            /// Dynamic sequence number.
+            seq: u64,
+            /// Requested cache line.
+            line: u64,
+            /// Where the load was serviced.
+            path: PathKind,
+            /// Whether the load was speculative (unresolved older branch).
+            spec: bool,
+            /// Cycles until the value returns.
+            latency: u64,
+        }
+        /// An instruction retired architecturally. `line` is set for loads.
+        Commit = "commit" {
+            /// Emitting core.
+            core: usize,
+            /// Dynamic sequence number.
+            seq: u64,
+            /// Static program counter.
+            pc: u64,
+            /// Cache line, for committed loads.
+            line: Option<u64>,
+        }
+        /// A branch mispredict squashed the younger window.
+        Squash = "squash" {
+            /// Emitting core.
+            core: usize,
+            /// Sequence number of the mispredicted branch.
+            seq: u64,
+            /// Instructions squashed.
+            squashed: u64,
+            /// Cleanup episode this squash opened or joined (1-based,
+            /// monotonically increasing per core). Squashes that merge into a
+            /// cleanup already waiting on in-flight loads share its episode.
+            episode: u64,
+        }
+        /// One squashed load (one event per load with a known line).
+        SquashedLoad = "squashed-load" {
+            /// Emitting core.
+            core: usize,
+            /// The load's cache line.
+            line: u64,
+            /// Whether it had issued to the hierarchy before the squash.
+            issued: bool,
+            /// Cleanup episode the load's undo belongs to.
+            episode: u64,
+        }
+        /// An architectural fault reached commit and flushed the window.
+        Fault = "fault" {
+            /// Emitting core.
+            core: usize,
+            /// Dynamic sequence number.
+            seq: u64,
+            /// Static program counter.
+            pc: u64,
+        }
+        /// The squash handler invoked the scheme's cleanup (duration known
+        /// up front: the scheme returns its resume cycle).
+        CleanupStart = "cleanup-start" {
+            /// Emitting core.
+            core: usize,
+            /// Squashed loads handed to the scheme.
+            loads: u64,
+            /// Cycles until issue resumes.
+            stall: u64,
+            /// Cleanup episode being executed.
+            episode: u64,
+        }
+        /// Cleanup finished; stamped at the resume cycle.
+        CleanupEnd = "cleanup-end" {
+            /// Emitting core.
+            core: usize,
+            /// Cycles the cleanup stalled issue.
+            stall: u64,
+            /// Cleanup episode that just closed.
+            episode: u64,
+        }
+        /// The forward-progress watchdog fired: this core committed nothing
+        /// for `stalled_for` cycles. One event per stuck core, mirroring the
+        /// `DiagnosticDump` carried by `StopReason::Livelock`.
+        Livelock = "livelock" {
+            /// Stuck core.
+            core: usize,
+            /// Cycles since the last commit on any core.
+            stalled_for: u64,
+            /// Live ROB entries.
+            rob: u64,
+            /// PC of the ROB head (0 if the ROB is empty).
+            head_pc: u64,
+            /// Occupied MSHR entries.
+            mshr: u64,
+            /// Live speculation-tagged MSHR entries (pending SEFEs).
+            sefes: u64,
+        }
+    }
+
+    Cache {
+        /// A line was installed.
+        Fill = "fill" {
+            /// Requesting core.
+            core: usize,
+            /// Installed line.
+            line: u64,
+            /// Level installed into.
+            level: CacheLevel,
+            /// Whether the install is speculation-tagged (SEFE-tracked).
+            spec: bool,
+        }
+        /// A line was evicted to make room.
+        Evict = "evict" {
+            /// Core whose install caused the eviction (L2: requesting core).
+            core: usize,
+            /// Evicted line.
+            line: u64,
+            /// Level evicted from.
+            level: CacheLevel,
+            /// Whether the victim was dirty (writeback).
+            dirty: bool,
+            /// Line whose speculative install displaced it, if any
+            /// (CleanupSpec owes this victim a restore if that load is
+            /// squashed; if it retires, the eviction is architectural).
+            evictor: Option<u64> [by_spec],
+        }
+        /// Inclusion back-invalidation of an L1 copy after an L2 eviction.
+        BackInval = "back-inval" {
+            /// Core whose L1 lost the line.
+            core: usize,
+            /// Invalidated line.
+            line: u64,
+        }
+        /// Explicit `clflush`: the line left every cache level.
+        Clflush = "clflush" {
+            /// Core that executed the flush.
+            core: usize,
+            /// Flushed line.
+            line: u64,
+        }
+        /// CleanupSpec window protection returned a dummy miss (DRAM latency,
+        /// no state change).
+        DummyMiss = "dummy-miss" {
+            /// Requesting core.
+            core: usize,
+            /// Requested line.
+            line: u64,
+            /// Core whose transient install is being hidden.
+            owner: usize,
+            /// The *prospective* cleanup episode of the owning core: the
+            /// window being protected has not squashed yet, so the id names
+            /// the episode that will open if it does (owner's last episode
+            /// + 1).
+            episode: u64,
+        }
+        /// GetS-Safe deferred a speculative request that would have downgraded
+        /// another core's modified line.
+        GetsSafeDefer = "gets-safe-defer" {
+            /// Requesting core.
+            core: usize,
+            /// Requested line.
+            line: u64,
+            /// Core owning the line in M state.
+            owner: usize,
+        }
+        /// A demand access downgraded another core's modified copy (M -> S).
+        Downgrade = "downgrade" {
+            /// Previous owner.
+            owner: usize,
+            /// Downgraded line.
+            line: u64,
+            /// Whether a *speculative* request forced the downgrade. Under
+            /// GetS-Safe this must never happen — the episode ledger flags any
+            /// `spec=true` downgrade as a leak.
+            spec: bool,
+        }
+    }
+
+    Mshr {
+        /// An MSHR entry was allocated. `spec` entries double as SEFE
+        /// allocations (the undo log of the speculative fill).
+        MshrAlloc = "mshr-alloc" {
+            /// Owning core.
+            core: usize,
+            /// Missing line.
+            line: u64,
+            /// Whether the entry is speculation-tagged (a SEFE allocation).
+            spec: bool,
+            /// Entries live after this allocation.
+            occupancy: u64,
+        }
+        /// An MSHR entry was freed after its load was collected. `spec`
+        /// entries double as SEFE frees.
+        MshrRetire = "mshr-retire" {
+            /// Owning core.
+            core: usize,
+            /// The entry's line.
+            line: u64,
+            /// Whether the entry was speculation-tagged (a SEFE free).
+            spec: bool,
+            /// Entries live after this free.
+            occupancy: u64,
+        }
+        /// An epoch bump marked pending entries as dropped.
+        MshrDrop = "mshr-drop" {
+            /// Owning core.
+            core: usize,
+            /// Entries marked dropped.
+            dropped: u64,
+        }
+        /// A speculative load found no free MSHR entry (SEFE overflow: the
+        /// load retries rather than running unlogged).
+        SefeOverflow = "sefe-overflow" {
+            /// Requesting core.
+            core: usize,
+            /// Requested line.
+            line: u64,
+        }
+        /// A dropped (epoch-stale) fill completed and was discarded without
+        /// touching the caches.
+        DroppedFill = "dropped-fill" {
+            /// Owning core.
+            core: usize,
+            /// The fill's line.
+            line: u64,
+            /// Cleanup episode whose epoch bump dropped the fill (stamped on
+            /// the MSHR entry at drop time; the fill itself lands later).
+            episode: u64,
+        }
+        /// An orphaned fill (owner squashed, entry kept alive in insecure
+        /// modes) completed and installed anyway — the classic leak.
+        OrphanFill = "orphan-fill" {
+            /// Owning core.
+            core: usize,
+            /// The fill's line.
+            line: u64,
+        }
+    }
+
+    Cleanup {
+        /// CleanupSpec invalidated a transiently filled line.
+        CleanupInval = "cleanup-inval" {
+            /// Squashing core.
+            core: usize,
+            /// Invalidated (speculatively installed) line.
+            line: u64,
+            /// Whether the L1 copy was targeted.
+            l1: bool,
+            /// Whether the L2 copy was targeted.
+            l2: bool,
+            /// Sequence number of the squash that triggered the cleanup.
+            seq: u64,
+            /// Cleanup episode performing the undo.
+            episode: u64,
+        }
+        /// CleanupSpec re-installed a victim displaced by a speculative fill.
+        CleanupRestore = "cleanup-restore" {
+            /// Squashing core.
+            core: usize,
+            /// Restored (victim) line.
+            line: u64,
+            /// The speculatively installed line whose eviction is being
+            /// undone — the same line the paired [`SimEvent::CleanupInval`]
+            /// targets.
+            evictor: u64,
+            /// Sequence number of the squash that triggered the cleanup.
+            seq: u64,
+            /// Cleanup episode performing the undo.
+            episode: u64,
+        }
+        /// The core's load epoch advanced, orphan-dropping in-flight fills.
+        EpochBump = "epoch-bump" {
+            /// Squashing core.
+            core: usize,
+            /// New epoch value.
+            epoch: u64,
+            /// Pending fills dropped by the bump.
+            dropped: u64,
+            /// Cleanup episode that bumped the epoch.
+            episode: u64,
+        }
+        /// A speculative load committed; its SEFE/speculation tags cleared.
+        SpecRetire = "spec-retire" {
+            /// Committing core.
+            core: usize,
+            /// The load's line.
+            line: u64,
+        }
+        /// A CEASER-randomized index function was (re)keyed.
+        CeaserRemap = "ceaser-remap" {
+            /// Randomized level.
+            level: CacheLevel,
+            /// Remap epoch (0 = initial keying).
+            epoch: u64,
+        }
+    }
+
+    Dram {
+        /// A demand read reached DRAM.
+        DramRead = "dram-read" {
+            /// Requesting core.
+            core: usize,
+            /// Read line.
+            line: u64,
+        }
+        /// A dirty eviction wrote back to DRAM.
+        DramWriteback = "dram-writeback" {
+            /// Written line.
+            line: u64,
+        }
+    }
 }
 
 /// A single typed field of an event, for generic rendering.
@@ -470,6 +579,98 @@ pub enum FieldValue {
     Bool(bool),
     /// Static string (enum-like fields).
     Str(&'static str),
+}
+
+/// How one field type is written into [`SimEvent::fields`] and read back
+/// from a JSONL object. The decoder's error messages name the event kind
+/// and the field, because a mismatch is the symptom of reading a trace of
+/// another schema version.
+trait Field: Sized {
+    fn put(self, name: &'static str, f: &mut impl FnMut(&'static str, FieldValue));
+    fn take(value: &JsonValue, kind: &str, name: &str) -> Result<Self, String>;
+}
+
+impl Field for u64 {
+    fn put(self, name: &'static str, f: &mut impl FnMut(&'static str, FieldValue)) {
+        f(name, FieldValue::U64(self));
+    }
+    fn take(value: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
+        value
+            .get(name)
+            .and_then(JsonValue::as_u64)
+            .ok_or_else(|| format!("{kind}: missing or non-integer \"{name}\""))
+    }
+}
+
+impl Field for usize {
+    fn put(self, name: &'static str, f: &mut impl FnMut(&'static str, FieldValue)) {
+        (self as u64).put(name, f);
+    }
+    fn take(value: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
+        u64::take(value, kind, name).map(|v| v as usize)
+    }
+}
+
+impl Field for bool {
+    fn put(self, name: &'static str, f: &mut impl FnMut(&'static str, FieldValue)) {
+        f(name, FieldValue::Bool(self));
+    }
+    fn take(value: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
+        match value.get(name) {
+            Some(JsonValue::Bool(v)) => Ok(*v),
+            _ => Err(format!("{kind}: missing or non-bool \"{name}\"")),
+        }
+    }
+}
+
+/// Written only when `Some`; read as `None` when absent.
+impl Field for Option<u64> {
+    fn put(self, name: &'static str, f: &mut impl FnMut(&'static str, FieldValue)) {
+        if let Some(v) = self {
+            v.put(name, f);
+        }
+    }
+    fn take(value: &JsonValue, _kind: &str, name: &str) -> Result<Self, String> {
+        Ok(value.get(name).and_then(JsonValue::as_u64))
+    }
+}
+
+impl Field for PathKind {
+    fn put(self, name: &'static str, f: &mut impl FnMut(&'static str, FieldValue)) {
+        f(name, FieldValue::Str(self.as_str()));
+    }
+    fn take(value: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
+        take_named(value, kind, name, "path", &PathKind::ALL, PathKind::as_str)
+    }
+}
+
+impl Field for CacheLevel {
+    fn put(self, name: &'static str, f: &mut impl FnMut(&'static str, FieldValue)) {
+        f(name, FieldValue::Str(self.as_str()));
+    }
+    fn take(value: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
+        let all = &[CacheLevel::L1, CacheLevel::L2];
+        take_named(value, kind, name, "cache level", all, CacheLevel::as_str)
+    }
+}
+
+/// Reads the string field `name` as the member of `all` with that name.
+fn take_named<T: Copy>(
+    value: &JsonValue,
+    kind: &str,
+    name: &str,
+    what: &str,
+    all: &[T],
+    as_str: fn(T) -> &'static str,
+) -> Result<T, String> {
+    let s = value
+        .get(name)
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| format!("{kind}: missing or non-string \"{name}\""))?;
+    all.iter()
+        .copied()
+        .find(|&t| as_str(t) == s)
+        .ok_or_else(|| format!("{kind}: unknown {what} {s:?}"))
 }
 
 /// A set of event kinds: a bitset over [`SimEvent::KINDS`].
@@ -544,175 +745,17 @@ const fn str_eq(a: &str, b: &str) -> bool {
 }
 
 impl SimEvent {
-    /// Every kind name [`Self::kind`] can return, in declaration order.
-    /// CLI filters (`cs-trace --filter`) validate against this list so a
-    /// typo is an error instead of a silently empty trace.
-    pub const KINDS: [&'static str; 29] = [
-        "dispatch",
-        "load-issue",
-        "commit",
-        "squash",
-        "squashed-load",
-        "fault",
-        "cleanup-start",
-        "cleanup-end",
-        "fill",
-        "evict",
-        "back-inval",
-        "clflush",
-        "dummy-miss",
-        "gets-safe-defer",
-        "downgrade",
-        "livelock",
-        "mshr-alloc",
-        "mshr-retire",
-        "mshr-drop",
-        "sefe-overflow",
-        "dropped-fill",
-        "orphan-fill",
-        "cleanup-inval",
-        "cleanup-restore",
-        "epoch-bump",
-        "spec-retire",
-        "ceaser-remap",
-        "dram-read",
-        "dram-writeback",
-    ];
-
     /// Stable kebab-case event name.
     pub fn kind(&self) -> &'static str {
         Self::KINDS[self.kind_index()]
     }
 
-    /// Position of [`Self::kind`] in [`Self::KINDS`] (the bit of the kind
-    /// in a [`KindSet`]).
-    pub fn kind_index(&self) -> usize {
-        match self {
-            SimEvent::Dispatch { .. } => 0,
-            SimEvent::LoadIssue { .. } => 1,
-            SimEvent::Commit { .. } => 2,
-            SimEvent::Squash { .. } => 3,
-            SimEvent::SquashedLoad { .. } => 4,
-            SimEvent::Fault { .. } => 5,
-            SimEvent::CleanupStart { .. } => 6,
-            SimEvent::CleanupEnd { .. } => 7,
-            SimEvent::Fill { .. } => 8,
-            SimEvent::Evict { .. } => 9,
-            SimEvent::BackInval { .. } => 10,
-            SimEvent::Clflush { .. } => 11,
-            SimEvent::DummyMiss { .. } => 12,
-            SimEvent::GetsSafeDefer { .. } => 13,
-            SimEvent::Downgrade { .. } => 14,
-            SimEvent::Livelock { .. } => 15,
-            SimEvent::MshrAlloc { .. } => 16,
-            SimEvent::MshrRetire { .. } => 17,
-            SimEvent::MshrDrop { .. } => 18,
-            SimEvent::SefeOverflow { .. } => 19,
-            SimEvent::DroppedFill { .. } => 20,
-            SimEvent::OrphanFill { .. } => 21,
-            SimEvent::CleanupInval { .. } => 22,
-            SimEvent::CleanupRestore { .. } => 23,
-            SimEvent::EpochBump { .. } => 24,
-            SimEvent::SpecRetire { .. } => 25,
-            SimEvent::CeaserRemap { .. } => 26,
-            SimEvent::DramRead { .. } => 27,
-            SimEvent::DramWriteback { .. } => 28,
-        }
-    }
-
-    /// The layer that emits this event.
-    pub fn layer(&self) -> Layer {
-        match self {
-            SimEvent::Dispatch { .. }
-            | SimEvent::LoadIssue { .. }
-            | SimEvent::Commit { .. }
-            | SimEvent::Squash { .. }
-            | SimEvent::SquashedLoad { .. }
-            | SimEvent::Fault { .. }
-            | SimEvent::CleanupStart { .. }
-            | SimEvent::CleanupEnd { .. }
-            | SimEvent::Livelock { .. } => Layer::Pipeline,
-            SimEvent::Fill { .. }
-            | SimEvent::Evict { .. }
-            | SimEvent::BackInval { .. }
-            | SimEvent::Clflush { .. }
-            | SimEvent::DummyMiss { .. }
-            | SimEvent::GetsSafeDefer { .. }
-            | SimEvent::Downgrade { .. } => Layer::Cache,
-            SimEvent::MshrAlloc { .. }
-            | SimEvent::MshrRetire { .. }
-            | SimEvent::MshrDrop { .. }
-            | SimEvent::SefeOverflow { .. }
-            | SimEvent::DroppedFill { .. }
-            | SimEvent::OrphanFill { .. } => Layer::Mshr,
-            SimEvent::CleanupInval { .. }
-            | SimEvent::CleanupRestore { .. }
-            | SimEvent::EpochBump { .. }
-            | SimEvent::SpecRetire { .. }
-            | SimEvent::CeaserRemap { .. } => Layer::Cleanup,
-            SimEvent::DramRead { .. } | SimEvent::DramWriteback { .. } => Layer::Dram,
-        }
-    }
-
-    /// The core most directly associated with the event, if any.
+    /// The core most directly associated with the event, if any: its
+    /// `core` field, else its `owner` (a downgrade names only the owner).
     pub fn core(&self) -> Option<usize> {
-        match *self {
-            SimEvent::Dispatch { core, .. }
-            | SimEvent::LoadIssue { core, .. }
-            | SimEvent::Commit { core, .. }
-            | SimEvent::Squash { core, .. }
-            | SimEvent::SquashedLoad { core, .. }
-            | SimEvent::Fault { core, .. }
-            | SimEvent::CleanupStart { core, .. }
-            | SimEvent::CleanupEnd { core, .. }
-            | SimEvent::Fill { core, .. }
-            | SimEvent::Evict { core, .. }
-            | SimEvent::BackInval { core, .. }
-            | SimEvent::Clflush { core, .. }
-            | SimEvent::DummyMiss { core, .. }
-            | SimEvent::GetsSafeDefer { core, .. }
-            | SimEvent::MshrAlloc { core, .. }
-            | SimEvent::MshrRetire { core, .. }
-            | SimEvent::MshrDrop { core, .. }
-            | SimEvent::SefeOverflow { core, .. }
-            | SimEvent::DroppedFill { core, .. }
-            | SimEvent::OrphanFill { core, .. }
-            | SimEvent::CleanupInval { core, .. }
-            | SimEvent::CleanupRestore { core, .. }
-            | SimEvent::EpochBump { core, .. }
-            | SimEvent::SpecRetire { core, .. }
-            | SimEvent::Livelock { core, .. }
-            | SimEvent::DramRead { core, .. } => Some(core),
-            SimEvent::Downgrade { owner, .. } => Some(owner),
-            SimEvent::CeaserRemap { .. } | SimEvent::DramWriteback { .. } => None,
-        }
-    }
-
-    /// The cache line the event refers to, if any.
-    pub fn line(&self) -> Option<u64> {
-        match *self {
-            SimEvent::LoadIssue { line, .. }
-            | SimEvent::SquashedLoad { line, .. }
-            | SimEvent::Fill { line, .. }
-            | SimEvent::Evict { line, .. }
-            | SimEvent::BackInval { line, .. }
-            | SimEvent::Clflush { line, .. }
-            | SimEvent::DummyMiss { line, .. }
-            | SimEvent::GetsSafeDefer { line, .. }
-            | SimEvent::Downgrade { line, .. }
-            | SimEvent::MshrAlloc { line, .. }
-            | SimEvent::MshrRetire { line, .. }
-            | SimEvent::SefeOverflow { line, .. }
-            | SimEvent::DroppedFill { line, .. }
-            | SimEvent::OrphanFill { line, .. }
-            | SimEvent::CleanupInval { line, .. }
-            | SimEvent::CleanupRestore { line, .. }
-            | SimEvent::SpecRetire { line, .. }
-            | SimEvent::DramRead { line, .. }
-            | SimEvent::DramWriteback { line } => Some(line),
-            SimEvent::Commit { line, .. } => line,
-            _ => None,
-        }
+        self.int_field("core")
+            .or_else(|| self.int_field("owner"))
+            .map(|c| c as usize)
     }
 
     /// The cleanup episode the event belongs to, if it carries one.
@@ -720,262 +763,26 @@ impl SimEvent {
     /// issued directly by a unit test, before any squash registered an
     /// episode) and is mapped to `None` here.
     pub fn episode(&self) -> Option<u64> {
-        let ep = match *self {
-            SimEvent::Squash { episode, .. }
-            | SimEvent::SquashedLoad { episode, .. }
-            | SimEvent::CleanupStart { episode, .. }
-            | SimEvent::CleanupEnd { episode, .. }
-            | SimEvent::DummyMiss { episode, .. }
-            | SimEvent::DroppedFill { episode, .. }
-            | SimEvent::CleanupInval { episode, .. }
-            | SimEvent::CleanupRestore { episode, .. }
-            | SimEvent::EpochBump { episode, .. } => episode,
-            _ => return None,
-        };
-        (ep != 0).then_some(ep)
+        self.int_field("episode").filter(|&ep| ep != 0)
     }
 
-    /// Every field as `(name, value)` pairs, in declaration order. Generic
-    /// renderers (JSONL, Perfetto args, `Display`) are built on this.
+    /// Every field as `(name, value)` pairs, in declaration order.
+    /// Generic renderers (JSONL, Perfetto args, `Display`) are built on
+    /// this.
     pub fn fields(&self) -> Vec<(&'static str, FieldValue)> {
-        use FieldValue::{Bool, Str, U64};
-        match *self {
-            SimEvent::Dispatch { core, seq, pc } => {
-                vec![
-                    ("core", U64(core as u64)),
-                    ("seq", U64(seq)),
-                    ("pc", U64(pc)),
-                ]
-            }
-            SimEvent::LoadIssue {
-                core,
-                seq,
-                line,
-                path,
-                spec,
-                latency,
-            } => vec![
-                ("core", U64(core as u64)),
-                ("seq", U64(seq)),
-                ("line", U64(line)),
-                ("path", Str(path.as_str())),
-                ("spec", Bool(spec)),
-                ("latency", U64(latency)),
-            ],
-            SimEvent::Commit {
-                core,
-                seq,
-                pc,
-                line,
-            } => {
-                let mut f = vec![
-                    ("core", U64(core as u64)),
-                    ("seq", U64(seq)),
-                    ("pc", U64(pc)),
-                ];
-                if let Some(l) = line {
-                    f.push(("line", U64(l)));
-                }
-                f
-            }
-            SimEvent::Squash {
-                core,
-                seq,
-                squashed,
-                episode,
-            } => vec![
-                ("core", U64(core as u64)),
-                ("seq", U64(seq)),
-                ("squashed", U64(squashed)),
-                ("episode", U64(episode)),
-            ],
-            SimEvent::SquashedLoad {
-                core,
-                line,
-                issued,
-                episode,
-            } => vec![
-                ("core", U64(core as u64)),
-                ("line", U64(line)),
-                ("issued", Bool(issued)),
-                ("episode", U64(episode)),
-            ],
-            SimEvent::Fault { core, seq, pc } => {
-                vec![
-                    ("core", U64(core as u64)),
-                    ("seq", U64(seq)),
-                    ("pc", U64(pc)),
-                ]
-            }
-            SimEvent::CleanupStart {
-                core,
-                loads,
-                stall,
-                episode,
-            } => vec![
-                ("core", U64(core as u64)),
-                ("loads", U64(loads)),
-                ("stall", U64(stall)),
-                ("episode", U64(episode)),
-            ],
-            SimEvent::CleanupEnd {
-                core,
-                stall,
-                episode,
-            } => vec![
-                ("core", U64(core as u64)),
-                ("stall", U64(stall)),
-                ("episode", U64(episode)),
-            ],
-            SimEvent::Fill {
-                core,
-                line,
-                level,
-                spec,
-            } => vec![
-                ("core", U64(core as u64)),
-                ("line", U64(line)),
-                ("level", Str(level.as_str())),
-                ("spec", Bool(spec)),
-            ],
-            SimEvent::Evict {
-                core,
-                line,
-                level,
-                dirty,
-                evictor,
-            } => {
-                let mut f = vec![
-                    ("core", U64(core as u64)),
-                    ("line", U64(line)),
-                    ("level", Str(level.as_str())),
-                    ("dirty", Bool(dirty)),
-                    ("by_spec", Bool(evictor.is_some())),
-                ];
-                if let Some(e) = evictor {
-                    f.push(("evictor", U64(e)));
-                }
-                f
-            }
-            SimEvent::BackInval { core, line }
-            | SimEvent::Clflush { core, line }
-            | SimEvent::SefeOverflow { core, line }
-            | SimEvent::OrphanFill { core, line }
-            | SimEvent::SpecRetire { core, line }
-            | SimEvent::DramRead { core, line } => {
-                vec![("core", U64(core as u64)), ("line", U64(line))]
-            }
-            SimEvent::DummyMiss {
-                core,
-                line,
-                owner,
-                episode,
-            } => vec![
-                ("core", U64(core as u64)),
-                ("line", U64(line)),
-                ("owner", U64(owner as u64)),
-                ("episode", U64(episode)),
-            ],
-            SimEvent::DroppedFill {
-                core,
-                line,
-                episode,
-            } => vec![
-                ("core", U64(core as u64)),
-                ("line", U64(line)),
-                ("episode", U64(episode)),
-            ],
-            SimEvent::GetsSafeDefer { core, line, owner } => vec![
-                ("core", U64(core as u64)),
-                ("line", U64(line)),
-                ("owner", U64(owner as u64)),
-            ],
-            SimEvent::Downgrade { owner, line, spec } => {
-                vec![
-                    ("owner", U64(owner as u64)),
-                    ("line", U64(line)),
-                    ("spec", Bool(spec)),
-                ]
-            }
-            SimEvent::Livelock {
-                core,
-                stalled_for,
-                rob,
-                head_pc,
-                mshr,
-                sefes,
-            } => vec![
-                ("core", U64(core as u64)),
-                ("stalled_for", U64(stalled_for)),
-                ("rob", U64(rob)),
-                ("head_pc", U64(head_pc)),
-                ("mshr", U64(mshr)),
-                ("sefes", U64(sefes)),
-            ],
-            SimEvent::MshrAlloc {
-                core,
-                line,
-                spec,
-                occupancy,
-            }
-            | SimEvent::MshrRetire {
-                core,
-                line,
-                spec,
-                occupancy,
-            } => vec![
-                ("core", U64(core as u64)),
-                ("line", U64(line)),
-                ("spec", Bool(spec)),
-                ("occupancy", U64(occupancy)),
-            ],
-            SimEvent::MshrDrop { core, dropped } => {
-                vec![("core", U64(core as u64)), ("dropped", U64(dropped))]
-            }
-            SimEvent::CleanupInval {
-                core,
-                line,
-                l1,
-                l2,
-                seq,
-                episode,
-            } => vec![
-                ("core", U64(core as u64)),
-                ("line", U64(line)),
-                ("l1", Bool(l1)),
-                ("l2", Bool(l2)),
-                ("seq", U64(seq)),
-                ("episode", U64(episode)),
-            ],
-            SimEvent::CleanupRestore {
-                core,
-                line,
-                evictor,
-                seq,
-                episode,
-            } => vec![
-                ("core", U64(core as u64)),
-                ("line", U64(line)),
-                ("evictor", U64(evictor)),
-                ("seq", U64(seq)),
-                ("episode", U64(episode)),
-            ],
-            SimEvent::EpochBump {
-                core,
-                epoch,
-                dropped,
-                episode,
-            } => vec![
-                ("core", U64(core as u64)),
-                ("epoch", U64(epoch)),
-                ("dropped", U64(dropped)),
-                ("episode", U64(episode)),
-            ],
-            SimEvent::CeaserRemap { level, epoch } => {
-                vec![("level", Str(level.as_str())), ("epoch", U64(epoch))]
-            }
-            SimEvent::DramWriteback { line } => vec![("line", U64(line))],
-        }
+        let mut out = Vec::with_capacity(6); // the widest event's field count
+        self.each_field(|name, value| out.push((name, value)));
+        out
+    }
+
+    /// The integer field `name`, if the event has it.
+    fn int_field(&self, name: &str) -> Option<u64> {
+        let mut found = None;
+        self.each_field(|n, value| match value {
+            FieldValue::U64(v) if n == name => found = Some(v),
+            _ => {}
+        });
+        found
     }
 }
 
@@ -1195,61 +1002,70 @@ mod tests {
         }
     }
 
-    /// The pinned `cs-events-v3` schema: every event kind and the exact
-    /// JSONL field names it emits, in order. Changing any line here is a
-    /// schema break — bump [`EVENT_SCHEMA_VERSION`] and update every
-    /// consumer (`cs-report` refuses traces with a different version).
-    const PINNED_SCHEMA: &[(&str, &str)] = &[
-        ("back-inval", "core,line"),
-        ("ceaser-remap", "level,epoch"),
-        ("cleanup-end", "core,stall,episode"),
-        ("cleanup-inval", "core,line,l1,l2,seq,episode"),
-        ("cleanup-restore", "core,line,evictor,seq,episode"),
-        ("cleanup-start", "core,loads,stall,episode"),
-        ("clflush", "core,line"),
-        ("commit", "core,seq,pc,line"),
-        ("dispatch", "core,seq,pc"),
-        ("downgrade", "owner,line,spec"),
-        ("dram-read", "core,line"),
-        ("dram-writeback", "line"),
-        ("dropped-fill", "core,line,episode"),
-        ("dummy-miss", "core,line,owner,episode"),
-        ("epoch-bump", "core,epoch,dropped,episode"),
-        ("evict", "core,line,level,dirty,by_spec,evictor"),
-        ("fault", "core,seq,pc"),
-        ("fill", "core,line,level,spec"),
-        ("gets-safe-defer", "core,line,owner"),
-        ("livelock", "core,stalled_for,rob,head_pc,mshr,sefes"),
-        ("load-issue", "core,seq,line,path,spec,latency"),
-        ("mshr-alloc", "core,line,spec,occupancy"),
-        ("mshr-drop", "core,dropped"),
-        ("mshr-retire", "core,line,spec,occupancy"),
-        ("orphan-fill", "core,line"),
-        ("sefe-overflow", "core,line"),
-        ("spec-retire", "core,line"),
-        ("squash", "core,seq,squashed,episode"),
-        ("squashed-load", "core,line,issued,episode"),
+    /// The pinned `cs-events-v3` schema: every event kind, the layer every
+    /// JSONL line of it carries, and the exact JSONL field names it emits,
+    /// in order. Changing any line here is a schema break — bump
+    /// [`EVENT_SCHEMA_VERSION`] and update every consumer (`cs-report`
+    /// refuses traces with a different version).
+    const PINNED_SCHEMA: &[(&str, &str, &str)] = &[
+        ("back-inval", "cache", "core,line"),
+        ("ceaser-remap", "cleanup", "level,epoch"),
+        ("cleanup-end", "pipeline", "core,stall,episode"),
+        ("cleanup-inval", "cleanup", "core,line,l1,l2,seq,episode"),
+        (
+            "cleanup-restore",
+            "cleanup",
+            "core,line,evictor,seq,episode",
+        ),
+        ("cleanup-start", "pipeline", "core,loads,stall,episode"),
+        ("clflush", "cache", "core,line"),
+        ("commit", "pipeline", "core,seq,pc,line"),
+        ("dispatch", "pipeline", "core,seq,pc"),
+        ("downgrade", "cache", "owner,line,spec"),
+        ("dram-read", "dram", "core,line"),
+        ("dram-writeback", "dram", "line"),
+        ("dropped-fill", "mshr", "core,line,episode"),
+        ("dummy-miss", "cache", "core,line,owner,episode"),
+        ("epoch-bump", "cleanup", "core,epoch,dropped,episode"),
+        ("evict", "cache", "core,line,level,dirty,by_spec,evictor"),
+        ("fault", "pipeline", "core,seq,pc"),
+        ("fill", "cache", "core,line,level,spec"),
+        ("gets-safe-defer", "cache", "core,line,owner"),
+        (
+            "livelock",
+            "pipeline",
+            "core,stalled_for,rob,head_pc,mshr,sefes",
+        ),
+        ("load-issue", "pipeline", "core,seq,line,path,spec,latency"),
+        ("mshr-alloc", "mshr", "core,line,spec,occupancy"),
+        ("mshr-drop", "mshr", "core,dropped"),
+        ("mshr-retire", "mshr", "core,line,spec,occupancy"),
+        ("orphan-fill", "mshr", "core,line"),
+        ("sefe-overflow", "mshr", "core,line"),
+        ("spec-retire", "cleanup", "core,line"),
+        ("squash", "pipeline", "core,seq,squashed,episode"),
+        ("squashed-load", "pipeline", "core,line,issued,episode"),
     ];
 
     /// The `cs-events-v3` exhaustiveness test. Pins every
-    /// `SimEvent::kind()` and its JSONL field layout against
+    /// `SimEvent::kind()`, its layer and its JSONL field layout against
     /// [`PINNED_SCHEMA`]; `sample_events()` must cover every variant
     /// (the count is asserted so a new variant cannot slip in unsampled).
     #[test]
     fn event_schema_is_pinned() {
         assert_eq!(EVENT_SCHEMA_VERSION, "cs-events-v3");
         let events = sample_events();
-        let mut got: Vec<(String, String)> = events
+        let mut got: Vec<(&str, &str, String)> = events
             .iter()
             .map(|e| {
                 let names: Vec<&str> = e.fields().iter().map(|(n, _)| *n).collect();
-                (e.kind().to_string(), names.join(","))
+                (e.kind(), e.layer().as_str(), names.join(","))
             })
             .collect();
         got.sort();
-        let want: Vec<(String, String)> = PINNED_SCHEMA
+        let want: Vec<(&str, &str, String)> = PINNED_SCHEMA
             .iter()
-            .map(|(k, f)| (k.to_string(), f.to_string()))
+            .map(|&(k, l, f)| (k, l, f.to_string()))
             .collect();
         assert_eq!(
             got.len(),
@@ -1275,6 +1091,28 @@ mod tests {
             from_samples, listed,
             "SimEvent::KINDS drifted from the actual kind() names"
         );
+    }
+
+    #[test]
+    fn core_accessor_reads_core_then_owner() {
+        let coreless: Vec<_> = sample_events()
+            .iter()
+            .filter(|e| e.core().is_none())
+            .map(|e| e.kind())
+            .collect();
+        assert_eq!(coreless, ["ceaser-remap", "dram-writeback"]);
+        let defer = SimEvent::GetsSafeDefer {
+            core: 2,
+            line: 3,
+            owner: 1,
+        };
+        assert_eq!(defer.core(), Some(2));
+        let downgrade = SimEvent::Downgrade {
+            owner: 1,
+            line: 3,
+            spec: true,
+        };
+        assert_eq!(downgrade.core(), Some(1));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! workspace is a flat tree of numbers and short strings, so a writer
 //! beats a serde dependency (which could not be resolved offline anyway).
 
-use crate::event::SimEvent;
+use crate::event::{FieldValue, SimEvent};
 use std::fmt::Write as _;
 
 /// A minimal JSON value writer.
@@ -84,6 +84,15 @@ impl JsonWriter {
         self
     }
 
+    /// Writes an event field.
+    pub(crate) fn field(&mut self, key: &str, value: FieldValue) -> &mut Self {
+        match value {
+            FieldValue::U64(v) => self.int(key, v),
+            FieldValue::Bool(v) => self.bool(key, v),
+            FieldValue::Str(v) => self.string(key, v),
+        }
+    }
+
     /// Writes a bare string element into the open array.
     pub fn string_item(&mut self, value: &str) -> &mut Self {
         self.comma();
@@ -127,20 +136,15 @@ fn escape(s: &str) -> String {
 
 /// Serializes one event (with its cycle stamp) as a single-line JSON
 /// object: `{"cycle": N, "layer": "...", "kind": "...", ...fields}`.
-pub fn event_to_json(cycle: u64, event: &crate::event::SimEvent) -> String {
-    use crate::event::FieldValue;
+pub fn event_to_json(cycle: u64, event: &SimEvent) -> String {
     let mut w = JsonWriter::new();
     w.open_object(None)
         .int("cycle", cycle)
         .string("layer", event.layer().as_str())
         .string("kind", event.kind());
-    for (name, value) in event.fields() {
-        match value {
-            FieldValue::U64(v) => w.int(name, v),
-            FieldValue::Bool(v) => w.bool(name, v),
-            FieldValue::Str(v) => w.string(name, v),
-        };
-    }
+    event.each_field(|name, value| {
+        w.field(name, value);
+    });
     w.close_object();
     w.finish()
 }
@@ -150,209 +154,7 @@ pub fn event_to_json(cycle: u64, event: &crate::event::SimEvent) -> String {
 /// traces. Returns a descriptive error for unknown kinds or missing
 /// fields (a symptom of reading a trace from a different schema version).
 pub fn event_from_json(value: &crate::jsonparse::JsonValue) -> Result<(u64, SimEvent), String> {
-    use crate::event::{CacheLevel, PathKind};
-    use crate::jsonparse::JsonValue;
-    let kind = value
-        .get("kind")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing \"kind\"")?;
-    let u = |field: &str| -> Result<u64, String> {
-        value
-            .get(field)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("{kind}: missing or non-integer \"{field}\""))
-    };
-    let us = |field: &str| -> Result<usize, String> { u(field).map(|v| v as usize) };
-    let b = |field: &str| -> Result<bool, String> {
-        match value.get(field) {
-            Some(JsonValue::Bool(v)) => Ok(*v),
-            _ => Err(format!("{kind}: missing or non-bool \"{field}\"")),
-        }
-    };
-    let s = |field: &str| -> Result<&str, String> {
-        value
-            .get(field)
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("{kind}: missing or non-string \"{field}\""))
-    };
-    let level = |field: &str| -> Result<CacheLevel, String> {
-        match s(field)? {
-            "l1" => Ok(CacheLevel::L1),
-            "l2" => Ok(CacheLevel::L2),
-            other => Err(format!("{kind}: unknown cache level {other:?}")),
-        }
-    };
-    let path = |field: &str| -> Result<PathKind, String> {
-        let name = s(field)?;
-        PathKind::ALL
-            .into_iter()
-            .find(|p| p.as_str() == name)
-            .ok_or_else(|| format!("{kind}: unknown path {name:?}"))
-    };
-    let cycle = u("cycle")?;
-    let event = match kind {
-        "dispatch" => SimEvent::Dispatch {
-            core: us("core")?,
-            seq: u("seq")?,
-            pc: u("pc")?,
-        },
-        "load-issue" => SimEvent::LoadIssue {
-            core: us("core")?,
-            seq: u("seq")?,
-            line: u("line")?,
-            path: path("path")?,
-            spec: b("spec")?,
-            latency: u("latency")?,
-        },
-        "commit" => SimEvent::Commit {
-            core: us("core")?,
-            seq: u("seq")?,
-            pc: u("pc")?,
-            line: value.get("line").and_then(JsonValue::as_u64),
-        },
-        "squash" => SimEvent::Squash {
-            core: us("core")?,
-            seq: u("seq")?,
-            squashed: u("squashed")?,
-            episode: u("episode")?,
-        },
-        "squashed-load" => SimEvent::SquashedLoad {
-            core: us("core")?,
-            line: u("line")?,
-            issued: b("issued")?,
-            episode: u("episode")?,
-        },
-        "fault" => SimEvent::Fault {
-            core: us("core")?,
-            seq: u("seq")?,
-            pc: u("pc")?,
-        },
-        "cleanup-start" => SimEvent::CleanupStart {
-            core: us("core")?,
-            loads: u("loads")?,
-            stall: u("stall")?,
-            episode: u("episode")?,
-        },
-        "cleanup-end" => SimEvent::CleanupEnd {
-            core: us("core")?,
-            stall: u("stall")?,
-            episode: u("episode")?,
-        },
-        "fill" => SimEvent::Fill {
-            core: us("core")?,
-            line: u("line")?,
-            level: level("level")?,
-            spec: b("spec")?,
-        },
-        "evict" => SimEvent::Evict {
-            core: us("core")?,
-            line: u("line")?,
-            level: level("level")?,
-            dirty: b("dirty")?,
-            evictor: if b("by_spec")? {
-                Some(u("evictor")?)
-            } else {
-                None
-            },
-        },
-        "back-inval" => SimEvent::BackInval {
-            core: us("core")?,
-            line: u("line")?,
-        },
-        "clflush" => SimEvent::Clflush {
-            core: us("core")?,
-            line: u("line")?,
-        },
-        "dummy-miss" => SimEvent::DummyMiss {
-            core: us("core")?,
-            line: u("line")?,
-            owner: us("owner")?,
-            episode: u("episode")?,
-        },
-        "gets-safe-defer" => SimEvent::GetsSafeDefer {
-            core: us("core")?,
-            line: u("line")?,
-            owner: us("owner")?,
-        },
-        "downgrade" => SimEvent::Downgrade {
-            owner: us("owner")?,
-            line: u("line")?,
-            spec: b("spec")?,
-        },
-        "livelock" => SimEvent::Livelock {
-            core: us("core")?,
-            stalled_for: u("stalled_for")?,
-            rob: u("rob")?,
-            head_pc: u("head_pc")?,
-            mshr: u("mshr")?,
-            sefes: u("sefes")?,
-        },
-        "mshr-alloc" => SimEvent::MshrAlloc {
-            core: us("core")?,
-            line: u("line")?,
-            spec: b("spec")?,
-            occupancy: u("occupancy")?,
-        },
-        "mshr-retire" => SimEvent::MshrRetire {
-            core: us("core")?,
-            line: u("line")?,
-            spec: b("spec")?,
-            occupancy: u("occupancy")?,
-        },
-        "mshr-drop" => SimEvent::MshrDrop {
-            core: us("core")?,
-            dropped: u("dropped")?,
-        },
-        "sefe-overflow" => SimEvent::SefeOverflow {
-            core: us("core")?,
-            line: u("line")?,
-        },
-        "dropped-fill" => SimEvent::DroppedFill {
-            core: us("core")?,
-            line: u("line")?,
-            episode: u("episode")?,
-        },
-        "orphan-fill" => SimEvent::OrphanFill {
-            core: us("core")?,
-            line: u("line")?,
-        },
-        "cleanup-inval" => SimEvent::CleanupInval {
-            core: us("core")?,
-            line: u("line")?,
-            l1: b("l1")?,
-            l2: b("l2")?,
-            seq: u("seq")?,
-            episode: u("episode")?,
-        },
-        "cleanup-restore" => SimEvent::CleanupRestore {
-            core: us("core")?,
-            line: u("line")?,
-            evictor: u("evictor")?,
-            seq: u("seq")?,
-            episode: u("episode")?,
-        },
-        "epoch-bump" => SimEvent::EpochBump {
-            core: us("core")?,
-            epoch: u("epoch")?,
-            dropped: u("dropped")?,
-            episode: u("episode")?,
-        },
-        "spec-retire" => SimEvent::SpecRetire {
-            core: us("core")?,
-            line: u("line")?,
-        },
-        "ceaser-remap" => SimEvent::CeaserRemap {
-            level: level("level")?,
-            epoch: u("epoch")?,
-        },
-        "dram-read" => SimEvent::DramRead {
-            core: us("core")?,
-            line: u("line")?,
-        },
-        "dram-writeback" => SimEvent::DramWriteback { line: u("line")? },
-        other => return Err(format!("unknown event kind {other:?}")),
-    };
-    Ok((cycle, event))
+    SimEvent::from_json(value)
 }
 
 #[cfg(test)]
@@ -424,10 +226,19 @@ pub(crate) mod tests {
     }
 
     /// Every event variant survives a JSONL round trip bit-exactly —
-    /// the property `cs-report` trace replay depends on.
+    /// the property `cs-report` trace replay depends on. An `evict` with no
+    /// evictor is added: its `by_spec=false` arm writes no `evictor`.
     #[test]
     fn every_event_round_trips_through_json() {
-        for (i, event) in crate::event::sample_events().iter().enumerate() {
+        let mut events = crate::event::sample_events();
+        events.push(SimEvent::Evict {
+            core: 1,
+            line: 3,
+            level: CacheLevel::L2,
+            dirty: false,
+            evictor: None,
+        });
+        for (i, event) in events.iter().enumerate() {
             let cycle = 10 + i as u64;
             let line = event_to_json(cycle, event);
             let parsed = crate::jsonparse::JsonValue::parse(&line).unwrap();

@@ -224,13 +224,9 @@ impl PerfettoSink {
             }
         }
         w.open_object(Some("args"));
-        for (name, value) in e.fields() {
-            match value {
-                crate::event::FieldValue::U64(v) => w.int(name, v),
-                crate::event::FieldValue::Bool(v) => w.bool(name, v),
-                crate::event::FieldValue::Str(v) => w.string(name, v),
-            };
-        }
+        e.each_field(|name, value| {
+            w.field(name, value);
+        });
         w.close_object().close_object();
 
         // Occupancy counter track fed by MSHR lifecycle events.
