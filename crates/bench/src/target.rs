@@ -2,12 +2,13 @@
 //!
 //! `cs-trace` and `cs-report` take the same positional argument: a
 //! micro-ISA `.s` file (assembled on the fly) or a named workload — a
-//! Table-3 SPEC-like workload (`gcc`, `astar`, ...), `spectre_v1`,
-//! `meltdown`, `mispredict_storm`, or `smith:<seed>` (decimal or `0x`
-//! hex as cs-smith prints it). [`Target::run`] is the one run both
-//! binaries make, so they accept the same spellings and replay the same
-//! system: `smith:<seed>` is exactly the run cs-smith judges for that
-//! seed.
+//! Table-3 SPEC-like workload (`gcc`, `astar`, ...), a Figure-9 sharing
+//! kernel (`canneal`, `fluidanimate`, ...; four cores, one program each),
+//! `spectre_v1`, `meltdown`, `mispredict_storm`, or `smith:<seed>`
+//! (decimal or `0x` hex as cs-smith prints it). [`Target::run`] is the
+//! one run both binaries make, so they accept the same spellings and
+//! replay the same system: `smith:<seed>` is exactly the run cs-smith
+//! judges for that seed.
 
 use crate::chaos::env_for;
 use crate::cli::DEFAULT_SEED;
@@ -23,6 +24,7 @@ use cleanupspec_workloads::attacks::{
     meltdown_program, spectre_v1_program, MeltdownConfig, SpectreConfig,
 };
 use cleanupspec_workloads::micro::mispredict_storm;
+use cleanupspec_workloads::sharing::sharing_workload;
 use cleanupspec_workloads::smith::{assemble_plan, plan};
 use cleanupspec_workloads::spec::spec_workload;
 use std::sync::Arc;
@@ -31,15 +33,19 @@ use std::sync::Arc;
 pub fn target_help() -> String {
     let modes: Vec<_> = SecurityMode::ALL.iter().map(|m| m.name()).collect();
     format!(
-        "modes: {}\ntargets: a .s file, any Table-3 name (gcc, astar, ...), spectre_v1, \
-         meltdown, mispredict_storm, smith:<seed> (cs-smith's run of that seed; \
-         no --insts/--seed)",
+        "modes: {}\ntargets: a .s file, any Table-3 name (gcc, astar, ...), any Figure-9 \
+         sharing kernel (canneal, fluidanimate, ...; 4 cores), spectre_v1, meltdown, \
+         mispredict_storm, smith:<seed> (cs-smith's run of that seed; no --insts/--seed)",
         modes.join(", ")
     )
 }
 
 /// Per-core instruction cap of a named target without `--insts`.
 const DEFAULT_INSTS: u64 = 50_000;
+
+/// Cores of a Figure-9 sharing-kernel target (as in perfbench's
+/// `sharing-4core`).
+const SHARING_CORES: usize = 4;
 
 /// A resolved positional argument, ready to [`Target::run`] under any
 /// mode.
@@ -138,7 +144,8 @@ pub fn trace_command(seed: u64, scheme: &str, fault: Option<FaultKind>) -> Strin
 }
 
 /// Resolves a target other than `smith:<seed>` to one program per core:
-/// `.s` paths are assembled, everything else is a single-program named
+/// `.s` paths are assembled, a Figure-9 sharing kernel builds its
+/// [`SHARING_CORES`] programs, everything else is a single-program named
 /// workload.
 fn named_programs(target: &str, seed: u64) -> Result<Vec<Program>, String> {
     if target.ends_with(".s") {
@@ -151,6 +158,9 @@ fn named_programs(target: &str, seed: u64) -> Result<Vec<Program>, String> {
     if let Some(w) = spec_workload(target) {
         return Ok(vec![w.build(seed ^ cleanupspec_mem::rng::mix_str(w.name))]);
     }
+    if let Some(w) = sharing_workload(target) {
+        return Ok(w.build_all(SHARING_CORES, seed ^ cleanupspec_mem::rng::mix_str(w.name)));
+    }
     match target {
         "spectre_v1" => Ok(vec![spectre_v1_program(&SpectreConfig::default())]),
         "meltdown" => Ok(vec![meltdown_program(&MeltdownConfig::default())]),
@@ -162,11 +172,18 @@ fn named_programs(target: &str, seed: u64) -> Result<Vec<Program>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cleanupspec_workloads::sharing::SHARING_WORKLOADS;
 
     #[test]
     fn named_workloads_resolve() {
         for name in ["gcc", "spectre_v1", "meltdown", "mispredict_storm"] {
             assert!(named_programs(name, 1).is_ok(), "{name} did not resolve");
+        }
+        // A Table-3 name resolves first, so a kernel of the same name
+        // would be unreachable.
+        for k in SHARING_WORKLOADS {
+            assert!(spec_workload(k.name).is_none(), "{} is both", k.name);
+            assert_eq!(named_programs(k.name, 1).unwrap().len(), SHARING_CORES);
         }
     }
 

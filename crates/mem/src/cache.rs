@@ -5,7 +5,7 @@
 use crate::ceaser::Indexer;
 use crate::fault::{FaultInjector, FaultKind};
 use crate::replacement::{ReplacementKind, ReplacementPolicy};
-use crate::types::{CoreId, LineAddr, SpecTag};
+use crate::types::{LineAddr, SpecOwner};
 
 /// MESI coherence state of a cached line.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,11 +49,15 @@ pub struct CacheLine {
     /// Dirty bit (meaningful at the L2, where `Shared`+dirty can occur for
     /// lines written back from an L1).
     pub dirty: bool,
-    /// Set while the line was installed by a still-speculative load
+    /// The core whose still-speculative load installed the line
     /// (CleanupSpec window protection, Section 3.6). Cleared at load
     /// retirement or by cleanup.
-    pub spec: Option<SpecTag>,
+    pub spec_owner: Option<SpecOwner>,
 }
+
+// Line address plus state, dirty bit and the one-byte owner: every tag
+// array is built and cloned with each `System`, so its lines stay small.
+const _: () = assert!(std::mem::size_of::<CacheLine>() == 16);
 
 impl CacheLine {
     fn empty() -> Self {
@@ -61,7 +65,7 @@ impl CacheLine {
             line: LineAddr::new(0),
             state: Mesi::Invalid,
             dirty: false,
-            spec: None,
+            spec_owner: None,
         }
     }
 
@@ -80,8 +84,6 @@ pub struct Evicted {
     pub dirty: bool,
     /// Coherence state the victim held.
     pub state: Mesi,
-    /// Whether the victim itself was a still-speculative install.
-    pub spec: Option<SpecTag>,
 }
 
 /// Geometry and policy configuration for one cache.
@@ -347,7 +349,7 @@ impl SetAssocCache {
         line: LineAddr,
         state: Mesi,
         dirty: bool,
-        spec: Option<SpecTag>,
+        spec_owner: Option<SpecOwner>,
     ) -> Option<Evicted> {
         debug_assert!(state != Mesi::Invalid, "cannot install an invalid line");
         // Already present: refresh in place.
@@ -355,9 +357,7 @@ impl SetAssocCache {
             let l = self.slot_mut(set, way);
             l.state = state;
             l.dirty = l.dirty || dirty;
-            if l.spec.is_none() {
-                l.spec = spec;
-            }
+            l.spec_owner = l.spec_owner.or(spec_owner);
             self.repl.on_install(set, way);
             return None;
         }
@@ -395,7 +395,6 @@ impl SetAssocCache {
                         line: v.line,
                         dirty: v.dirty,
                         state: v.state,
-                        spec: v.spec,
                     }),
                 )
             } else {
@@ -410,7 +409,6 @@ impl SetAssocCache {
                         line: v.line,
                         dirty: v.dirty,
                         state: v.state,
-                        spec: v.spec,
                     }),
                 )
             }
@@ -425,7 +423,7 @@ impl SetAssocCache {
             line,
             state,
             dirty,
-            spec,
+            spec_owner,
         };
         self.repl.on_install(set, way);
         evicted
@@ -439,7 +437,6 @@ impl SetAssocCache {
             line: l.line,
             dirty: l.dirty,
             state: l.state,
-            spec: l.spec,
         };
         *l = CacheLine::empty();
         Some(out)
@@ -456,13 +453,6 @@ impl SetAssocCache {
             l.state = state;
         }
         Some(prev)
-    }
-
-    /// Clears the speculative-install tag of a line (at load retirement).
-    pub fn clear_spec(&mut self, line: LineAddr) {
-        if let Some(l) = self.probe_mut(line) {
-            l.spec = None;
-        }
     }
 
     /// Iterates over all valid lines (diagnostics and invariant tests).
@@ -506,13 +496,6 @@ impl SetAssocCache {
         lines
             .into_iter()
             .fold(0x5EED_D16E_5700_0001, |acc, h| crate::rng::mix64(acc ^ h))
-    }
-
-    /// Tags a freshly installed line as speculatively installed by `core`.
-    pub fn is_spec_installed_by_other(&self, line: LineAddr, requester: CoreId) -> bool {
-        self.probe(line)
-            .and_then(|l| l.spec)
-            .is_some_and(|t| t.core != requester)
     }
 }
 
@@ -619,21 +602,22 @@ mod tests {
     }
 
     #[test]
-    fn spec_tag_tracked_and_cleared() {
-        use crate::types::{EpochId, LoadId};
+    fn spec_owner_kept_on_refresh_and_cleared_by_invalidate() {
+        use crate::types::CoreId;
         let mut c = small_cache(ReplacementKind::Lru);
         let a = LineAddr::new(0);
-        let tag = SpecTag {
-            core: CoreId(1),
-            epoch: EpochId::zero(),
-            load: LoadId(9),
-            installed_at: 100,
-        };
-        c.install(a, Mesi::Exclusive, false, Some(tag));
-        assert!(c.is_spec_installed_by_other(a, CoreId(0)));
-        assert!(!c.is_spec_installed_by_other(a, CoreId(1)));
-        c.clear_spec(a);
-        assert!(!c.is_spec_installed_by_other(a, CoreId(0)));
+        let owner = |c: &SetAssocCache| c.probe(a).and_then(|l| l.spec_owner).map(SpecOwner::core);
+        c.install(a, Mesi::Exclusive, false, Some(SpecOwner::new(CoreId(1))));
+        assert_eq!(owner(&c), Some(CoreId(1)));
+        // A refresh keeps the first owner, whoever refreshes.
+        c.install(a, Mesi::Shared, false, Some(SpecOwner::new(CoreId(0))));
+        assert_eq!(owner(&c), Some(CoreId(1)));
+        c.install(a, Mesi::Shared, false, None);
+        assert_eq!(owner(&c), Some(CoreId(1)));
+        // An invalidate clears it: the next install starts untagged.
+        c.invalidate(a);
+        c.install(a, Mesi::Exclusive, false, None);
+        assert_eq!(owner(&c), None);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::fault::{FaultInjector, FaultKind};
 use crate::mshr::{LoadPath, MshrEntry, MshrFile, MshrState, MshrToken, SefeRecord};
 use crate::replacement::ReplacementKind;
 use crate::stats::{LoadClass, MemStats, MsgClass, Traffic};
-use crate::types::{CoreId, Cycle, EpochId, LineAddr, LoadId, SpecTag};
+use crate::types::{CoreId, Cycle, EpochId, LineAddr, LoadId, SpecOwner};
 use cleanupspec_obs::hash::IntMap;
 use cleanupspec_obs::{CacheLevel, Observer, SimEvent};
 
@@ -631,7 +631,7 @@ impl MemHierarchy {
             // transiently installed by ANOTHER core is serviced as a dummy
             // miss — from memory if the L2 copy itself is transient, else
             // from the L2 — with no state change at all.
-            let spec_owner = l2line.spec.map(|t| t.core);
+            let spec_owner = l2line.spec_owner.map(SpecOwner::core);
             let l2_spec_other = spec_owner.is_some_and(|o| o != core);
             if self.cfg.window_protection && l2_spec_other {
                 let latency = self.cfg.l2_effective_rt() + self.cfg.dram_rt;
@@ -881,17 +881,9 @@ impl MemHierarchy {
                         self.mshr[ci].clear_slot(slot);
                     }
                     MshrState::Pending => {
-                        let tag = if entry.is_spec && !entry.orphan {
-                            Some(SpecTag {
-                                core: entry.core,
-                                epoch: entry.epoch,
-                                load: entry.load,
-                                installed_at: entry.complete_at,
-                            })
-                        } else {
-                            None
-                        };
-                        let rec = self.perform_fill(entry.core, entry.line, tag);
+                        let owner =
+                            (entry.is_spec && !entry.orphan).then(|| SpecOwner::new(entry.core));
+                        let rec = self.perform_fill(entry.core, entry.line, owner);
                         if entry.orphan {
                             // Insecure modes: the squashed load's fill still
                             // lands — the leak CleanupSpec closes.
@@ -949,7 +941,13 @@ impl MemHierarchy {
     }
 
     /// Performs the installs for a completed miss. Returns the SEFE record.
-    fn perform_fill(&mut self, core: CoreId, line: LineAddr, tag: Option<SpecTag>) -> SefeRecord {
+    /// `owner` is set when a still-speculative load installs the line.
+    fn perform_fill(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        owner: Option<SpecOwner>,
+    ) -> SefeRecord {
         let mut rec = SefeRecord::default();
         // Install into the L2 whenever the line is absent — even when the
         // request hit the L2 at issue time: an intervening clflush or L2
@@ -957,7 +955,7 @@ impl MemHierarchy {
         // L1 copy lands.
         if self.l2.probe(line).is_none() {
             rec.l2_fill = true;
-            let evicted = self.l2.install(line, Mesi::Shared, false, tag);
+            let evicted = self.l2.install(line, Mesi::Shared, false, owner);
             self.dir.insert(line, DirEntry::default());
             self.obs.emit(
                 self.now_hint,
@@ -965,11 +963,11 @@ impl MemHierarchy {
                     core: core.index(),
                     line: line.raw(),
                     level: CacheLevel::L2,
-                    spec: tag.is_some(),
+                    spec: owner.is_some(),
                 },
             );
             if let Some(v) = evicted {
-                self.handle_l2_eviction(core, v, tag.map(|_| line));
+                self.handle_l2_eviction(core, v, owner.map(|_| line));
             }
         }
         // L1 install.
@@ -993,21 +991,21 @@ impl MemHierarchy {
                 Mesi::Shared
             };
             dir.add(core);
-            let evicted = self.l1[ci].install(line, state, false, tag);
+            let evicted = self.l1[ci].install(line, state, false, owner);
             self.obs.emit(
                 self.now_hint,
                 SimEvent::Fill {
                     core: ci,
                     line: line.raw(),
                     level: CacheLevel::L1,
-                    spec: tag.is_some(),
+                    spec: owner.is_some(),
                 },
             );
             if let Some(v) = evicted {
                 rec.l1_evict = Some(v.line);
                 rec.l1_evict_dirty = v.dirty;
                 self.stats.l1_evictions += 1;
-                self.handle_l1_eviction(core, v, tag.map(|_| line));
+                self.handle_l1_eviction(core, v, owner.map(|_| line));
             }
         }
         rec
@@ -1516,15 +1514,15 @@ impl MemHierarchy {
     /// `core` (the load is now unsquashable).
     pub fn retire_load(&mut self, core: CoreId, line: LineAddr) {
         let mut cleared = false;
-        if let Some(l) = self.l1[core.index()].probe_mut(line) {
-            if l.spec.is_some_and(|t| t.core == core) {
-                l.spec = None;
-                cleared = true;
-            }
-        }
-        if let Some(l) = self.l2.probe_mut(line) {
-            if l.spec.is_some_and(|t| t.core == core) {
-                l.spec = None;
+        for l in [
+            self.l1[core.index()].probe_mut(line),
+            self.l2.probe_mut(line),
+        ]
+        .into_iter()
+        .flatten()
+        {
+            if l.spec_owner.is_some_and(|o| o.core() == core) {
+                l.spec_owner = None;
                 cleared = true;
             }
         }
@@ -1835,6 +1833,47 @@ mod tests {
         m.retire_load(CoreId(0), line);
         let out2 = m.load(CoreId(1), line, 600, demand(10)).unwrap();
         assert_ne!(out2.path, LoadPath::DummyMiss);
+    }
+
+    #[test]
+    fn window_owner_keeps_every_core_index_in_its_byte() {
+        use cleanupspec_obs::{RingSink, Shared};
+        let ring = Shared::new(RingSink::new(64));
+        let mut m = MemHierarchy::new(MemConfig {
+            num_cores: 64,
+            window_protection: true,
+            ..tiny_cfg()
+        });
+        m.set_observer(Observer::single(Box::new(ring.clone())));
+        let line = LineAddr::new(0x600);
+        // Core 63 transiently installs the line in the L2.
+        let (_, rec) = load_to_completion(&mut m, CoreId(63), line, 0);
+        assert!(rec.unwrap().l2_fill);
+        let dummy = |m: &mut MemHierarchy, c: usize, now: Cycle| {
+            m.load(CoreId(c), line, now, demand(9)).unwrap().path == LoadPath::DummyMiss
+        };
+        let retires = || {
+            ring.with(|r| {
+                r.events()
+                    .filter(|e| matches!(e.event, SimEvent::SpecRetire { .. }))
+                    .count()
+            })
+        };
+        // 2^k - 1 is what index 63 becomes if the owner keeps only k bits.
+        for c in [0, 1, 3, 7, 15, 31] {
+            assert!(
+                dummy(&mut m, c, 300),
+                "core {c} hit core 63's transient line"
+            );
+        }
+        // Another core's retire leaves the owner's tag in place.
+        m.retire_load(CoreId(0), line);
+        assert_eq!(retires(), 0, "core 0 cleared core 63's tag");
+        assert!(dummy(&mut m, 0, 400));
+        // The owner's retire clears it: a normal hit from then on.
+        m.retire_load(CoreId(63), line);
+        assert_eq!(retires(), 1);
+        assert!(!dummy(&mut m, 0, 600));
     }
 
     #[test]

@@ -54,4 +54,4 @@ pub use hierarchy::{LoadKind, LoadOutcome, LoadReq, MemConfig, MemHierarchy, Sto
 pub use mshr::{LoadPath, MshrFullError, MshrToken, SefeRecord};
 pub use replacement::ReplacementKind;
 pub use stats::{LoadClass, MemStats, MsgClass, Traffic};
-pub use types::{Addr, CoreId, Cycle, EpochId, LineAddr, LoadId, SpecTag};
+pub use types::{Addr, CoreId, Cycle, EpochId, LineAddr, LoadId, SpecOwner};

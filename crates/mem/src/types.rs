@@ -192,18 +192,26 @@ impl fmt::Display for LoadId {
     }
 }
 
-/// Identifies the speculative installer of a cache line during the window of
-/// speculation (Section 3.6): which core installed it and under which epoch.
+/// The core whose still-speculative load installed a cache line: all that
+/// speculation-window protection (Section 3.6) reads of the install. One
+/// byte, since [`crate::hierarchy::MemHierarchy::try_new`] caps the core
+/// count at 64.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct SpecTag {
-    /// Core whose transient load installed the line.
-    pub core: CoreId,
-    /// Epoch in which the install happened.
-    pub epoch: EpochId,
-    /// The installing load.
-    pub load: LoadId,
-    /// Cycle of the install, for window-expiry bookkeeping.
-    pub installed_at: Cycle,
+pub struct SpecOwner(u8);
+
+impl SpecOwner {
+    /// The owner record of `core`.
+    ///
+    /// # Panics
+    /// Panics if the core index does not fit in a byte.
+    pub fn new(core: CoreId) -> Self {
+        SpecOwner(u8::try_from(core.0).expect("core index fits the one-byte owner"))
+    }
+
+    /// The installing core.
+    pub const fn core(self) -> CoreId {
+        CoreId(self.0 as usize)
+    }
 }
 
 #[cfg(test)]

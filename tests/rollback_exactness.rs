@@ -139,10 +139,18 @@ fn no_spec_tags_survive_a_completed_run() {
     });
     sim.drain(2_000);
     for l in sim.mem().l1(CoreId(0)).iter_valid() {
-        assert!(l.spec.is_none(), "dangling spec tag on {} in L1", l.line);
+        assert!(
+            l.spec_owner.is_none(),
+            "dangling spec tag on {} in L1",
+            l.line
+        );
     }
     for l in sim.mem().l2().iter_valid() {
-        assert!(l.spec.is_none(), "dangling spec tag on {} in L2", l.line);
+        assert!(
+            l.spec_owner.is_none(),
+            "dangling spec tag on {} in L2",
+            l.line
+        );
     }
     sim.mem().check_invariants().unwrap();
 }
